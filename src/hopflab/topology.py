@@ -43,6 +43,7 @@ from .maps import SphereMap, fiber_circle, map_from_descriptor
 PROJECTION_SIGN = 1.0
 
 _FD_DELTA = 1e-5
+_FD_BLOCK = 1024  # base points per stencil evaluation
 
 
 @dataclass(frozen=True)
@@ -112,19 +113,29 @@ def tangential_jacobian(f: SphereMap, pts):
     """
     pts = np.asarray(pts, dtype=np.float64)
     E = _kernels.oriented_frames(pts)
-    vals = f.eval_many(pts)
-    W = _kernels.oriented_frames(vals)
     m_dom, m_cod = f.domain_dim, f.codomain_dim
-    cols = np.empty((pts.shape[0], m_cod + 1, m_dom))
     if f.jacobian_many is not None:
-        J = f.jacobian_many(pts)
-        cols = np.einsum("nij,njk->nik", J, E)
+        vals = f.eval_many(pts)
+        cols = np.einsum("nij,njk->nik", f.jacobian_many(pts), E)
     else:
+        # each block of base points is stacked with its +/- delta geodesic
+        # neighbours along every frame direction and evaluated in one call;
+        # blocks bound the temporaries of large batches
         d = _FD_DELTA
-        for i in range(m_dom):
-            plus = np.cos(d) * pts + np.sin(d) * E[:, :, i]
-            minus = np.cos(d) * pts - np.sin(d) * E[:, :, i]
-            cols[:, :, i] = (f.eval_many(plus) - f.eval_many(minus)) / (2.0 * d)
+        n = pts.shape[0]
+        vals = np.empty((n, m_cod + 1))
+        cols = np.empty((n, m_cod + 1, m_dom))
+        for a in range(0, n, _FD_BLOCK):
+            p = pts[a:a + _FD_BLOCK]
+            base = np.cos(d) * p
+            shift = np.sin(d) * np.moveaxis(E[a:a + _FD_BLOCK], 2, 0)
+            stencil = np.concatenate([p[None], base + shift, base - shift])
+            out = f.eval_many(stencil.reshape(-1, m_dom + 1))
+            out = out.reshape(1 + 2 * m_dom, -1, m_cod + 1)
+            vals[a:a + _FD_BLOCK] = out[0]
+            cols[a:a + _FD_BLOCK] = np.moveaxis(
+                out[1:1 + m_dom] - out[1 + m_dom:], 0, 2) / (2.0 * d)
+    W = _kernels.oriented_frames(vals)
     D = np.einsum("nia,nij->naj", W, cols)
     return D, E, vals
 
@@ -222,7 +233,7 @@ def trace_fiber(f: SphereMap, target, seeds, step: float = 1e-3,
     for seed in seeds:
         x0 = np.asarray(seed.coords if hasattr(seed, "coords") else seed, float)
         x0 = x0 / np.linalg.norm(x0)
-        ok, x0 = _correct_to_fiber(f, x0, zc)
+        ok, x0, jac = _correct_to_fiber(f, x0, zc)
         if not ok:
             continue
         if any(
@@ -230,38 +241,48 @@ def trace_fiber(f: SphereMap, target, seeds, step: float = 1e-3,
             for c in curves
         ):
             continue
-        curves.append(_follow_fiber(f, x0, zc, step, sigma_min, max_steps))
+        curves.append(_follow_fiber(f, x0, jac, zc, step, sigma_min, max_steps))
     return curves
 
 
-def _correct_to_fiber(f: SphereMap, x, zc, tol: float = 1e-8, iters: int = 60):
-    """Gauss-Newton: move x on S^3 until |f(x) - target| < tol."""
+def _correct_to_fiber(f: SphereMap, x, zc, tol: float = 1e-8, iters: int = 60,
+                      min_step: float = 1e-15):
+    """Gauss-Newton: move x on the domain sphere until |f(x) - target| < tol.
+
+    Returns (ok, x, jac) with jac = tangential_jacobian(f, x) at the
+    returned x when ok, so the caller can reuse it; jac is None otherwise.
+    A flat spot (constant region) or a step below min_step means the seed
+    is off the fiber.
+    """
     for _ in range(iters):
-        D, E, val = tangential_jacobian(f, x[None, :])
+        jac = tangential_jacobian(f, x[None, :])
+        D, E, val = jac
         r = val[0] - zc
         if float(np.linalg.norm(r)) < tol:
-            return True, x
+            return True, x, jac
         # residual in the codomain tangent frame at f(x)
         W = _kernels.oriented_frames(val)[0]
-        rw = W.T @ r
         A = D[0]
         if float(np.linalg.norm(A)) < 1e-12:
-            return False, x  # flat spot (constant region): seed is off-fiber
-        h, *_ = np.linalg.lstsq(A, -rw, rcond=None)
+            return False, x, None
+        h, *_ = np.linalg.lstsq(A, -(W.T @ r), rcond=None)
         n = float(np.linalg.norm(h))
-        if n < 1e-15:
-            return False, x
+        if n < min_step:
+            return False, x, None
         if n > 0.2:
             h *= 0.2 / n
             n = 0.2
         x = np.cos(n) * x + np.sin(n) * (E[0] @ (h / n))
         x /= np.linalg.norm(x)
-    return False, x
+    return False, x, None
 
 
-def _fiber_direction(f: SphereMap, x, prev=None):
-    """Unit tangent along the fiber at x, oriented as induced from f."""
-    D, E, val = tangential_jacobian(f, x[None, :])
+def _fiber_direction(jac, prev=None):
+    """Unit tangent along the fiber, oriented as induced from f.
+
+    jac is tangential_jacobian(f, x) at the fiber point x.
+    """
+    D, E, _ = jac
     A = D[0]
     U, S, Vt = np.linalg.svd(A)
     sigma2 = float(S[1])
@@ -280,20 +301,20 @@ def _fiber_direction(f: SphereMap, x, prev=None):
     return tangent, sigma2
 
 
-def _follow_fiber(f: SphereMap, x0, zc, step, sigma_min, max_steps):
+def _follow_fiber(f: SphereMap, x0, jac, zc, step, sigma_min, max_steps):
     pts = [x0]
     x = x0
     prev = None
     travelled = 0.0
     for nstep in range(max_steps):
-        tangent, sigma2 = _fiber_direction(f, x, prev)
+        tangent, sigma2 = _fiber_direction(jac, prev)
         if sigma2 < sigma_min:
             raise NonRegularValueError(
                 f"differential nearly singular along fiber (sigma2 = {sigma2:.2e}); "
                 "retry with a different target"
             )
         x_new = np.cos(step) * x + np.sin(step) * tangent
-        ok, x_new = _correct_to_fiber(f, x_new / np.linalg.norm(x_new), zc)
+        ok, x_new, jac = _correct_to_fiber(f, x_new / np.linalg.norm(x_new), zc)
         if not ok:
             raise NonRegularValueError("corrector failed to return to the fiber")
         travelled += step
@@ -452,36 +473,14 @@ def _preimages_on_s2(v: SphereMap, zc, grid: int = 24):
         pts = np.array(_ball_grid(c, ball.radius, grid))
         best = None
         for x in pts:
-            ok, x = _correct_on_s2(v, x, zc)
+            ok, x, _ = _correct_to_fiber(v, x, zc, tol=1e-10, iters=80,
+                                         min_step=1e-16)
             if ok:
                 best = x
                 break
         if best is not None:
             found.append(best)
     return found
-
-
-def _correct_on_s2(v: SphereMap, x, zc, tol: float = 1e-10, iters: int = 80):
-    """Gauss-Newton solve v(x) = zc on S^2."""
-    for _ in range(iters):
-        D, E, val = tangential_jacobian(v, x[None, :])
-        r = val[0] - zc
-        if float(np.linalg.norm(r)) < tol:
-            return True, x
-        W = _kernels.oriented_frames(val)[0]
-        A = D[0]
-        if float(np.linalg.norm(A)) < 1e-12:
-            return False, x
-        h, *_ = np.linalg.lstsq(A, -(W.T @ r), rcond=None)
-        n = float(np.linalg.norm(h))
-        if n < 1e-16:
-            return False, x
-        if n > 0.2:
-            h *= 0.2 / n
-            n = 0.2
-        x = np.cos(n) * x + np.sin(n) * (E[0] @ (h / n))
-        x /= np.linalg.norm(x)
-    return False, x
 
 
 def _ball_grid(center, radius, n):

@@ -13,6 +13,33 @@ TRACE_STEP = 2e-3  # coarse enough to keep the suite quick, residuals ~1e-4
 
 
 # ---------------------------------------------------------------------------
+# Tangential Jacobians
+# ---------------------------------------------------------------------------
+
+def test_finite_difference_jacobian_matches_closed_form(monkeypatch):
+    # the Hopf map without its analytic Jacobian takes the stencil branch
+    fd = maps.SphereMap(3, 2, maps.hopf_eval_many,
+                        {"variant": "hopf_fd", "params": {}, "children": []})
+    assert fd.jacobian_many is None
+    pts = geo.sphere_lattice(3, 1000)
+    D, E, vals = topology.tangential_jacobian(fd, pts)
+    D_exact, E_exact, vals_exact = topology.tangential_jacobian(maps.hopf_map(), pts)
+    assert np.array_equal(E, E_exact) and np.array_equal(vals, vals_exact)
+    assert np.max(np.abs(D - D_exact)) < 1e-8
+    # the stacked stencil never mixes rows: each row of the batched call is
+    # bitwise the one-point call on that point
+    for i, x in enumerate(pts):
+        D1, E1, vals1 = topology.tangential_jacobian(fd, x[None, :])
+        assert np.array_equal(D1[0], D[i])
+        assert np.array_equal(E1[0], E[i])
+        assert np.array_equal(vals1[0], vals[i])
+    # nor does splitting the batch into stencil blocks, the last one partial
+    monkeypatch.setattr(topology, "_FD_BLOCK", 64)
+    D64, _, vals64 = topology.tangential_jacobian(fd, pts)
+    assert np.array_equal(D64, D) and np.array_equal(vals64, vals)
+
+
+# ---------------------------------------------------------------------------
 # Mapping degree by Jacobian integration
 # ---------------------------------------------------------------------------
 
@@ -134,6 +161,27 @@ def test_trace_fiber_recovers_hopf_circle():
     # arc length of a great circle
     seg = np.linalg.norm(np.diff(np.vstack([pts, pts[:1]]), axis=0), axis=1)
     assert abs(seg.sum() - 2 * np.pi) < 0.01
+
+
+def test_trace_fiber_reuses_the_corrector_jacobian(monkeypatch):
+    # Hopf fibers are great circles, so each predictor step lands on the
+    # fiber and the corrector's one Jacobian there also serves the next
+    # predictor step: about one Jacobian per traced point
+    calls = []
+    jacobian = topology.tangential_jacobian
+
+    def counted(f, pts):
+        calls.append(len(pts))
+        return jacobian(f, pts)
+
+    monkeypatch.setattr(topology, "tangential_jacobian", counted)
+    h = maps.hopf_map()
+    z = geo.sphere_point([0.2, 0.3, np.sqrt(1 - 0.13)])
+    seeds = maps.fiber_circle(z, 8)
+    curves = topology.trace_fiber(h, z, seeds, step=TRACE_STEP)
+    n_points = sum(c.points.shape[0] for c in curves)
+    assert n_points > 1000
+    assert len(calls) <= n_points + 2 * len(seeds)
 
 
 def test_hopf_invariant_of_hopf_map():
