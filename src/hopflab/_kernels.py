@@ -33,6 +33,11 @@ try:  # pragma: no cover - exercised implicitly by backend selection
 except ImportError:  # pragma: no cover
     HAVE_NUMBA = False
 
+# Segment or point pairs per block in the numpy pairwise kernels. A block
+# broadcasts a few (PAIR_BLOCK, 3) float64 temporaries, about 5 MB each,
+# which bounds the kernels' peak memory whatever the curve lengths.
+PAIR_BLOCK = 200_000
+
 
 # ---------------------------------------------------------------------------
 # Discrete Gauss linking sum
@@ -44,8 +49,8 @@ def gauss_linking_sum_numpy(mid1, seg1, mid2, seg2):
     mid*, seg*: (N,3) midpoints and difference vectors of closed polylines.
     """
     total = 0.0
-    # chunk the outer curve to keep the (chunk, M, 3) broadcasts in cache
-    chunk = max(1, int(2.0e6) // max(1, mid2.shape[0]))
+    # block the outer curve so the (chunk, M, 3) broadcasts stay small
+    chunk = max(1, PAIR_BLOCK // max(1, mid2.shape[0]))
     for a in range(0, mid1.shape[0], chunk):
         b = min(a + chunk, mid1.shape[0])
         cross = np.cross(seg1[a:b, None, :], seg2[None, :, :])
@@ -196,7 +201,7 @@ def _minor_index(c):
 def min_pairwise_distance_numpy(a, b):
     """Smallest Euclidean distance between rows of a and rows of b."""
     best = np.inf
-    chunk = max(1, int(2.0e6) // max(1, b.shape[0]))
+    chunk = max(1, PAIR_BLOCK // max(1, b.shape[0]))
     for i in range(0, a.shape[0], chunk):
         diff = a[i : i + chunk, None, :] - b[None, :, :]
         d2 = np.sum(diff * diff, axis=2)

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EstimationError, ParameterError
+from .errors import ParameterError
 from .geometry import (
     GeodesicBall,
     cap_area,

@@ -39,7 +39,3 @@ class NonRegularValueError(HopflabError, RuntimeError):
 
 class IllConditionedLinkingError(HopflabError, RuntimeError):
     """Curves too close together for a reliable linking number."""
-
-
-class EstimationError(HopflabError, RuntimeError):
-    """An energy estimate could not be produced."""

@@ -82,6 +82,8 @@ class ExperimentConfig:
         if self.p is None:
             object.__setattr__(self, "p", 3.0 / self.s)
         object.__setattr__(self, "seed", int(self.seed))
+        if self.seed < 0:
+            raise ParameterError(f"seed must be non-negative, got {self.seed}")
 
     def to_dict(self) -> dict:
         return {
@@ -156,9 +158,11 @@ def _fit_loglog(rows):
 def run_scaling(config: ExperimentConfig) -> ScalingResult:
     """Estimate E_{s,p}(u_d, S^3) for each prescribed degree and fit.
 
-    Each degree gets its own derived seed (config.seed + d), so rows are
-    reproducible independently. A construction or estimation failure stops
-    the run; the rows already computed are persisted with partial=True.
+    Each row draws its estimator seed from a stream keyed on
+    (config.seed, d), so rows are reproducible independently and no two
+    (seed, degree) pairs share a stream. A construction or estimation
+    failure stops the run; the rows already computed are persisted with
+    partial=True.
     """
     params = EnergyParams(
         s=config.s, p=config.p, n=3,
@@ -170,8 +174,10 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
     for d in config.degrees:
         try:
             u = prescribed_hopf_map(d)
+            # stream keys are non-negative: a negative degree keys on (|d|, 1)
+            key = [config.seed, d] if d >= 0 else [config.seed, -d, 1]
             est = energy_mc(u, params, region, config.samples_per_estimate,
-                            config.seed + d)
+                            np.random.default_rng(key))
         except HopflabError as err:
             failures.append(f"d={d}: {type(err).__name__}: {err}")
             partial = True

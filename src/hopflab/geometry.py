@@ -281,8 +281,13 @@ def sample_shell_radii(m: int, t0: float, t1: float, n: int, rng):
 
     The density is proportional to sin^(m-1)(t). m = 2 inverts the CDF in
     the cancellation-free form 1 - cos t = 2 sin^2(t/2); m = 3 inverts
-    F(t) = t - sin t cos t, switching to its Taylor form for thin shells
-    near zero where the direct expression loses every significant digit.
+    F(t) = t - sin t cos t. Thin shells near zero, where the direct
+    expression loses every significant digit, invert its Taylor form by a
+    fixed point. Other shells start from that same series inverse, taken
+    about the nearer end of [0, pi] since F(pi - t) = pi - F(t), clipped to
+    [t0, t1]. Bracketed Newton follows: an iterate outside the bracket (or
+    at a vanishing derivative) is replaced by the bracket midpoint, and the
+    loop stops once the largest step falls below 1e-13 rad.
     """
     u = rng.random(n)
     if m == 2:
@@ -293,18 +298,13 @@ def sample_shell_radii(m: int, t0: float, t1: float, n: int, rng):
     if m != 3:
         raise ParameterError(f"unsupported sphere dimension {m}")
     if t1 <= 5e-3:
-        # F(t) = (2/3) t^3 (1 - t^2/5 + 2 t^4/105 + O(t^6)); fixed point on
-        # t = (F / ((2/3)(1 - t^2/5 + ...)))^(1/3) converges in a few steps
         f0, f1 = _f3_series(t0), _f3_series(t1)
-        target = f0 + u * (f1 - f0)
-        t = np.cbrt(1.5 * target)
-        for _ in range(4):
-            t = np.cbrt(1.5 * target / (1.0 - t * t / 5.0 + 2.0 * t ** 4 / 105.0))
-        return np.clip(t, t0, t1)
+        return np.clip(_f3_series_inverse(f0 + u * (f1 - f0)), t0, t1)
     f0 = t0 - np.sin(t0) * np.cos(t0)
     f1 = t1 - np.sin(t1) * np.cos(t1)
     target = f0 + u * (f1 - f0)
-    t = np.full(n, 0.5 * (t0 + t1))
+    g = _f3_series_inverse(np.minimum(target, np.pi - target))
+    t = np.clip(np.where(target > 0.5 * np.pi, np.pi - g, g), t0, t1)
     lo = np.full(n, t0)
     hi = np.full(n, t1)
     for _ in range(60):
@@ -315,10 +315,13 @@ def sample_shell_radii(m: int, t0: float, t1: float, n: int, rng):
         df = 2.0 * np.sin(t) ** 2
         step = np.where(df > 1e-14, (f - target) / np.maximum(df, 1e-14), 0.0)
         tn = t - step
-        # fall back to bisection when Newton leaves the bracket
-        bad = (tn <= lo) | (tn >= hi) | (df <= 1e-14)
-        t = np.where(bad, 0.5 * (lo + hi), tn)
-        if np.max(hi - lo) < 1e-13:
+        # fall back to bisection when Newton leaves the bracket; a step
+        # landing on the end just moved there is converged, not outside
+        bad = (tn < lo) | (tn > hi) | (df <= 1e-14)
+        tn = np.where(bad, 0.5 * (lo + hi), tn)
+        moved = np.max(np.abs(tn - t))
+        t = tn
+        if moved < 1e-13:
             break
     return np.clip(t, t0, t1)
 
@@ -327,6 +330,18 @@ def _f3_series(t):
     """t - sin t cos t for small t, via the series (2/3)t^3(1 - t^2/5 + ...)."""
     t2 = t * t
     return (2.0 / 3.0) * t * t2 * (1.0 - t2 / 5.0 + 2.0 * t2 * t2 / 105.0)
+
+
+def _f3_series_inverse(f):
+    """Invert _f3_series: fixed point t = (1.5 f / (1 - t^2/5 + 2t^4/105))^(1/3).
+
+    The denominator stays positive for every real t, and the iteration
+    converges in a few steps on thin shells near zero.
+    """
+    t = np.cbrt(1.5 * f)
+    for _ in range(4):
+        t = np.cbrt(1.5 * f / (1.0 - t * t / 5.0 + 2.0 * t ** 4 / 105.0))
+    return t
 
 
 # ---------------------------------------------------------------------------

@@ -185,6 +185,20 @@ def test_run_scaling_single_degree_has_no_slope():
     assert res.slope is None and res.slope_stderr is None
 
 
+def test_run_scaling_keys_row_streams_on_seed_and_degree():
+    # keys of seed + d would give rows (0, 2) and (1, 1) one stream
+    seeds = {}
+    for seed in (0, 1):
+        res = X.run_scaling(_cfg(degrees=(1, 2), seed=seed))
+        seeds.update({(seed, d): e.seed for d, e in res.rows})
+    assert seeds[(0, 2)] != seeds[(1, 1)]
+    assert len(set(seeds.values())) == 4
+    again = X.run_scaling(_cfg(degrees=(2,), seed=0))
+    assert again.rows[0][1].seed == seeds[(0, 2)]
+    with pytest.raises(ParameterError):
+        _cfg(seed=-1)
+
+
 # ---------------------------------------------------------------------------
 # Verify suite plumbing (full checks live in the acceptance tests)
 # ---------------------------------------------------------------------------

@@ -1,5 +1,7 @@
 """Geometry primitives: points, rotations, projections, measures, lattices."""
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,30 @@ def test_sample_shell_radii_bounds_and_distribution():
             mid = float(np.median(t))
             frac = geo.shell_measure(m, t0, mid) / geo.shell_measure(m, t0, t1)
             assert abs(frac - 0.5) < 0.05
+
+
+def _shell_cdf(m, t):
+    """Unnormalised CDF of the sin^(m-1) radius law, stable near zero."""
+    t = np.asarray(t, dtype=np.float64)
+    if m == 2:
+        return 2.0 * np.sin(0.5 * t) ** 2
+    return np.where(t < 5e-3, geo._f3_series(t), t - np.sin(t) * np.cos(t))
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_sample_shell_radii_inverts_the_cdf_on_every_dyadic_shell(m):
+    # each radius must map back to its own uniform, not just match in law
+    gen = np.random.default_rng(8)
+    edges = np.pi * 2.0 ** -np.arange(41.0)
+    for j in range(40):
+        t1, t0 = edges[j], edges[j + 1]
+        u = copy.deepcopy(gen).random(2000)
+        t = geo.sample_shell_radii(m, t0, t1, 2000, gen)
+        assert np.all((t >= t0) & (t <= t1)), f"shell {j} left [t0, t1]"
+        f0, f1 = _shell_cdf(m, t0), _shell_cdf(m, t1)
+        frac = (_shell_cdf(m, t) - f0) / (f1 - f0)
+        err = float(np.max(np.abs(frac - u)))
+        assert err < 1e-9, f"shell {j}: CDF residual {err:.1e}"
 
 
 def test_sample_uniform_many_is_centered():

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -122,3 +123,31 @@ def test_min_pairwise_distance_backends_agree():
     x = K.min_pairwise_distance_numpy(a, b)
     y = K.min_pairwise_distance_numba(a, b)
     assert np.isclose(x, y, rtol=1e-14)
+
+
+def test_pairwise_kernels_peak_memory_is_bounded():
+    # blocks of PAIR_BLOCK pairs keep the broadcast temporaries small
+    m1, s1 = _circle(np.zeros(3), [0, 0, 1], 1.0, 1600)
+    m2, s2 = _circle(np.array([1.0, 0, 0]), [0, 1, 0], 1.0, 1600)
+    for kernel, args in ((K.gauss_linking_sum_numpy, (m1, s1, m2, s2)),
+                         (K.min_pairwise_distance_numpy, (m1, m2))):
+        tracemalloc.start()
+        try:
+            kernel(*args)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 40e6, f"{kernel.__name__} peaked at {peak / 1e6:.0f} MB"
+
+
+def test_pairwise_kernels_do_not_depend_on_the_block_size(monkeypatch):
+    gen = np.random.default_rng(4)
+    m1, s1 = _circle(gen.normal(size=3) * 0.1, gen.normal(size=3), 1.0, 257)
+    m2, s2 = _circle(gen.normal(size=3) * 0.1, gen.normal(size=3), 0.7, 311)
+    lk = K.gauss_linking_sum_numpy(m1, s1, m2, s2)
+    dist = K.min_pairwise_distance_numpy(m1, m2)
+    # 1000 pairs: blocks of 3 rows, the last one short
+    monkeypatch.setattr(K, "PAIR_BLOCK", 1000)
+    assert np.isclose(K.gauss_linking_sum_numpy(m1, s1, m2, s2), lk,
+                      rtol=1e-12, atol=1e-14)
+    assert np.isclose(K.min_pairwise_distance_numpy(m1, m2), dist, rtol=1e-12)
