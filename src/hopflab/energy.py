@@ -12,6 +12,9 @@ distances throughout. Two independent evaluation routes:
 * energy_quadrature: a deterministic product rule (outer low-discrepancy
   lattice, inner geodesic-polar grid with dyadic radial bands accumulating
   at the singularity) used as a cross-checking oracle on the whole sphere.
+  Its outer rule uses the Hopf fiber symmetry where the map has it: an S^2
+  lattice of fiber lifts for v o h, one node for the Hopf map. Its bands
+  stop once the certified remainder is negligible.
 
 Determinism: estimates are bit-identical given (map, params, region, n,
 seed); every stratum draws from its own counter-based substream and the
@@ -21,6 +24,7 @@ reduction order is fixed.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,12 +42,15 @@ from .geometry import (
     sphere_lattice,
     tangent_directions,
 )
-from .maps import SphereMap
+from .maps import SphereMap, hopf_lift_many
 from . import _kernels
 
 DEFAULT_SHELLS = 40
-QUAD_MIN_BAND_EXP = 34  # inner radial grid reaches pi * 2^-34
+QUAD_MIN_BAND_EXP = 34  # inner radial grid reaches pi * 2^-34 at most
 QUAD_PAIR_BUDGET = 10 ** 9
+QUAD_TAIL_RTOL = 1e-12  # radial bands stop once the certified rest is this small
+QUAD_BLOCK = 8192  # inner points per eval_many call in energy_quadrature
+_QUAD_GAUSS = 4  # Gauss-Legendre nodes per radial band
 
 
 # ---------------------------------------------------------------------------
@@ -420,23 +427,35 @@ def energy_quadrature(u: SphereMap, params: EnergyParams, resolution: int,
                       angular: int | None = None) -> float:
     """Deterministic product-rule value of E_{s,p}(u, S^n).
 
-    resolution counts outer lattice points; the inner geodesic-polar rule
-    uses 4-point Gauss-Legendre on dyadic radial bands down to
-    pi * 2^-34 and an angular lattice (sqrt-of-resolution points by
-    default). Converges to the Monte Carlo limit as resolution grows.
+    resolution is the size of a near-uniform outer lattice on S^n; maps with
+    the Hopf fiber symmetry use fewer outer nodes at the same spacing
+    (_quad_outer_nodes). The inner geodesic-polar rule uses 4-point
+    Gauss-Legendre on dyadic radial bands and an angular lattice
+    (sqrt-of-resolution points by default, at least 48). Bands run from
+    pi down to at most pi * 2^-QUAD_MIN_BAND_EXP; they stop early once the
+    certified bound on everything nearer the diagonal (lipschitz_tail_bound)
+    falls below QUAD_TAIL_RTOL of the running total, and maps without a
+    lipschitz_hint run them all. Inner points are evaluated in blocks of
+    about QUAD_BLOCK. Converges to the Monte Carlo limit as resolution
+    grows. The pair budget applies to the requested rule, resolution x
+    angular x 4 x QUAD_MIN_BAND_EXP, whichever outer rule runs.
     """
     if u.domain_dim != params.n:
         raise ParameterError("map domain does not match params.n")
-    n = params.n
     n_ang = int(angular if angular is not None else max(48, round(resolution ** 0.5)))
-    n_bands = QUAD_MIN_BAND_EXP
-    n_gauss = 4
-    pairs = resolution * n_ang * n_bands * n_gauss
+    pairs = resolution * n_ang * QUAD_MIN_BAND_EXP * _QUAD_GAUSS
     if pairs > QUAD_PAIR_BUDGET:
         raise ParameterError(
             f"quadrature would evaluate {pairs:.2e} pairs, over the 1e9 budget"
         )
-    X = sphere_lattice(n, resolution)
+    X, outer_w = _quad_outer_nodes(u, params.n, resolution)
+    return _quad_rule(u, params, X, outer_w, n_ang)
+
+
+def _quad_rule(u: SphereMap, params: EnergyParams, X, outer_w: float,
+               n_ang: int) -> float:
+    """The product rule on outer nodes X of common weight outer_w."""
+    n = params.n
     frames = _kernels.oriented_frames(X)
     if n == 2:
         ang = 2.0 * np.pi * (np.arange(n_ang) + 0.5) / n_ang
@@ -445,26 +464,59 @@ def energy_quadrature(u: SphereMap, params: EnergyParams, resolution: int,
     else:
         omega = sphere_lattice(2, n_ang)
         w_ang = 4.0 * np.pi / n_ang
-    # unit tangents at every outer point for every angular node: (N, A, d)
-    dirs = np.einsum("ndm,am->nad", frames, omega)
     ux = u.eval_many(X)
-    nodes, weights = np.polynomial.legendre.leggauss(n_gauss)
-    exponent = params.kernel_exponent
+    nodes, weights = np.polynomial.legendre.leggauss(_QUAD_GAUSS)
     p = params.p
+    measure = sphere_area(n)
+    step = max(1, QUAD_BLOCK // (_QUAD_GAUSS * n_ang))
     total = 0.0
-    outer_w = sphere_area(n) / resolution
-    for band in range(n_bands):
+    for band in range(QUAD_MIN_BAND_EXP):
         hi = np.pi * 2.0 ** (-band)
+        if (u.lipschitz_hint is not None and
+                lipschitz_tail_bound(u, params, measure, hi) < QUAD_TAIL_RTOL * total):
+            break
         lo = 0.5 * hi
         t = 0.5 * (hi - lo) * (nodes + 1.0) + lo
         w_t = 0.5 * (hi - lo) * weights * np.sin(t) ** (n - 1)
-        for ti, wi in zip(t, w_t):
-            Y = np.cos(ti) * X[:, None, :] + np.sin(ti) * dirs
-            uy = u.eval_many(Y.reshape(-1, n + 1)).reshape(resolution, n_ang, -1)
-            du = np.linalg.norm(uy - ux[:, None, :], axis=2)
-            chord = 2.0 * np.sin(0.5 * ti)
-            total += outer_w * wi * w_ang * float(np.sum(du ** p)) / chord ** exponent
+        kern = w_t / (2.0 * np.sin(0.5 * t)) ** params.kernel_exponent
+        cos_t = np.cos(t)[None, :, None, None]
+        sin_t = np.sin(t)[None, :, None, None]
+        band_sum = 0.0
+        for i in range(0, X.shape[0], step):
+            x = X[i:i + step]
+            # unit tangents at each node of the block, one per angular node
+            dirs = np.einsum("ndm,am->nad", frames[i:i + step], omega)
+            Y = cos_t * x[:, None, None, :] + sin_t * dirs[:, None]
+            uy = u.eval_many(Y.reshape(-1, n + 1)).reshape(Y.shape[:3] + (-1,))
+            du = np.linalg.norm(uy - ux[i:i + step, None, None, :], axis=3)
+            band_sum += float(np.einsum("bga,g->", du ** p, kern))
+        total += outer_w * w_ang * band_sum
     return total
+
+
+def _quad_outer_nodes(u: SphereMap, n: int, resolution: int):
+    """Outer nodes of energy_quadrature and their common weight.
+
+    The rule follows the map's descriptor variant:
+
+    * hopf: U(2) acts transitively on S^3 by isometries that h intertwines
+      with rotations of S^2, so the inner integral F(x) is constant and one
+      node carries the whole measure exactly.
+    * compose_hopf (v o h): the phase action e^(i theta)(w, z) is an
+      isometry of S^3 fixing h, so F is constant on Hopf fibers, and h pushes
+      the round measure of S^3 forward to |S^3|/|S^2| times that of S^2.
+      A Fibonacci lattice on S^2 at the spacing of a resolution-point S^3
+      lattice, k = ceil(|S^2| (resolution/|S^3|)^(2/3)) nodes, lifts to one
+      point per fiber, each of weight |S^3|/k.
+    * any other map: a resolution-point lattice on S^n.
+    """
+    variant = u.descriptor.get("variant")
+    if variant == "hopf":
+        return hopf_lift_many(np.array([[0.0, 0.0, 1.0]])), sphere_area(3)
+    if variant == "compose_hopf":
+        k = math.ceil(sphere_area(2) * (resolution / sphere_area(3)) ** (2.0 / 3.0))
+        return hopf_lift_many(sphere_lattice(2, k)), sphere_area(3) / k
+    return sphere_lattice(n, resolution), sphere_area(n) / resolution
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ machine-readable pass/fail table.
 
 Artifacts are deterministic: the same config yields byte-identical files
 (no timestamps; every file carries the config hash that produced it).
+Verify reports are not artifacts in this sense: each row carries its
+check's wall time.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -289,14 +292,18 @@ _CENTER_S3 = (0.0, 0.0, 0.0, 1.0)
 
 @dataclass(frozen=True)
 class CheckResult:
+    """One verify row; seconds is the check's wall time."""
+
     name: str
     passed: bool
     measured: dict
     detail: str = ""
+    seconds: float = 0.0
 
     def to_dict(self) -> dict:
         return {"name": self.name, "passed": self.passed,
-                "measured": self.measured, "detail": self.detail}
+                "measured": self.measured, "detail": self.detail,
+                "seconds": self.seconds}
 
 
 @dataclass(frozen=True)
@@ -313,7 +320,7 @@ class VerifyReport:
             status = "PASS" if r.passed else "FAIL"
             shown = " ".join(f"{k}={_show(v)}" for k, v in r.measured.items())
             tail = f"  ({r.detail})" if r.detail else ""
-            lines.append(f"{status}  {r.name:26s} {shown}{tail}")
+            lines.append(f"{status}  {r.name:26s} {r.seconds:8.2f}s  {shown}{tail}")
         return "\n".join(lines)
 
     def to_json(self) -> str:
@@ -480,7 +487,8 @@ CHECKS = {
 def run_verify(checks=None, overrides=None) -> VerifyReport:
     """Run the named checks (all by default) and collect pass/fail rows.
 
-    Check failures and exceptions are collected, never fatal; an empty
+    Each row records its check's wall time in seconds. Check failures and
+    exceptions are collected, never fatal; an empty
     selection yields an empty (passing) report. overrides updates the
     knobs in VERIFY_DEFAULTS, e.g. tightening a tolerance to probe that a
     check actually bites.
@@ -495,10 +503,13 @@ def run_verify(checks=None, overrides=None) -> VerifyReport:
     for name in names:
         if name not in CHECKS:
             raise ParameterError(f"unknown check {name!r}")
+        t0 = time.perf_counter()
         try:
             passed, measured = CHECKS[name](knobs)
-            results.append(CheckResult(name, bool(passed), measured))
+            detail = ""
         except HopflabError as err:
-            results.append(CheckResult(name, False, {},
-                                       f"{type(err).__name__}: {err}"))
+            passed, measured = False, {}
+            detail = f"{type(err).__name__}: {err}"
+        results.append(CheckResult(name, bool(passed), measured, detail,
+                                   time.perf_counter() - t0))
     return VerifyReport(results)

@@ -8,6 +8,7 @@ validated wrappers used at API boundaries.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,13 @@ from .errors import (
 PACKING_LAMBDA = 1.0
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
+
+# x - sin x = x^3 sum_k _SIN_TAIL[k] x^(2k). F(t) = t - sin t cos t is
+# (x - sin x)/2 with x = 2t; up to t = pi/4 (x = pi/2) the first omitted
+# term is below 2e-18 relative, and beyond pi/4 the direct form loses less
+# than two bits to cancellation
+_SIN_TAIL = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(10))
+_F3_SERIES_MAX = np.pi / 4
 
 # plastic constant: real root of t^3 = t + 1, drives the R3 Kronecker
 # lattice used for near-uniform S^3 node sets
@@ -129,11 +137,6 @@ def geodesic_distances(points, x):
     return np.arccos(np.clip(pts @ cx, -1.0, 1.0))
 
 
-def sample_uniform(m: int, rng) -> SpherePoint:
-    """One uniform draw on S^m from a numpy Generator."""
-    return sphere_point(rng.standard_normal(m + 1))
-
-
 def sample_uniform_many(m: int, n: int, rng):
     """(n, m+1) array of independent uniform draws on S^m."""
     v = rng.standard_normal((n, m + 1))
@@ -167,14 +170,6 @@ def geodesic_step(points, directions, angles):
 # Stereographic coordinates
 # ---------------------------------------------------------------------------
 
-def stereographic(x):
-    """Project S^m minus the north pole to R^m: y = x[:m]/(1 - x[m])."""
-    c = _coords(x)
-    if c[-1] >= 1.0 - 1e-9:
-        raise SingularInputError("stereographic projection undefined at the north pole")
-    return c[:-1] / (1.0 - c[-1])
-
-
 def stereographic_many(points):
     """Batch stereographic projection of (N, m+1) points, none near the pole."""
     pts = np.asarray(points, dtype=np.float64)
@@ -182,14 +177,6 @@ def stereographic_many(points):
     if np.any(last >= 1.0 - 1e-9):
         raise SingularInputError("stereographic projection undefined at the north pole")
     return pts[:, :-1] / (1.0 - last)[:, None]
-
-
-def stereographic_inv(y) -> SpherePoint:
-    """Inverse projection: y -> (2y, |y|^2 - 1)/(1 + |y|^2)."""
-    y = np.asarray(y, dtype=np.float64)
-    s = float(np.dot(y, y))
-    coords = np.append(2.0 * y, s - 1.0) / (1.0 + s)
-    return SpherePoint(dim=y.shape[0], coords=coords)
 
 
 def stereographic_inv_many(y):
@@ -257,15 +244,14 @@ def cap_area(m: int, t) -> float:
     """Measure of a geodesic cap of radius t on S^m.
 
     Uses cancellation-free forms (1 - cos t = 2 sin^2(t/2); the Taylor
-    series of t - sin t cos t near zero) so thin caps keep their measure
-    instead of rounding to exactly 0.
+    series of t - sin t cos t up to t = pi/4) so thin caps keep their
+    measure instead of rounding to exactly 0.
     """
     t = np.asarray(t, dtype=np.float64)
     if m == 2:
         out = 4.0 * np.pi * np.sin(0.5 * t) ** 2
     elif m == 3:
-        direct = t - np.sin(t) * np.cos(t)
-        out = 2.0 * np.pi * np.where(np.abs(t) < 5e-3, _f3_series(t), direct)
+        out = 2.0 * np.pi * _f3(t)
     else:
         raise ParameterError(f"unsupported sphere dimension {m}")
     return float(out) if out.ndim == 0 else out
@@ -281,13 +267,12 @@ def sample_shell_radii(m: int, t0: float, t1: float, n: int, rng):
 
     The density is proportional to sin^(m-1)(t). m = 2 inverts the CDF in
     the cancellation-free form 1 - cos t = 2 sin^2(t/2); m = 3 inverts
-    F(t) = t - sin t cos t. Thin shells near zero, where the direct
-    expression loses every significant digit, invert its Taylor form by a
-    fixed point. Other shells start from that same series inverse, taken
-    about the nearer end of [0, pi] since F(pi - t) = pi - F(t), clipped to
-    [t0, t1]. Bracketed Newton follows: an iterate outside the bracket (or
-    at a vanishing derivative) is replaced by the bracket midpoint, and the
-    loop stops once the largest step falls below 1e-13 rad.
+    F(t) = t - sin t cos t (see _f3_inverse). A shell with t0 >= pi/2 is
+    inverted on its mirror image [pi - t1, pi - t0], since
+    F(pi - t) = pi - F(t): there F is small and known to full relative
+    precision, while near pi its derivative 2 sin^2 t vanishes and a
+    residual formed against a target close to pi carries that target's
+    rounding into t.
     """
     u = rng.random(n)
     if m == 2:
@@ -297,23 +282,38 @@ def sample_shell_radii(m: int, t0: float, t1: float, n: int, rng):
         return np.clip(2.0 * np.arcsin(np.sqrt(0.5 * q)), t0, t1)
     if m != 3:
         raise ParameterError(f"unsupported sphere dimension {m}")
+    if t0 >= 0.5 * np.pi:
+        e0, e1 = np.pi - t1, np.pi - t0
+        g0, g1 = _f3(e0), _f3(e1)
+        e = _f3_inverse(g0 + (1.0 - u) * (g1 - g0), e0, e1)
+        return np.clip(np.pi - e, t0, t1)
+    f0, f1 = _f3(t0), _f3(t1)
+    return np.clip(_f3_inverse(f0 + u * (f1 - f0), t0, t1), t0, t1)
+
+
+def _f3_inverse(target, t0, t1):
+    """Solve F(t) = target on [t0, t1] for F(t) = t - sin t cos t.
+
+    Thin shells near zero invert the series' leading terms by a fixed
+    point. Other shells start from that same series inverse, taken about
+    the nearer end of [0, pi] since F(pi - t) = pi - F(t), clipped to
+    [t0, t1]. Bracketed Newton follows: an iterate outside the bracket (or
+    at a vanishing derivative) is replaced by the bracket midpoint, and the
+    loop stops once the largest step falls below 1e-13 rad.
+    """
     if t1 <= 5e-3:
-        f0, f1 = _f3_series(t0), _f3_series(t1)
-        return np.clip(_f3_series_inverse(f0 + u * (f1 - f0)), t0, t1)
-    f0 = t0 - np.sin(t0) * np.cos(t0)
-    f1 = t1 - np.sin(t1) * np.cos(t1)
-    target = f0 + u * (f1 - f0)
+        return _f3_series_inverse(target)
     g = _f3_series_inverse(np.minimum(target, np.pi - target))
     t = np.clip(np.where(target > 0.5 * np.pi, np.pi - g, g), t0, t1)
-    lo = np.full(n, t0)
-    hi = np.full(n, t1)
+    lo = np.full(t.shape, t0)
+    hi = np.full(t.shape, t1)
     for _ in range(60):
-        f = t - np.sin(t) * np.cos(t)
-        high = f > target
+        resid = _f3(t) - target
+        high = resid > 0.0
         hi = np.where(high, t, hi)
         lo = np.where(high, lo, t)
         df = 2.0 * np.sin(t) ** 2
-        step = np.where(df > 1e-14, (f - target) / np.maximum(df, 1e-14), 0.0)
+        step = np.where(df > 1e-14, resid / np.maximum(df, 1e-14), 0.0)
         tn = t - step
         # fall back to bisection when Newton leaves the bracket; a step
         # landing on the end just moved there is converged, not outside
@@ -323,19 +323,39 @@ def sample_shell_radii(m: int, t0: float, t1: float, n: int, rng):
         t = tn
         if moved < 1e-13:
             break
-    return np.clip(t, t0, t1)
+    return t
+
+
+def _f3(t):
+    """F(t) = t - sin t cos t without cancellation: the series up to pi/4."""
+    small = t <= _F3_SERIES_MAX
+    if np.all(small):
+        return _f3_series(t)
+    out = t - 0.5 * np.sin(2.0 * t)
+    if np.any(small):
+        out[small] = _f3_series(t[small])
+    return out
 
 
 def _f3_series(t):
-    """t - sin t cos t for small t, via the series (2/3)t^3(1 - t^2/5 + ...)."""
-    t2 = t * t
-    return (2.0 / 3.0) * t * t2 * (1.0 - t2 / 5.0 + 2.0 * t2 * t2 / 105.0)
+    """t - sin t cos t = (x - sin x)/2 with x = 2t, by the Taylor series of
+    x - sin x; exact to rounding for 0 <= t <= pi/4."""
+    y = 4.0 * t * t
+    acc = y * _SIN_TAIL[-1]
+    for c in _SIN_TAIL[-2:0:-1]:
+        acc += c
+        acc *= y
+    acc += _SIN_TAIL[0]
+    acc *= y * t
+    return acc
 
 
 def _f3_series_inverse(f):
-    """Invert _f3_series: fixed point t = (1.5 f / (1 - t^2/5 + 2t^4/105))^(1/3).
+    """Invert the leading terms of _f3_series, (2/3)t^3(1 - t^2/5 + 2t^4/105),
+    by the fixed point t = (1.5 f / (1 - t^2/5 + 2t^4/105))^(1/3).
 
-    The denominator stays positive for every real t, and the iteration
+    The omitted terms are below 2e-17 relative for t <= 5e-3. The
+    denominator stays positive for every real t, and the iteration
     converges in a few steps on thin shells near zero.
     """
     t = np.cbrt(1.5 * f)

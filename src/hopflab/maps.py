@@ -163,16 +163,30 @@ def fiber_circle(z, n: int, phase: float = 0.0):
     zc = _unit(z)
     if zc.shape[0] != 3:
         raise DimensionMismatchError("fiber base point must lie on S^2")
-    z1 = zc[0]
-    if z1 > -1.0 + 1e-12:
-        a = complex(math.sqrt((1.0 + z1) / 2.0), 0.0)
-        b = complex(zc[1], -zc[2]) / (2.0 * a.real)
-    else:
-        a, b = 0.0 + 0.0j, 1.0 + 0.0j
+    x = hopf_lift_many(zc[None, :])[0]
+    a, b = complex(x[0], x[1]), complex(x[2], x[3])
     t = phase + 2.0 * np.pi * np.arange(n) / n
     ph = np.exp(1j * t)
     w, zz = ph * a, ph * b
     return np.column_stack([w.real, w.imag, zz.real, zz.imag])
+
+
+def hopf_lift_many(z):
+    """One Hopf preimage of each row of z (N, 3) on S^2, shape (N, 4).
+
+    The lift of (z1, z2 + i z3) is (w, zeta) with w = sqrt((1 + z1)/2) real
+    and zeta = (z2 - i z3)/(2w); the point z1 = -1, where w vanishes, lifts
+    to (0, 1).
+    """
+    z = np.asarray(z, dtype=np.float64)
+    out = np.zeros((z.shape[0], 4))
+    regular = z[:, 0] > -1.0 + 1e-12
+    a = np.sqrt((1.0 + z[regular, 0]) / 2.0)
+    out[regular, 0] = a
+    out[regular, 2] = z[regular, 1] / (2.0 * a)
+    out[regular, 3] = -z[regular, 2] / (2.0 * a)
+    out[~regular, 2] = 1.0
+    return out
 
 
 def equator_collapse(m: int) -> SphereMap:

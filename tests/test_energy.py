@@ -192,6 +192,79 @@ def test_quadrature_budget_guard():
         energy.energy_quadrature(maps.hopf_map(), PARAMS_S3, 10 ** 9)
 
 
+def test_quadrature_band_stop_keeps_the_s2_value():
+    # the general path: only the certified band stop touches it
+    params = energy.EnergyParams(s=0.5, p=6.0, n=2)
+    q = energy.energy_quadrature(maps.multi_bubble(2), params, 1_000)
+    assert abs(q - 1937.4001417560148) <= 1e-12 * 1937.4001417560148
+
+
+def test_quadrature_hopf_one_node_matches_the_general_path():
+    # |h(x) - h(y)|^2 = 4(1 - |<x,y>|^2) for the Hermitian product, and
+    # <x,y> is uniform on the unit disk for y uniform on S^3; integrating
+    # gives E_{1/2,6}(h, S^3) = 25.6 pi^4 exactly
+    exact = 25.6 * np.pi ** 4
+    h = maps.hopf_map()
+    X, w = energy._quad_outer_nodes(h, 3, 1_000)
+    assert X.shape == (1, 4) and w == geo.sphere_area(3)
+    rot = geo.rotation_taking(geo.sphere_point([1.0, 0.0, 0.0, 0.0]),
+                              geo.sphere_point([0.3, -0.5, 0.7, 0.4]))
+    rotated = maps.precompose_rotation(h, rot)
+    assert energy._quad_outer_nodes(rotated, 3, 1_000)[0].shape == (1_000, 4)
+    one = energy.energy_quadrature(h, PARAMS_S3, 1_000)
+    general = energy.energy_quadrature(rotated, PARAMS_S3, 1_000)
+    assert abs(one - general) <= 5e-3 * general
+    assert abs(one - exact) <= 2e-3 * exact
+    assert abs(general - exact) <= 2e-3 * exact
+
+
+def test_quadrature_compose_hopf_converges_in_the_s2_nodes():
+    u = maps.composed_with_hopf(maps.multi_bubble(2))
+    assert energy._quad_outer_nodes(u, 3, 1_000)[0].shape == (173, 4)
+    X, w = energy._quad_outer_nodes(u, 3, 20_000)
+    k = X.shape[0]
+    assert k == 1268 and w == geo.sphere_area(3) / k
+    assert np.allclose(maps.hopf_eval_many(X), geo.sphere_lattice(2, k),
+                       rtol=0, atol=1e-12)
+    q = energy.energy_quadrature(u, PARAMS_S3, 20_000)
+    X4 = maps.hopf_lift_many(geo.sphere_lattice(2, 4 * k))
+    q4 = energy._quad_rule(u, PARAMS_S3, X4, geo.sphere_area(3) / (4 * k), 141)
+    assert abs(q - q4) <= 2e-3 * q4
+
+
+def test_quadrature_does_not_depend_on_the_block_size(monkeypatch):
+    cases = [
+        (maps.hopf_map(), PARAMS_S3, 1_000),
+        (maps.composed_with_hopf(maps.multi_bubble(2)), PARAMS_S3, 1_000),
+        (maps.multi_bubble(2), energy.EnergyParams(s=0.5, p=6.0, n=2), 300),
+    ]
+    wide = [energy.energy_quadrature(u, p, r) for u, p, r in cases]
+    monkeypatch.setattr(energy, "QUAD_BLOCK", 500)
+    narrow = [energy.energy_quadrature(u, p, r) for u, p, r in cases]
+    for a, b in zip(wide, narrow):
+        assert abs(a - b) <= 1e-12 * abs(a)
+
+
+def test_quadrature_without_lipschitz_hint_runs_every_band():
+    seen = []
+
+    def counted(pts):
+        seen.append(pts.shape[0])
+        return maps.hopf_eval_many(pts)
+
+    desc = {"variant": "anon", "params": {}}
+    resolution, angular = 50, 48
+    bare = maps.SphereMap(3, 2, counted, desc)
+    q_bare = energy.energy_quadrature(bare, PARAMS_S3, resolution, angular)
+    every_band = resolution * (1 + energy.QUAD_MIN_BAND_EXP * 4 * angular)
+    assert sum(seen) == every_band
+    seen.clear()
+    hinted = maps.SphereMap(3, 2, counted, desc, lipschitz_hint=2.0)
+    q_hinted = energy.energy_quadrature(hinted, PARAMS_S3, resolution, angular)
+    assert sum(seen) < every_band
+    assert abs(q_bare - q_hinted) <= 1e-12 * q_bare
+
+
 # ---------------------------------------------------------------------------
 # Inequality checks
 # ---------------------------------------------------------------------------

@@ -226,6 +226,14 @@ def test_run_verify_single_check_row():
     assert table.startswith("PASS") and "hopf_gradient" in table
 
 
+def test_run_verify_rows_carry_their_seconds():
+    rep = X.run_verify(checks=["hopf_gradient"])
+    assert len(rep.results) == 1 and rep.results[0].seconds >= 0.0
+    rows = json.loads(rep.to_json())["results"]
+    assert rows[0]["seconds"] == rep.results[0].seconds
+    assert f"{rep.results[0].seconds:.2f}s" in rep.to_table()
+
+
 def test_run_verify_sabotaged_tolerance_fails():
     rep = X.run_verify(checks=["hopf_gradient"],
                        overrides={"gradient_tol": 1e-20})

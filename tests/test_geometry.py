@@ -1,6 +1,7 @@
 """Geometry primitives: points, rotations, projections, measures, lattices."""
 
 import copy
+import math
 
 import numpy as np
 import pytest
@@ -48,7 +49,7 @@ def test_stereographic_round_trip():
 
 def test_stereographic_rejects_pole():
     with pytest.raises(SingularInputError):
-        geo.stereographic(geo.sphere_point([0.0, 0.0, 1.0]))
+        geo.stereographic_many(np.array([[0.0, 0.0, 1.0]]))
 
 
 def test_rotation_taking_maps_a_to_b():
@@ -142,6 +143,37 @@ def test_sample_shell_radii_inverts_the_cdf_on_every_dyadic_shell(m):
         frac = (_shell_cdf(m, t) - f0) / (f1 - f0)
         err = float(np.max(np.abs(frac - u)))
         assert err < 1e-9, f"shell {j}: CDF residual {err:.1e}"
+
+
+def _f3_longdouble(t):
+    """t - sin t cos t in 80-bit arithmetic; the series of (x - sin x)/2,
+    x = 2t, up to pi/4, where the direct form would cancel."""
+    t = np.asarray(t, dtype=np.longdouble)
+    y = 4 * t * t
+    acc = np.zeros_like(t)
+    for k in range(15, -1, -1):
+        acc = acc * y + np.longdouble((-1) ** k) / math.factorial(2 * k + 3)
+    return np.where(t <= np.pi / 4, 4 * t ** 3 * acc, t - np.sin(t) * np.cos(t))
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63,
+                    reason="the reference needs 80-bit long double")
+def test_sample_shell_radii_m3_match_a_longdouble_inverse():
+    # shells 0-9 invert by Newton; each radius must be the exact inverse of
+    # its own uniform to 1e-15 relative, near pi and near zero alike
+    gen = np.random.default_rng(8)
+    edges = np.pi * 2.0 ** -np.arange(11.0)
+    for j in range(10):
+        t1, t0 = edges[j], edges[j + 1]
+        u = copy.deepcopy(gen).random(2000).astype(np.longdouble)
+        t = geo.sample_shell_radii(3, t0, t1, 2000, gen)
+        f0, f1 = _f3_longdouble(t0), _f3_longdouble(t1)
+        target = f0 + u * (f1 - f0)
+        ref = t.astype(np.longdouble)
+        for _ in range(4):
+            ref -= (_f3_longdouble(ref) - target) / (2 * np.sin(ref) ** 2)
+        err = float(np.max(np.abs((t - ref) / ref)))
+        assert err <= 1e-15, f"shell {j}: relative error {err:.1e}"
 
 
 def test_sample_uniform_many_is_centered():
