@@ -4,11 +4,12 @@ The seminorm E_{s,p}(u, Omega) is the double integral over Omega x Omega
 of |u(x) - u(y)|^p / |x - y|^(n + sp), with chordal (ambient Euclidean)
 distances throughout. Two independent evaluation routes:
 
-* energy_mc: unbiased stratified Monte Carlo. x is uniform in the region;
-  y is sampled in dyadic geodesic shells around x with exact shell-measure
-  weights. The innermost ball (geodesic radius pi * 2^-J) is never
-  sampled; its contribution is bounded in closed form from the map's
-  Lipschitz hint and carried as a certified remainder.
+* energy_mc: unbiased stratified Monte Carlo. x is uniform in the region
+  (or in a support ball); y is sampled in dyadic geodesic shells around x
+  with exact shell-measure weights. A pilot sets the samples per stratum
+  by Neyman allocation. The innermost ball (geodesic radius pi * 2^-J) is
+  never sampled; its contribution is bounded in closed form from the
+  map's Lipschitz hint and carried as a certified remainder.
 * energy_quadrature: a deterministic product rule (outer low-discrepancy
   lattice, inner geodesic-polar grid with dyadic radial bands accumulating
   at the singularity) used as a cross-checking oracle on the whole sphere.
@@ -40,6 +41,7 @@ from .geometry import (
     shell_measure,
     sphere_area,
     sphere_lattice,
+    sphere_point,
     tangent_directions,
 )
 from .maps import SphereMap, hopf_lift_many
@@ -51,6 +53,10 @@ QUAD_PAIR_BUDGET = 10 ** 9
 QUAD_TAIL_RTOL = 1e-12  # radial bands stop once the certified rest is this small
 QUAD_BLOCK = 8192  # inner points per eval_many call in energy_quadrature
 _QUAD_GAUSS = 4  # Gauss-Legendre nodes per radial band
+MC_PILOT_SHARE = 64  # energy_mc's pilot takes about n / MC_PILOT_SHARE samples
+MC_DEFENSIVE = 0.1  # share of energy_mc's main samples split evenly
+MC_BLOCK = 8192  # samples per eval_many call in energy_mc's main strata
+_PILOT_KEY = 1 << 63  # sets the pilot's Philox key words apart
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +216,28 @@ class EnergyEstimate:
 # Monte Carlo estimator
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class _Stratum:
+    """x uniform in source, y a geodesic step from x in a dyadic shell."""
+
+    source: Region
+    weight: float  # |source| times the shell measure
+    key: int       # second Philox key word of the stratum's main stream
+    label: dict    # its profile fields: j, t_lo, t_hi, shell weight (, ball)
+
+
 def energy_mc(u: SphereMap, params: EnergyParams, region: Region, n: int,
               rng, n_shells: int = DEFAULT_SHELLS) -> EnergyEstimate:
     """Unbiased stratified MC estimate of E_{s,p}(u, region).
 
     rng is an integer seed or a numpy Generator (a Generator contributes a
-    seed drawn from its state). Total pair budget n splits evenly over the
-    dyadic shells; the unsampled innermost ball contributes only through
+    seed drawn from its state). A stratum pairs a source region of x with
+    a dyadic shell of the step length (_strata). A pilot of about
+    n / MC_PILOT_SHARE samples on its own Philox keys estimates each
+    stratum's standard deviation sigma_j; the rest of n is allocated by
+    Neyman allocation, n_j ~ weight_j * sigma_j (_neyman_allocation). The
+    pilot counts toward n but not toward the estimate, which stays
+    unbiased. The unsampled innermost ball contributes only through
     tail_bound, computed from the map's lipschitz_hint.
     """
     if u.domain_dim != params.n:
@@ -228,171 +249,153 @@ def energy_mc(u: SphereMap, params: EnergyParams, region: Region, n: int,
     if n < 1_000:
         raise ParameterError("energy_mc needs at least 1000 samples")
     seed = int(rng.integers(2 ** 62)) if hasattr(rng, "integers") else int(rng)
+    strata, pair_weight, tail_measure = _strata(u, params.n, region, n_shells)
+    if not strata:  # constant map: the energy vanishes exactly
+        return EnergyEstimate(0.0, 0.0, n, params, region, seed, 0.0, [])
+    pilot = max(2, n // (MC_PILOT_SHARE * len(strata)))
+    n_main = n - pilot * len(strata)
+    if n_main < 2 * len(strata):
+        raise ParameterError("too few samples per stratum; raise n")
+    tail = lipschitz_tail_bound(u, params, tail_measure,
+                                strata[-1].label["t_lo"])
+    weights = np.array([st.weight for st in strata])
+    # the pilot: its own key words (bit 63 set), all strata in one batch
+    _, var = _moments(u, params, pair_weight, [
+        (st, pilot, _philox(seed, _PILOT_KEY | st.key)) for st in strata
+    ], pilot * len(strata))
+    alloc = _neyman_allocation(n_main, weights * np.sqrt(var)).tolist()
+    mean, var = _moments(u, params, pair_weight, [
+        (st, n_j, _philox(seed, st.key)) for st, n_j in zip(strata, alloc)
+    ], MC_BLOCK)
+    profile = [{**st.label, "n": n_j, "pilot": pilot,
+                "contribution": w * m, "std_error": w * math.sqrt(v / n_j)}
+               for st, n_j, w, m, v in zip(strata, alloc, weights.tolist(),
+                                           mean, var)]
+    return EnergyEstimate(sum(r["contribution"] for r in profile),
+                          math.sqrt(sum(r["std_error"] ** 2 for r in profile)),
+                          n, params, region, seed, tail, profile)
+
+
+def _strata(u: SphereMap, dim: int, region: Region, n_shells: int):
+    """energy_mc's strata, its pair weight and the measure of its tail bound.
+
+    Plain: x is uniform in the region, pair weight 1_region(y). A map
+    constant outside support balls, on the whole sphere: with W their
+    union, pairs outside W x W contribute nothing, so E(u, S^n) =
+    E(W x W) + 2 E(W x W^c); x is uniform in one ball, pair weight
+    2 - 1{y in W}. Each source is cut into n_shells dyadic shells of the
+    step length, keyed j (plain) or (i + 1) 2^32 + j (ball i).
+    """
     if (region.variant == "whole" and u.supports is not None
             and u.basepoint is not None):
-        return _energy_mc_split(u, params, region, n, seed, n_shells)
-    mdim = params.n
-    measure = region.measure()
-    exponent = params.kernel_exponent
+        balls = list(u.supports)
+        sources = [(ball_region(b), cap_area(dim, b.radius), {"ball": i}, i + 1)
+                   for i, b in enumerate(balls)]
+        tail_measure = 2.0 * sum(src[1] for src in sources)
+
+        def pair_weight(y):
+            in_w = np.zeros(y.shape[0], dtype=bool)
+            for b in balls:
+                in_w |= geodesic_distances(y, b.center.coords) <= b.radius
+            return np.where(in_w, 1.0, 2.0)
+    else:
+        sources = [(region, region.measure(), {}, 0)]
+        tail_measure = region.measure()
+
+        def pair_weight(y):
+            return region.contains(y).astype(np.float64)
+
     edges = np.pi * 2.0 ** (-np.arange(n_shells + 1, dtype=np.float64))
-    t_min = float(edges[-1])
-    per = n // n_shells
-    extra = n - per * n_shells
-    total = 0.0
-    var_total = 0.0
-    profile = []
-    for j in range(n_shells):
-        t_hi, t_lo = float(edges[j]), float(edges[j + 1])
-        n_j = per + (1 if j < extra else 0)
-        if n_j < 2:
-            raise ParameterError("too few samples per stratum; raise n")
-        gen = np.random.Generator(
-            np.random.Philox(key=np.array([seed, j], dtype=np.uint64))
-        )
-        w_j = shell_measure(mdim, t_lo, t_hi)
-        mean_j, var_j = _stratum_moments(
-            u, params, region, n_j, gen, t_lo, t_hi, exponent
-        )
-        contrib = measure * w_j * mean_j
-        se2 = (measure * w_j) ** 2 * var_j / n_j
-        total += contrib
-        var_total += se2
-        profile.append({
-            "j": j, "t_lo": t_lo, "t_hi": t_hi, "weight": w_j,
-            "n": n_j, "contribution": contrib, "std_error": float(np.sqrt(se2)),
-        })
-    tail = lipschitz_tail_bound(u, params, measure, t_min)
-    return EnergyEstimate(
-        value=float(total), std_error=float(np.sqrt(var_total)), n_samples=n,
-        params=params, region=region, seed=seed, tail_bound=tail,
-        strata_profile=profile,
-    )
-
-
-def _energy_mc_split(u, params, region, n, seed, n_shells) -> EnergyEstimate:
-    """Whole-sphere estimate for maps constant outside declared supports.
-
-    With W the union of support balls, pairs outside W x W contribute
-    nothing, so E(u, S^n) = E(W x W) + 2 E(W x W^c) exactly. One pass
-    samples x uniformly in W (stratified per ball and per dyadic shell in
-    the step length) and weights each pair by 2 - 1{y in W}. This removes
-    the dead weight of samples far from small supports, where the plain
-    estimator's variance blows up.
-    """
-    balls = list(u.supports)
-    if not balls:
-        return EnergyEstimate(  # constant map: the energy vanishes exactly
-            value=0.0, std_error=0.0, n_samples=n, params=params,
-            region=region, seed=seed, tail_bound=0.0, strata_profile=[],
-        )
-    mdim = params.n
-    exponent = params.kernel_exponent
-    areas = np.array([cap_area(mdim, ball.radius) for ball in balls])
-    m_w = float(np.sum(areas))
-    centers = np.array([ball.center.coords for ball in balls])
-    radii = np.array([ball.radius for ball in balls])
-    alloc = _largest_remainder(n * areas / m_w)
-    edges = np.pi * 2.0 ** (-np.arange(n_shells + 1, dtype=np.float64))
-    t_min = float(edges[-1])
-    total = 0.0
-    var_total = 0.0
-    profile = []
-    for i, ball in enumerate(balls):
-        n_i = int(alloc[i])
-        per = n_i // n_shells
-        extra = n_i - per * n_shells
-        src = ball_region(ball)
+    strata = []
+    for src, area, label, tag in sources:
         for j in range(n_shells):
             t_hi, t_lo = float(edges[j]), float(edges[j + 1])
-            n_ij = per + (1 if j < extra else 0)
-            if n_ij < 2:
-                raise ParameterError("too few samples per stratum; raise n")
-            gen = np.random.Generator(np.random.Philox(
-                key=np.array([seed, (i + 1) * 2 ** 32 + j], dtype=np.uint64)
-            ))
-            w_j = shell_measure(mdim, t_lo, t_hi)
-            mean_ij, var_ij = _split_stratum_moments(
-                u, params, src, centers, radii, n_ij, gen, t_lo, t_hi, exponent
-            )
-            contrib = areas[i] * w_j * mean_ij
-            se2 = (areas[i] * w_j) ** 2 * var_ij / n_ij
-            total += contrib
-            var_total += se2
-            profile.append({
-                "ball": i, "j": j, "t_lo": t_lo, "t_hi": t_hi, "weight": w_j,
-                "n": n_ij, "contribution": contrib,
-                "std_error": float(np.sqrt(se2)),
-            })
-    tail = lipschitz_tail_bound(u, params, 2.0 * m_w, t_min)
-    return EnergyEstimate(
-        value=float(total), std_error=float(np.sqrt(var_total)), n_samples=n,
-        params=params, region=region, seed=seed, tail_bound=tail,
-        strata_profile=profile,
-    )
+            w_j = shell_measure(dim, t_lo, t_hi)
+            strata.append(_Stratum(src, area * w_j, tag * 2 ** 32 + j, {
+                **label, "j": j, "t_lo": t_lo, "t_hi": t_hi, "weight": w_j}))
+    return strata, pair_weight, tail_measure
 
 
-def _split_stratum_moments(u, params, src, centers, radii, n_ij, gen,
-                           t_lo, t_hi, exponent, chunk: int = 262_144):
-    """Moments of K(x,y) (2 - 1{y in W}) with x uniform in one support ball."""
-    p = params.p
-    count = 0
-    acc = 0.0
-    acc2 = 0.0
-    while count < n_ij:
-        m = min(chunk, n_ij - count)
-        x = src.sample(m, gen)
-        dirs = tangent_directions(x, gen)
-        t = sample_shell_radii(params.n, t_lo, t_hi, m, gen)
-        y = geodesic_step(x, dirs, t)
-        in_w = np.zeros(m, dtype=bool)
-        for c, r in zip(centers, radii):
-            in_w |= geodesic_distances(y, c) <= r
-        du = np.linalg.norm(u.eval_many(x) - u.eval_many(y), axis=1)
-        chord = 2.0 * np.sin(0.5 * t)
-        vals = du ** p / chord ** exponent * np.where(in_w, 1.0, 2.0)
-        acc += float(np.sum(vals))
-        acc2 += float(np.sum(vals * vals))
-        count += m
-    mean = acc / n_ij
-    var = max(acc2 / n_ij - mean * mean, 0.0) * n_ij / max(n_ij - 1, 1)
-    return mean, var
+def _philox(seed: int, key: int):
+    return np.random.Generator(
+        np.random.Philox(key=np.array([seed, key], dtype=np.uint64)))
 
 
-def _largest_remainder(target):
-    """Integer allocation summing to round(sum(target)), proportional."""
-    floor = np.floor(target).astype(int)
-    rem = target - floor
-    short = int(round(float(np.sum(target)))) - int(np.sum(floor))
-    order = np.argsort(-rem, kind="stable")
-    floor[order[:short]] += 1
-    return floor
+def _pair_values(u: SphereMap, params: EnergyParams, x, y, t, pair_weight):
+    """K(x, y) times the pair weight; u is evaluated where the weight is not 0."""
+    wgt = pair_weight(y)
+    vals = np.zeros(t.shape[0])
+    keep = wgt != 0.0
+    if not np.any(keep):
+        return vals
+    if np.all(keep):
+        keep = slice(None)  # a basic index: no copies
+    du = np.linalg.norm(u.eval_many(x[keep]) - u.eval_many(y[keep]), axis=1)
+    chord = 2.0 * np.sin(0.5 * t[keep])
+    vals[keep] = wgt[keep] * du ** params.p / chord ** params.kernel_exponent
+    return vals
 
 
-def _stratum_moments(u, params, region, n_j, gen, t_lo, t_hi, exponent,
-                     chunk: int = 262_144):
-    """Sample mean and variance of K(x,y) 1_region(y) on one shell."""
-    p = params.p
-    count = 0
-    acc = 0.0
-    acc2 = 0.0
-    while count < n_j:
-        m = min(chunk, n_j - count)
-        x = region.sample(m, gen)
-        dirs = tangent_directions(x, gen)
-        t = sample_shell_radii(params.n, t_lo, t_hi, m, gen)
-        y = geodesic_step(x, dirs, t)
-        keep = region.contains(y)
-        vals = np.zeros(m)
-        if np.any(keep):
-            du = np.linalg.norm(u.eval_many(x[keep]) - u.eval_many(y[keep]), axis=1)
-            chord = 2.0 * np.sin(0.5 * t[keep])
-            vals[keep] = du ** p / chord ** exponent
-        acc += float(np.sum(vals))
-        acc2 += float(np.sum(vals * vals))
-        count += m
-    mean = acc / n_j
-    var = max(acc2 / n_j - mean * mean, 0.0) * n_j / max(n_j - 1, 1)
-    return mean, var
+def _neyman_allocation(n_main: int, weighted_sigma):
+    """n_main samples over the strata: 2 each, an MC_DEFENSIVE share of the
+    rest split evenly, the remainder in proportion to weight * sigma (all
+    of it evenly when every sigma is 0)."""
+    k = weighted_sigma.shape[0]
+    share = np.full(k, 1.0 / k)
+    scale = float(np.sum(weighted_sigma))
+    if scale > 0.0 and math.isfinite(scale):
+        share = MC_DEFENSIVE * share + (1.0 - MC_DEFENSIVE) * weighted_sigma / scale
+    spare = n_main - 2 * k
+    alloc = np.floor(spare * share).astype(int)
+    # the largest remainders take what the floors left over
+    order = np.argsort(alloc - spare * share, kind="stable")
+    alloc[order[:spare - int(np.sum(alloc))]] += 1
+    return 2 + alloc
+
+
+def _moments(u, params, pair_weight, jobs, block: int):
+    """Mean and unbiased variance of the pair values of each job.
+
+    A job (stratum, n_j, gen) draws n_j samples of its stratum from gen.
+    The draws go in job order, in pieces that fill blocks of at most
+    `block` samples, and each block is evaluated in one _pair_values call.
+    Every piece's sum of squares is taken around its own mean and merged
+    into its job's by the pairwise update of Chan, Golub and LeVeque.
+    """
+    count, mean, m2 = [0] * len(jobs), [0.0] * len(jobs), [0.0] * len(jobs)
+    for pieces in _blocks(jobs, params.n, block):
+        idx, xs, ys, ts = zip(*pieces)
+        vals = _pair_values(u, params, np.concatenate(xs), np.concatenate(ys),
+                            np.concatenate(ts), pair_weight)
+        cuts = np.cumsum([t.shape[0] for t in ts[:-1]])
+        for i, piece in zip(idx, np.split(vals, cuts)):
+            m, p_mean = piece.shape[0], float(np.mean(piece))
+            delta = p_mean - mean[i]
+            mean[i] += delta * m / (count[i] + m)
+            m2[i] += (float(np.sum((piece - p_mean) ** 2))
+                      + delta * delta * count[i] * m / (count[i] + m))
+            count[i] += m
+    return mean, [q / (c - 1) for q, c in zip(m2, count)]
+
+
+def _blocks(jobs, dim: int, block: int):
+    """Lists of (job index, x, y, t) pieces of at most `block` samples:
+    x uniform in the stratum's source, y a geodesic step in its shell."""
+    pieces, room = [], block
+    for i, (st, n_j, gen) in enumerate(jobs):
+        while n_j:
+            m = min(n_j, room)
+            x = st.source.sample(m, gen)
+            dirs = tangent_directions(x, gen)
+            t = sample_shell_radii(dim, st.label["t_lo"], st.label["t_hi"], m, gen)
+            pieces.append((i, x, geodesic_step(x, dirs, t), t))
+            n_j -= m
+            room -= m
+            if not room:
+                yield pieces
+                pieces, room = [], block
+    if pieces:
+        yield pieces
 
 
 def lipschitz_tail_bound(u: SphereMap, params: EnergyParams, measure: float,
@@ -551,8 +554,8 @@ def check_gluing_bound(u: SphereMap, A: Region, eta: float, rho: float,
     if not (0.0 < eta < 1.0):
         raise ParameterError(f"eta must lie in (0,1), got {eta}")
     cpt = np.asarray(center.coords if hasattr(center, "coords") else center, float)
-    ball_rho = GeodesicBall(_as_point(cpt), rho)
-    ball_eta = GeodesicBall(_as_point(cpt), eta * rho)
+    ball_rho = GeodesicBall(sphere_point(cpt), rho)
+    ball_eta = GeodesicBall(sphere_point(cpt), eta * rho)
     if A.variant == "whole":
         rest = complement_region(ball_eta)
     elif A.variant == "ball":
@@ -656,9 +659,3 @@ def fiber_energy_comparison(v: SphereMap, s: float, n: int = 200_000,
     rel = np.sqrt(rel3 + rel2)
     return FiberRatioReport(float(ratio), float(ratio * rel), e3, e2,
                             undefined=False)
-
-
-def _as_point(coords):
-    from .geometry import sphere_point
-
-    return sphere_point(coords)

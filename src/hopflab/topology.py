@@ -90,13 +90,6 @@ class ClosedCurve:
     def reversed_(self) -> "ClosedCurve":
         return ClosedCurve(self.points[::-1].copy(), self.tolerance)
 
-    def to_json(self) -> str:
-        return json.dumps({"tolerance": self.tolerance,
-                           "points": self.points.tolist()})
-
-    def to_text(self) -> str:
-        return "\n".join(" ".join(f"{v:.17g}" for v in row) for row in self.points)
-
 
 # ---------------------------------------------------------------------------
 # Jacobians in tangent frames

@@ -145,6 +145,44 @@ def test_split_and_plain_estimators_agree():
     assert a.std_error < b.std_error
 
 
+def test_energy_mc_allocation_spends_n_and_reproduces():
+    for u in (maps.hopf_map(), maps.hopf_bump(CENTER_S3, 0.6)):
+        a = energy.energy_mc(u, PARAMS_S3, WHOLE_S3, 20_000, 8)
+        rows = a.strata_profile
+        assert sum(r["n"] + r["pilot"] for r in rows) == 20_000
+        assert min(r["n"] for r in rows) >= 2
+        assert len({r["pilot"] for r in rows}) == 1 and rows[0]["pilot"] >= 2
+        # Neyman allocation: the shells that carry the energy get the samples
+        assert max(r["n"] for r in rows) > 5 * min(r["n"] for r in rows)
+        assert a.to_json() == energy.energy_mc(u, PARAMS_S3, WHOLE_S3,
+                                               20_000, 8).to_json()
+
+
+def test_energy_mc_even_split_when_every_stratum_is_flat():
+    # constant, but declares no supports: every pilot sigma is 0
+    u = maps.SphereMap(3, 2, lambda pts: np.tile([0.0, 0.0, 1.0], (len(pts), 1)),
+                       {"variant": "flat", "params": {}}, lipschitz_hint=0.0)
+    est = energy.energy_mc(u, PARAMS_S3, WHOLE_S3, 10_000, 0)
+    main = [r["n"] for r in est.strata_profile]
+    assert est.value == 0.0 and max(main) - min(main) <= 1
+    assert sum(main) + sum(r["pilot"] for r in est.strata_profile) == 10_000
+
+
+def test_energy_mc_hopf_relative_se_below_four_permille():
+    est = energy.energy_mc(maps.hopf_map(), PARAMS_S3, WHOLE_S3, 250_000, 0)
+    assert est.std_error / est.value < 4e-3
+
+
+def test_energy_mc_hopf_mean_matches_closed_form():
+    # <x, y> for y uniform on S^3 is uniform on the unit disc, which gives
+    # E_{1/2,6}(h, S^3) = 25.6 pi^4; the unbiasedness anchor of energy_mc
+    ests = [energy.energy_mc(maps.hopf_map(), PARAMS_S3, WHOLE_S3, 250_000,
+                             100 + k) for k in range(8)]
+    mean = np.mean([e.value for e in ests])
+    se = np.sqrt(sum(e.std_error ** 2 for e in ests)) / len(ests)
+    assert abs(mean - 25.6 * np.pi ** 4) <= 3.0 * se
+
+
 def test_energy_estimate_json_schema():
     u = maps.hopf_map()
     est = energy.energy_mc(u, PARAMS_S3, WHOLE_S3, 20_000, 0)

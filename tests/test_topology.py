@@ -103,14 +103,6 @@ def test_closed_curve_rejects_gaps():
         topology.ClosedCurve(pts[::8], tolerance=0.01)  # nodes too far apart
 
 
-def test_closed_curve_serialization():
-    c1, _ = _hopf_circles(128)
-    parsed = json.loads(c1.to_json())
-    assert np.asarray(parsed["points"]).shape == (128, 4)
-    text = c1.to_text()
-    assert len(text.strip().splitlines()) == 128
-
-
 def test_gauss_linking_hopf_fibers_is_one():
     c1, c2 = _hopf_circles()
     rep = topology.gauss_linking(c1, c2)
