@@ -24,7 +24,7 @@ from .experiments import (
     run_verify,
 )
 from .maps import map_from_descriptor
-from .topology import bookkept_degree, hopf_invariant
+from .topology import hopf_invariant
 
 
 def _load_config() -> dict:
@@ -81,11 +81,10 @@ def cmd_hopf(args) -> int:
     step = args.step if args.step is not None else cfg.get("step", 2e-3)
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     rep = hopf_invariant(u, step=float(step), seed=int(seed))
-    book = bookkept_degree(u.descriptor)
-    agree = rep.value == book.value
+    agree = rep.value == u.degree
     print(json.dumps(
         {"hopf_invariant": rep.value, "raw": rep.raw,
-         "residual": rep.residual, "bookkept": book.value, "agree": agree},
+         "residual": rep.residual, "bookkept": u.degree, "agree": agree},
         sort_keys=True,
     ))
     return 0 if agree else 1

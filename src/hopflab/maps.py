@@ -6,7 +6,8 @@ k disjoint bumps, bumps composed with the Hopf map, disjoint-support
 patching, and maps of any prescribed Hopf degree assembled from these.
 
 Every map carries a serializable descriptor that fully determines its
-values, so constructions can be persisted and rebuilt bit-identically.
+values, so constructions can be persisted and rebuilt bit-identically,
+and the exact degree its constructor bookkeeps from the pieces.
 Evaluation is vectorized over (N, dim+1) coordinate arrays.
 """
 
@@ -50,7 +51,10 @@ class SphereMap:
     eval_many maps an (N, domain_dim+1) array of unit vectors to an
     (N, codomain_dim+1) array of unit vectors. supports, when not None,
     lists geodesic balls outside whose union the map equals basepoint
-    exactly.
+    exactly. degree, when not None, is the exact invariant its constructor
+    bookkeeps from its children: the mapping degree of S^m -> S^m maps,
+    the Hopf invariant of S^3 -> S^2 maps. Hand-built maps leave it None,
+    and None propagates through the combinators.
     """
 
     def __init__(
@@ -63,6 +67,7 @@ class SphereMap:
         jacobian_many=None,
         supports=None,
         basepoint=None,
+        degree=None,
     ):
         self.domain_dim = int(domain_dim)
         self.codomain_dim = int(codomain_dim)
@@ -72,6 +77,7 @@ class SphereMap:
         self.jacobian_many = jacobian_many
         self.supports = supports
         self.basepoint = None if basepoint is None else np.asarray(basepoint, float)
+        self.degree = degree
 
     def eval_many(self, points):
         pts = np.asarray(points, dtype=np.float64)
@@ -104,7 +110,7 @@ def constant_map(domain_dim: int, b) -> SphereMap:
 
     desc = _desc("constant", {"domain_dim": domain_dim, "basepoint": bc.tolist()})
     return SphereMap(domain_dim, cod, ev, desc, lipschitz_hint=0.0,
-                     supports=[], basepoint=bc)
+                     supports=[], basepoint=bc, degree=0)
 
 
 def identity_map(m: int) -> SphereMap:
@@ -113,7 +119,8 @@ def identity_map(m: int) -> SphereMap:
     def ev(pts):
         return pts.copy()
 
-    return SphereMap(m, m, ev, _desc("identity", {"dim": m}), lipschitz_hint=1.0)
+    return SphereMap(m, m, ev, _desc("identity", {"dim": m}), lipschitz_hint=1.0,
+                     degree=1)
 
 
 def hopf_map() -> SphereMap:
@@ -125,7 +132,7 @@ def hopf_map() -> SphereMap:
     """
     return SphereMap(
         3, 2, hopf_eval_many, _desc("hopf", {}),
-        lipschitz_hint=2.0, jacobian_many=hopf_jacobian_many,
+        lipschitz_hint=2.0, jacobian_many=hopf_jacobian_many, degree=1,
     )
 
 
@@ -199,8 +206,10 @@ def equator_collapse(m: int) -> SphereMap:
     def ev(pts):
         return _collapse_eval(pts)
 
+    # double cover of the sphere by the two hemispheres; the covers agree
+    # in orientation exactly when m is odd
     return SphereMap(m, m, ev, _desc("equator_collapse", {"dim": m}),
-                     lipschitz_hint=2.0)
+                     lipschitz_hint=2.0, degree=1 + (-1) ** (m + 1))
 
 
 def _collapse_eval(pts):
@@ -257,7 +266,7 @@ def bump_deg1(x0, r: float, b) -> SphereMap:
     })
     ball = GeodesicBall(sphere_point(c0), rho)
     return SphereMap(m, m, ev, desc, lipschitz_hint=2.0 / r,
-                     supports=[ball], basepoint=bc)
+                     supports=[ball], basepoint=bc, degree=1)
 
 
 def multi_bubble(k: int, b=None, safety: float = 0.9) -> SphereMap:
@@ -299,7 +308,7 @@ def _bubble_assembly(balls, bc, k, safety):
         ],
     })
     return SphereMap(2, 2, ev, desc, lipschitz_hint=2.0 / r_bump,
-                     supports=list(balls), basepoint=bc)
+                     supports=list(balls), basepoint=bc, degree=k)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +324,10 @@ def composed_with_hopf(v: SphereMap) -> SphereMap:
         return v.eval_many(hopf_eval_many(pts))
 
     hint = None if v.lipschitz_hint is None else 2.0 * v.lipschitz_hint
+    degree = None if v.degree is None else v.degree ** 2
     desc = _desc("compose_hopf", {}, children=[v.descriptor])
-    return SphereMap(3, 2, ev, desc, lipschitz_hint=hint, basepoint=v.basepoint)
+    return SphereMap(3, 2, ev, desc, lipschitz_hint=hint, basepoint=v.basepoint,
+                     degree=degree)
 
 
 def hopf_bump(x0, r: float, b=None) -> SphereMap:
@@ -349,7 +360,7 @@ def hopf_bump(x0, r: float, b=None) -> SphereMap:
     })
     hint = None if inner.lipschitz_hint is None else 2.0 * inner.lipschitz_hint
     return SphereMap(3, 2, ev, desc, lipschitz_hint=hint,
-                     supports=list(inner.supports), basepoint=bc)
+                     supports=list(inner.supports), basepoint=bc, degree=1)
 
 
 def patch_maps(pieces, b) -> SphereMap:
@@ -411,10 +422,12 @@ def _patched(background: SphereMap, pieces, bc) -> SphereMap:
     }, children=[background.descriptor] + [u.descriptor for u in piece_maps])
     hints = [background.lipschitz_hint] + [u.lipschitz_hint for u in piece_maps]
     hint = None if any(h is None for h in hints) else max(hints)
+    degrees = [background.degree] + [u.degree for u in piece_maps]
+    degree = None if None in degrees else sum(degrees)
     bg_sup = background.supports
     supports = None if bg_sup is None else list(bg_sup) + list(balls)
     return SphereMap(dom, cod, ev, desc, lipschitz_hint=hint,
-                     supports=supports, basepoint=bc)
+                     supports=supports, basepoint=bc, degree=degree)
 
 
 def _check_constant_off_ball(u, ball, bc, rng, idx, n=256):
@@ -461,7 +474,7 @@ def precompose_rotation(u: SphereMap, rot) -> SphereMap:
         ]
     return SphereMap(u.domain_dim, u.codomain_dim, ev, desc,
                      lipschitz_hint=u.lipschitz_hint, supports=supports,
-                     basepoint=u.basepoint)
+                     basepoint=u.basepoint, degree=u.degree)
 
 
 def precompose_flip(u: SphereMap) -> SphereMap:
@@ -483,9 +496,10 @@ def precompose_flip(u: SphereMap) -> SphereMap:
             c = ball.center.coords.copy()
             c[0] = -c[0]
             supports.append(GeodesicBall(sphere_point(c), ball.radius))
+    degree = None if u.degree is None else -u.degree
     return SphereMap(u.domain_dim, u.codomain_dim, ev, desc,
                      lipschitz_hint=u.lipschitz_hint, supports=supports,
-                     basepoint=u.basepoint)
+                     basepoint=u.basepoint, degree=degree)
 
 
 # ---------------------------------------------------------------------------

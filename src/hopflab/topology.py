@@ -459,20 +459,33 @@ def _fiber_seeds(desc, target, n_per_component: int = 8):
 
 
 def _preimages_on_s2(v: SphereMap, zc, grid: int = 24):
-    """All preimages of zc under a bubble map v: S^2 -> S^2 (one per ball)."""
-    found = []
-    for ball in v.supports or []:
-        c = ball.center.coords
-        pts = np.array(_ball_grid(c, ball.radius, grid))
-        best = None
-        for x in pts:
+    """All preimages of zc under v: S^2 -> S^2.
+
+    A map with declared supports (a bubble map) has one preimage per ball:
+    the first point of a grid over the ball that converges. A map without
+    them is searched from a lattice over the whole sphere, keeping every
+    distinct converged point, since preimages of opposite orientation can
+    cancel in the invariant.
+    """
+
+    def converged(pool):
+        for x in pool:
             ok, x, _ = _correct_to_fiber(v, x, zc, tol=1e-10, iters=80,
                                          min_step=1e-16)
             if ok:
-                best = x
-                break
-        if best is not None:
-            found.append(best)
+                yield x
+
+    found = []
+    if v.supports is None:
+        for x in converged(sphere_lattice(2, 64)):
+            if all(float(np.linalg.norm(x - y)) > 1e-6 for y in found):
+                found.append(x)
+        return found
+    for ball in v.supports:
+        x = next(converged(_ball_grid(ball.center.coords, ball.radius, grid)),
+                 None)
+        if x is not None:
+            found.append(x)
     return found
 
 
@@ -501,43 +514,13 @@ def _ball_grid(center, radius, n):
 # ---------------------------------------------------------------------------
 
 def bookkept_degree(desc) -> DegreeReport:
-    """Exact integer invariant of a descriptor by structural recursion.
+    """Exact integer invariant of a descriptor, as its constructors bookkeep it.
 
-    S^m -> S^m variants carry the mapping degree, S^3 -> S^2 variants the
-    Hopf invariant: bumps are 1, multi-bubbles are k, composing with the
-    Hopf map squares, patching adds, reflection negates, rotation keeps.
+    Rebuilds the map and reads SphereMap.degree: the mapping degree of
+    S^m -> S^m variants, the Hopf invariant of S^3 -> S^2 variants.
+    Rebuilding re-checks patched supports, so a descriptor whose supports
+    overlap raises SupportError.
     """
-    return DegreeReport(value=_bookkeep(desc), raw=float(_bookkeep(desc)),
-                        residual=0.0, method="bookkeeping")
-
-
-def _bookkeep(desc) -> int:
-    variant = desc["variant"]
-    p = desc.get("params", {})
-    kids = desc.get("children", [])
-    if variant == "constant":
-        return 0
-    if variant == "identity":
-        return 1
-    if variant == "hopf":
-        return 1
-    if variant == "equator_collapse":
-        # double cover of the sphere by the two hemispheres; the covers
-        # agree in orientation exactly when m is odd
-        m = p["dim"]
-        return 1 + (-1) ** (m + 1)
-    if variant == "bump_deg1":
-        return 1
-    if variant == "multi_bubble":
-        return p["k"]
-    if variant == "compose_hopf":
-        return _bookkeep(kids[0]) ** 2
-    if variant == "hopf_bump":
-        return 1
-    if variant == "patched":
-        return sum(_bookkeep(k) for k in kids)
-    if variant == "orientation_flip":
-        return -_bookkeep(kids[0])
-    if variant == "precompose_rotation":
-        return _bookkeep(kids[0])
-    raise ParameterError(f"unknown descriptor variant {variant!r}")
+    degree = map_from_descriptor(desc).degree
+    return DegreeReport(value=degree, raw=float(degree), residual=0.0,
+                        method="bookkeeping")

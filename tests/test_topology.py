@@ -1,5 +1,6 @@
 """Degree certification and Hopf invariants by fiber linking."""
 
+import copy
 import json
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 
 from hopflab import geometry as geo
 from hopflab import maps, topology
-from hopflab.errors import ParameterError
+from hopflab.errors import ParameterError, SupportError
 
 TRACE_STEP = 2e-3  # coarse enough to keep the suite quick, residuals ~1e-4
 
@@ -216,6 +217,24 @@ def test_hopf_invariant_patched_adds():
     assert rep.residual < 0.05
 
 
+def test_hopf_invariant_identity_composed_with_hopf():
+    # identity o h is h; v declares no supports, so its preimages come from
+    # a search over the whole of S^2
+    u = maps.composed_with_hopf(maps.identity_map(2))
+    rep = topology.hopf_invariant(u, step=4e-3)
+    assert rep.value == u.degree == 1
+    assert rep.residual < 0.05
+
+
+def test_hopf_invariant_collapse_composed_with_hopf_cancels():
+    # the collapse on S^2 has two preimages of opposite orientation; their
+    # fibers cancel only when both are traced, one alone reads +-1
+    u = maps.composed_with_hopf(maps.equator_collapse(2))
+    rep = topology.hopf_invariant(u, step=4e-3)
+    assert rep.value == u.degree == 0
+    assert rep.residual < 0.05
+
+
 def test_hopf_invariant_rejects_wrong_dims():
     with pytest.raises(ParameterError):
         topology.hopf_invariant(maps.identity_map(2))
@@ -225,15 +244,46 @@ def test_hopf_invariant_rejects_wrong_dims():
 # Bookkeeping
 # ---------------------------------------------------------------------------
 
+def _two_bumps_on_s2():
+    b = [1.0, 0.0, 0.0]
+    bumps = [maps.bump_deg1(c, 0.3, b) for c in ([0.0, 0.0, 1.0],
+                                                 [0.0, 0.0, -1.0])]
+    return maps.patch_maps([(f, f.supports[0]) for f in bumps], b)
+
+
 def test_bookkept_degrees_of_builders():
+    rot = geo.rotation_taking(geo.sphere_point([0.0, 0.0, 1.0]),
+                              geo.sphere_point([0.0, 1.0, 0.0]))
     cases = [
         (maps.constant_map(3, [1.0, 0.0, 0.0]), 0),
+        (maps.identity_map(2), 1),
+        (maps.identity_map(3), 1),
         (maps.hopf_map(), 1),
+        (maps.equator_collapse(2), 0),
+        (maps.equator_collapse(3), 2),
+        (maps.bump_deg1([0.0, 0.0, 1.0], 0.3, [1.0, 0.0, 0.0]), 1),
+        (maps.multi_bubble(4), 4),
         (maps.composed_with_hopf(maps.multi_bubble(3)), 9),
         (maps.hopf_bump(geo.sphere_point([0.0, 0.0, 0.0, 1.0]), 0.4), 1),
+        (_two_bumps_on_s2(), 2),
+        (maps.precompose_rotation(maps.multi_bubble(2), rot), 2),
+        (maps.precompose_flip(maps.multi_bubble(3)), -3),
     ]
     for u, want in cases:
+        assert u.degree == want, u.descriptor["variant"]
         assert topology.bookkept_degree(u.descriptor).value == want
+    # a hand-built map has no bookkept degree, nor has anything built on it
+    bare = maps.SphereMap(2, 2, lambda pts: pts.copy(),
+                          {"variant": "bare", "params": {}, "children": []})
+    assert maps.composed_with_hopf(bare).degree is None
+
+
+def test_bookkept_degree_rejects_overlapping_supports():
+    desc = copy.deepcopy(_two_bumps_on_s2().descriptor)
+    desc["params"]["supports"][1] = desc["params"]["supports"][0]
+    desc["children"][2] = desc["children"][1]
+    with pytest.raises(SupportError):
+        topology.bookkept_degree(desc)
 
 
 def test_bookkept_prescribed_all_values():
