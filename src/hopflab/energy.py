@@ -36,6 +36,7 @@ from .geometry import (
     cap_area,
     geodesic_distances,
     geodesic_step,
+    polar_directions,
     sample_shell_radii,
     sample_uniform_many,
     shell_measure,
@@ -47,7 +48,7 @@ from .geometry import (
 from .maps import SphereMap, hopf_lift_many
 from . import _kernels
 
-DEFAULT_SHELLS = 40
+MC_SHELLS = 40  # dyadic shells of the step length per energy_mc source
 QUAD_MIN_BAND_EXP = 34  # inner radial grid reaches pi * 2^-34 at most
 QUAD_PAIR_BUDGET = 10 ** 9
 QUAD_TAIL_RTOL = 1e-12  # radial bands stop once the certified rest is this small
@@ -227,7 +228,7 @@ class _Stratum:
 
 
 def energy_mc(u: SphereMap, params: EnergyParams, region: Region, n: int,
-              rng, n_shells: int = DEFAULT_SHELLS) -> EnergyEstimate:
+              rng) -> EnergyEstimate:
     """Unbiased stratified MC estimate of E_{s,p}(u, region).
 
     rng is an integer seed or a numpy Generator (a Generator contributes a
@@ -249,7 +250,7 @@ def energy_mc(u: SphereMap, params: EnergyParams, region: Region, n: int,
     if n < 1_000:
         raise ParameterError("energy_mc needs at least 1000 samples")
     seed = int(rng.integers(2 ** 62)) if hasattr(rng, "integers") else int(rng)
-    strata, pair_weight, tail_measure = _strata(u, params.n, region, n_shells)
+    strata, pair_weight, tail_measure = _strata(u, params.n, region)
     if not strata:  # constant map: the energy vanishes exactly
         return EnergyEstimate(0.0, 0.0, n, params, region, seed, 0.0, [])
     pilot = max(2, n // (MC_PILOT_SHARE * len(strata)))
@@ -276,14 +277,14 @@ def energy_mc(u: SphereMap, params: EnergyParams, region: Region, n: int,
                           n, params, region, seed, tail, profile)
 
 
-def _strata(u: SphereMap, dim: int, region: Region, n_shells: int):
+def _strata(u: SphereMap, dim: int, region: Region):
     """energy_mc's strata, its pair weight and the measure of its tail bound.
 
     Plain: x is uniform in the region, pair weight 1_region(y). A map
     constant outside support balls, on the whole sphere: with W their
     union, pairs outside W x W contribute nothing, so E(u, S^n) =
     E(W x W) + 2 E(W x W^c); x is uniform in one ball, pair weight
-    2 - 1{y in W}. Each source is cut into n_shells dyadic shells of the
+    2 - 1{y in W}. Each source is cut into MC_SHELLS dyadic shells of the
     step length, keyed j (plain) or (i + 1) 2^32 + j (ball i).
     """
     if (region.variant == "whole" and u.supports is not None
@@ -305,10 +306,10 @@ def _strata(u: SphereMap, dim: int, region: Region, n_shells: int):
         def pair_weight(y):
             return region.contains(y).astype(np.float64)
 
-    edges = np.pi * 2.0 ** (-np.arange(n_shells + 1, dtype=np.float64))
+    edges = np.pi * 2.0 ** (-np.arange(MC_SHELLS + 1, dtype=np.float64))
     strata = []
     for src, area, label, tag in sources:
-        for j in range(n_shells):
+        for j in range(MC_SHELLS):
             t_hi, t_lo = float(edges[j]), float(edges[j + 1])
             w_j = shell_measure(dim, t_lo, t_hi)
             strata.append(_Stratum(src, area * w_j, tag * 2 ** 32 + j, {
@@ -460,13 +461,7 @@ def _quad_rule(u: SphereMap, params: EnergyParams, X, outer_w: float,
     """The product rule on outer nodes X of common weight outer_w."""
     n = params.n
     frames = _kernels.oriented_frames(X)
-    if n == 2:
-        ang = 2.0 * np.pi * (np.arange(n_ang) + 0.5) / n_ang
-        omega = np.column_stack([np.cos(ang), np.sin(ang)])
-        w_ang = 2.0 * np.pi / n_ang
-    else:
-        omega = sphere_lattice(2, n_ang)
-        w_ang = 4.0 * np.pi / n_ang
+    omega, w_ang = polar_directions(n, n_ang)
     ux = u.eval_many(X)
     nodes, weights = np.polynomial.legendre.leggauss(_QUAD_GAUSS)
     p = params.p

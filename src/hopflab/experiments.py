@@ -224,34 +224,31 @@ def result_metadata(result: ScalingResult) -> dict:
     }
 
 
-def emit_report(result: ScalingResult, format: str | None = None) -> list:
-    """Write the run's artifacts; returns the paths written.
+def emit_report(result: ScalingResult) -> list:
+    """Write the run's artifacts in the config's format; returns the paths.
 
     csv: the data table (exact columns d,energy,std_error,n_samples,s,p,seed)
     plus a .meta.json sidecar. json: one file with metadata and rows. Both
     get a .loglog.csv companion holding the plot-ready (log d, log energy)
     columns.
     """
-    fmt = format or result.config.format
     path = result.config.output_path
     if not path:
         raise ParameterError("config has no output_path")
     rows = result_rows(result)
     meta = result_metadata(result)
     written = []
-    if fmt == "csv":
+    if result.config.format == "csv":
         lines = [",".join(CSV_COLUMNS)]
         lines += [",".join(repr(r[c]) if isinstance(r[c], float) else str(r[c])
                            for c in CSV_COLUMNS) for r in rows]
         _write(path, "\n".join(lines) + "\n")
         _write(path + ".meta.json", json.dumps(meta, sort_keys=True) + "\n")
         written += [path, path + ".meta.json"]
-    elif fmt == "json":
+    else:
         _write(path, json.dumps({"metadata": meta, "rows": rows},
                                 sort_keys=True) + "\n")
         written.append(path)
-    else:
-        raise ParameterError(f"format must be csv or json, got {fmt!r}")
     companion = path + ".loglog.csv"
     lines = ["log_d,log_energy"]
     lines += [f"{math.log(r['d'])!r},{math.log(r['energy'])!r}"

@@ -415,6 +415,40 @@ def sphere_lattice(m: int, k: int):
     raise ParameterError(f"unsupported sphere dimension {m}")
 
 
+def polar_directions(m: int, n: int):
+    """n unit directions in R^m with their common angular weight.
+
+    The angular half of a geodesic-polar rule on S^m (m = 2 or 3): n
+    equally spaced angles (i + 1/2) 2 pi/n of weight 2 pi/n, or the n-point
+    S^2 lattice of weight 4 pi/n. Returns ((n, m) array, weight).
+    """
+    if m == 2:
+        ang = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+        return np.column_stack([np.cos(ang), np.sin(ang)]), 2.0 * np.pi / n
+    if m == 3:
+        return sphere_lattice(2, n), 4.0 * np.pi / n
+    raise ParameterError(f"unsupported sphere dimension {m}")
+
+
+def ball_grid(center, radius, n):
+    """About n points spread over a geodesic ball (center plus polar rings)."""
+    c = np.asarray(center, dtype=np.float64)
+    V = _kernels.oriented_frames(c[None, :])[0]
+    m = c.shape[0] - 1
+    out = [c]
+    n_r = max(2, int(np.sqrt(n / 4)))
+    for i in range(1, n_r + 1):
+        t = radius * i / (n_r + 0.5)
+        n_a = max(4, int(n / n_r))
+        if m == 2:
+            ang = 2.0 * np.pi * (np.arange(n_a) + 0.3 * i) / n_a
+            omega = np.column_stack([np.cos(ang), np.sin(ang)])
+        else:
+            omega = sphere_lattice(2, n_a)
+        out.extend(np.cos(t) * c[None, :] + np.sin(t) * (omega @ V.T))
+    return np.array(out)
+
+
 def pack_disjoint_balls(k: int, safety: float = 0.9):
     """k disjoint geodesic balls on S^2 of common radius safety/sqrt(k).
 

@@ -6,8 +6,9 @@ k disjoint bumps, bumps composed with the Hopf map, disjoint-support
 patching, and maps of any prescribed Hopf degree assembled from these.
 
 Every map carries a serializable descriptor that fully determines its
-values, so constructions can be persisted and rebuilt bit-identically,
-and the exact degree its constructor bookkeeps from the pieces.
+values, so constructions can be persisted and rebuilt bit-identically.
+Each constructor also sets the exact degree it bookkeeps from the pieces
+and, for maps S^3 -> S^2, a rule that seeds the fiber over a target.
 Evaluation is vectorized over (N, dim+1) coordinate arrays.
 """
 
@@ -26,7 +27,9 @@ from .errors import (
 )
 from .geometry import (
     GeodesicBall,
+    Rotation,
     SpherePoint,
+    ball_grid,
     fibonacci_lattice_s2,
     geodesic_distance,
     geodesic_distances,
@@ -43,6 +46,8 @@ from .geometry import (
 DEFAULT_BASEPOINT_S2 = np.array([1.0, 0.0, 0.0])
 
 _CHECK_RNG_SEED = 20260301  # construction-time support checks, fixed stream
+_CIRCLE_SEEDS = 8  # fiber seeds per Hopf circle
+_BALL_SEEDS = 64  # fiber seeds per support ball
 
 
 class SphereMap:
@@ -53,8 +58,10 @@ class SphereMap:
     lists geodesic balls outside whose union the map equals basepoint
     exactly. degree, when not None, is the exact invariant its constructor
     bookkeeps from its children: the mapping degree of S^m -> S^m maps,
-    the Hopf invariant of S^3 -> S^2 maps. Hand-built maps leave it None,
-    and None propagates through the combinators.
+    the Hopf invariant of S^3 -> S^2 maps. fiber_seeds, when not None,
+    maps a target z on S^2 to domain points near every component of the
+    fiber over z; fiber tracing corrects and deduplicates them. Hand-built
+    maps leave both None, and None propagates through the combinators.
     """
 
     def __init__(
@@ -68,6 +75,7 @@ class SphereMap:
         supports=None,
         basepoint=None,
         degree=None,
+        fiber_seeds=None,
     ):
         self.domain_dim = int(domain_dim)
         self.codomain_dim = int(codomain_dim)
@@ -78,6 +86,7 @@ class SphereMap:
         self.supports = supports
         self.basepoint = None if basepoint is None else np.asarray(basepoint, float)
         self.degree = degree
+        self.fiber_seeds = fiber_seeds
 
     def eval_many(self, points):
         pts = np.asarray(points, dtype=np.float64)
@@ -110,7 +119,8 @@ def constant_map(domain_dim: int, b) -> SphereMap:
 
     desc = _desc("constant", {"domain_dim": domain_dim, "basepoint": bc.tolist()})
     return SphereMap(domain_dim, cod, ev, desc, lipschitz_hint=0.0,
-                     supports=[], basepoint=bc, degree=0)
+                     supports=[], basepoint=bc, degree=0,
+                     fiber_seeds=lambda target: [])
 
 
 def identity_map(m: int) -> SphereMap:
@@ -133,6 +143,7 @@ def hopf_map() -> SphereMap:
     return SphereMap(
         3, 2, hopf_eval_many, _desc("hopf", {}),
         lipschitz_hint=2.0, jacobian_many=hopf_jacobian_many, degree=1,
+        fiber_seeds=lambda target: fiber_circle(target, _CIRCLE_SEEDS),
     )
 
 
@@ -323,11 +334,18 @@ def composed_with_hopf(v: SphereMap) -> SphereMap:
     def ev(pts):
         return v.eval_many(hopf_eval_many(pts))
 
+    def seeds(target):
+        # the Hopf circles over the preimages of target under v; topology
+        # imports this module, so its solver is imported at call time
+        from .topology import _preimages_on_s2
+        return [x for pre in _preimages_on_s2(v, _unit(target))
+                for x in fiber_circle(pre, _CIRCLE_SEEDS)]
+
     hint = None if v.lipschitz_hint is None else 2.0 * v.lipschitz_hint
     degree = None if v.degree is None else v.degree ** 2
     desc = _desc("compose_hopf", {}, children=[v.descriptor])
     return SphereMap(3, 2, ev, desc, lipschitz_hint=hint, basepoint=v.basepoint,
-                     degree=degree)
+                     degree=degree, fiber_seeds=seeds)
 
 
 def hopf_bump(x0, r: float, b=None) -> SphereMap:
@@ -344,10 +362,11 @@ def hopf_bump(x0, r: float, b=None) -> SphereMap:
         raise DimensionMismatchError("hopf_bump center must lie on S^3")
     b_pre = hopf_fiber_point(bc, 0.0)
     inner = bump_deg1(c0, r, b_pre)
+    radius = inner.supports[0].radius
 
     def ev(pts):
         out = np.broadcast_to(bc, (pts.shape[0], 3)).copy()
-        inside = geodesic_distances(pts, c0) < inner.supports[0].radius
+        inside = geodesic_distances(pts, c0) < radius
         if np.any(inside):
             out[inside] = hopf_eval_many(inner.eval_many(pts[inside]))
         return out
@@ -355,12 +374,13 @@ def hopf_bump(x0, r: float, b=None) -> SphereMap:
     desc = _desc("hopf_bump", {
         "center": c0.tolist(),
         "stereo_radius": r,
-        "support_radius": inner.supports[0].radius,
+        "support_radius": radius,
         "basepoint": bc.tolist(),
     })
     hint = None if inner.lipschitz_hint is None else 2.0 * inner.lipschitz_hint
     return SphereMap(3, 2, ev, desc, lipschitz_hint=hint,
-                     supports=list(inner.supports), basepoint=bc, degree=1)
+                     supports=list(inner.supports), basepoint=bc, degree=1,
+                     fiber_seeds=lambda target: ball_grid(c0, radius, _BALL_SEEDS))
 
 
 def patch_maps(pieces, b) -> SphereMap:
@@ -379,7 +399,9 @@ def _patched(background: SphereMap, pieces, bc) -> SphereMap:
 
     The background must equal bc on every support ball and each piece must
     equal bc outside its own ball (both verified on sampled points), so the
-    result is continuous and Hopf degrees add.
+    result is continuous and Hopf degrees add. The fiber seeds are the
+    background's plus each piece's own, or a grid over its ball for a
+    piece without a rule; a background without a rule leaves none.
     """
     dom = background.domain_dim
     cod = background.codomain_dim
@@ -405,6 +427,13 @@ def _patched(background: SphereMap, pieces, bc) -> SphereMap:
     radii = np.array([ball.radius for ball in balls])
     piece_maps = [u for u, _ in pieces]
 
+    def seeds(target):
+        out = list(background.fiber_seeds(target))
+        for u, ball in zip(piece_maps, balls):
+            out.extend(ball_grid(ball.center.coords, ball.radius, _BALL_SEEDS)
+                       if u.fiber_seeds is None else u.fiber_seeds(target))
+        return out
+
     def ev(pts):
         out = background.eval_many(pts)
         for i, u in enumerate(piece_maps):
@@ -427,7 +456,8 @@ def _patched(background: SphereMap, pieces, bc) -> SphereMap:
     bg_sup = background.supports
     supports = None if bg_sup is None else list(bg_sup) + list(balls)
     return SphereMap(dom, cod, ev, desc, lipschitz_hint=hint,
-                     supports=supports, basepoint=bc, degree=degree)
+                     supports=supports, basepoint=bc, degree=degree,
+                     fiber_seeds=None if background.fiber_seeds is None else seeds)
 
 
 def _check_constant_off_ball(u, ball, bc, rng, idx, n=256):
@@ -453,28 +483,12 @@ def _check_constant_on_ball(background, ball, bc, rng, idx, n=256):
 def precompose_rotation(u: SphereMap, rot) -> SphereMap:
     """u o R for a proper rotation R of the domain sphere.
 
+    rot is a Rotation, or a matrix that must pass Rotation's checks.
     Rotations are homotopic to the identity, so bookkept degrees are
-    unchanged; supports rotate along.
+    unchanged.
     """
-    mat = np.asarray(rot.matrix if hasattr(rot, "matrix") else rot, dtype=np.float64)
-    if mat.shape != (u.domain_dim + 1, u.domain_dim + 1):
-        raise DimensionMismatchError("rotation size does not match the map domain")
-
-    def ev(pts):
-        return u.eval_many(pts @ mat.T)
-
-    desc = _desc("precompose_rotation", {"matrix": mat.tolist()},
-                 children=[u.descriptor])
-    supports = None
-    if u.supports is not None:
-        inv = mat.T
-        supports = [
-            GeodesicBall(sphere_point(inv @ ball.center.coords), ball.radius)
-            for ball in u.supports
-        ]
-    return SphereMap(u.domain_dim, u.codomain_dim, ev, desc,
-                     lipschitz_hint=u.lipschitz_hint, supports=supports,
-                     basepoint=u.basepoint, degree=u.degree)
+    mat = Rotation(u.domain_dim, getattr(rot, "matrix", rot)).matrix
+    return _precompose(u, mat, "precompose_rotation", {"matrix": mat.tolist()})
 
 
 def precompose_flip(u: SphereMap) -> SphereMap:
@@ -482,24 +496,36 @@ def precompose_flip(u: SphereMap) -> SphereMap:
 
     The reflection reverses orientation, so bookkept degrees negate.
     """
+    flip = np.eye(u.domain_dim + 1)
+    flip[0, 0] = -1.0
+    return _precompose(u, flip, "orientation_flip", {})
+
+
+def _precompose(u: SphereMap, mat, variant, params) -> SphereMap:
+    """u o M for an orthogonal matrix M of the domain.
+
+    Supports and fiber seeds move by M^-1 = M^T; an orientation-reversing
+    M negates the bookkept degree.
+    """
 
     def ev(pts):
-        q = pts.copy()
-        q[:, 0] = -q[:, 0]
-        return u.eval_many(q)
+        return u.eval_many(pts @ mat.T)
 
-    desc = _desc("orientation_flip", {}, children=[u.descriptor])
+    def seeds(target):
+        return [mat.T @ x for x in u.fiber_seeds(target)]
+
     supports = None
     if u.supports is not None:
-        supports = []
-        for ball in u.supports:
-            c = ball.center.coords.copy()
-            c[0] = -c[0]
-            supports.append(GeodesicBall(sphere_point(c), ball.radius))
-    degree = None if u.degree is None else -u.degree
-    return SphereMap(u.domain_dim, u.codomain_dim, ev, desc,
+        supports = [
+            GeodesicBall(sphere_point(mat.T @ ball.center.coords), ball.radius)
+            for ball in u.supports
+        ]
+    degree = None if u.degree is None else u.degree * int(np.sign(np.linalg.det(mat)))
+    return SphereMap(u.domain_dim, u.codomain_dim, ev,
+                     _desc(variant, params, children=[u.descriptor]),
                      lipschitz_hint=u.lipschitz_hint, supports=supports,
-                     basepoint=u.basepoint, degree=degree)
+                     basepoint=u.basepoint, degree=degree,
+                     fiber_seeds=None if u.fiber_seeds is None else seeds)
 
 
 # ---------------------------------------------------------------------------

@@ -24,15 +24,16 @@ from .errors import (
     UnresolvedDegreeError,
 )
 from .geometry import (
-    geodesic_distances,
+    ball_grid,
     kronecker_lattice_s3,
+    polar_directions,
     rotation_taking,
     sphere_area,
     sphere_lattice,
     sphere_point,
     stereographic_many,
 )
-from .maps import SphereMap, fiber_circle, map_from_descriptor
+from .maps import SphereMap, map_from_descriptor
 
 # Handedness of the fixed linking recipe (rotate pole to north, project
 # stereographically, evaluate the Gauss sum in R^3) relative to the S^3
@@ -44,6 +45,10 @@ PROJECTION_SIGN = 1.0
 
 _FD_DELTA = 1e-5
 _FD_BLOCK = 1024  # base points per stencil evaluation
+FIBER_SIGMA_MIN = 1e-3  # least second singular value along a traced fiber
+FIBER_MAX_STEPS = 200_000  # steps before a fiber counts as not closing
+HOPF_MAX_TRIES = 20  # target pairs hopf_invariant draws before it gives up
+LATTICE_SEEDS = 4096  # fiber seeds of a map without a seed rule
 
 
 @dataclass(frozen=True)
@@ -180,16 +185,10 @@ def _ball_jacobian_integral(f: SphereMap, ball, budget: int) -> float:
     if m == 2:
         n_r = int(np.clip(np.sqrt(budget / 10.0), 16, 400))
         n_a = max(32, budget // n_r)
-        ang = 2.0 * np.pi * (np.arange(n_a) + 0.5) / n_a
-        omega = np.column_stack([np.cos(ang), np.sin(ang)])
-        w_ang = 2.0 * np.pi / n_a
-    elif m == 3:
+    else:
         n_r = int(np.clip((budget / 40.0) ** (1.0 / 3.0), 8, 120))
         n_a = max(128, budget // n_r)
-        omega = sphere_lattice(2, n_a)
-        w_ang = 4.0 * np.pi / n_a
-    else:
-        raise ParameterError(f"unsupported sphere dimension {m}")
+    omega, w_ang = polar_directions(m, n_a)
     nodes, weights = np.polynomial.legendre.leggauss(n_r)
     t = 0.5 * R * (nodes + 1.0)
     w_r = 0.5 * R * weights * np.sin(t) ** (m - 1)
@@ -206,8 +205,7 @@ def _ball_jacobian_integral(f: SphereMap, ball, budget: int) -> float:
 # Fiber tracing
 # ---------------------------------------------------------------------------
 
-def trace_fiber(f: SphereMap, target, seeds, step: float = 1e-3,
-                sigma_min: float = 1e-3, max_steps: int = 200_000):
+def trace_fiber(f: SphereMap, target, seeds, step: float = 1e-3):
     """Closed fiber components of f: S^3 -> S^2 over the target value.
 
     Each seed is first corrected onto the fiber (Gauss-Newton on
@@ -216,8 +214,8 @@ def trace_fiber(f: SphereMap, target, seeds, step: float = 1e-3,
     is followed by a predictor along the kernel of the differential and a
     corrector back to the fiber; the traversal direction is the one induced
     from f and the global orientation convention. Components already traced
-    are deduplicated. A second-singular-value drop below sigma_min raises
-    a non-regular-value error.
+    are deduplicated. A second-singular-value drop below FIBER_SIGMA_MIN
+    raises a non-regular-value error.
     """
     if f.domain_dim != 3 or f.codomain_dim != 2:
         raise ParameterError("fiber tracing needs a map S^3 -> S^2")
@@ -234,7 +232,7 @@ def trace_fiber(f: SphereMap, target, seeds, step: float = 1e-3,
             for c in curves
         ):
             continue
-        curves.append(_follow_fiber(f, x0, jac, zc, step, sigma_min, max_steps))
+        curves.append(_follow_fiber(f, x0, jac, zc, step))
     return curves
 
 
@@ -294,14 +292,14 @@ def _fiber_direction(jac, prev=None):
     return tangent, sigma2
 
 
-def _follow_fiber(f: SphereMap, x0, jac, zc, step, sigma_min, max_steps):
+def _follow_fiber(f: SphereMap, x0, jac, zc, step):
     pts = [x0]
     x = x0
     prev = None
     travelled = 0.0
-    for nstep in range(max_steps):
+    for nstep in range(FIBER_MAX_STEPS):
         tangent, sigma2 = _fiber_direction(jac, prev)
-        if sigma2 < sigma_min:
+        if sigma2 < FIBER_SIGMA_MIN:
             raise NonRegularValueError(
                 f"differential nearly singular along fiber (sigma2 = {sigma2:.2e}); "
                 "retry with a different target"
@@ -318,7 +316,8 @@ def _follow_fiber(f: SphereMap, x0, jac, zc, step, sigma_min, max_steps):
             break
     else:
         raise NonRegularValueError(
-            f"fiber did not close within {max_steps} steps (length {travelled:.2f})"
+            f"fiber did not close within {FIBER_MAX_STEPS} steps "
+            f"(length {travelled:.2f})"
         )
     return ClosedCurve(np.array(pts), tolerance=2.0 * step)
 
@@ -367,24 +366,27 @@ def _midpoints_segments(pts):
 # Hopf invariant
 # ---------------------------------------------------------------------------
 
-def hopf_invariant(f: SphereMap, step: float = 1e-3, seed: int = 0,
-                   max_tries: int = 20) -> DegreeReport:
+def hopf_invariant(f: SphereMap, step: float = 1e-3,
+                   seed: int = 0) -> DegreeReport:
     """Hopf invariant of f: S^3 -> S^2 by fiber tracing and linking.
 
     Traces the fibers over two regular values and sums the Gauss linking
-    numbers over all pairs of components, one from each fiber. Targets are
-    drawn away from the map's constant value and re-drawn if tracing finds
-    a non-regular point.
+    numbers over all pairs of components, one from each fiber. The map's
+    fiber_seeds rule seeds the tracing; a map without one is seeded from a
+    LATTICE_SEEDS-point lattice of S^3. Targets are drawn away from the
+    map's constant value and re-drawn, up to HOPF_MAX_TRIES pairs, if
+    tracing finds a non-regular point.
     """
     if f.domain_dim != 3 or f.codomain_dim != 2:
         raise ParameterError("the Hopf invariant needs a map S^3 -> S^2")
+    seeds = f.fiber_seeds or (lambda target: kronecker_lattice_s3(LATTICE_SEEDS))
     rng = np.random.default_rng(seed)
     last_err = None
-    for _ in range(max_tries):
+    for _ in range(HOPF_MAX_TRIES):
         z1, z2 = _pick_targets(f, rng)
         try:
-            fib1 = trace_fiber(f, z1, _fiber_seeds(f.descriptor, z1), step)
-            fib2 = trace_fiber(f, z2, _fiber_seeds(f.descriptor, z2), step)
+            fib1 = trace_fiber(f, z1, seeds(z1), step)
+            fib2 = trace_fiber(f, z2, seeds(z2), step)
             raw = 0.0
             for c1 in fib1:
                 for c2 in fib2:
@@ -393,7 +395,7 @@ def hopf_invariant(f: SphereMap, step: float = 1e-3, seed: int = 0,
         except (NonRegularValueError, IllConditionedLinkingError) as err:
             last_err = err
     raise NonRegularValueError(
-        f"no pair of regular values found in {max_tries} tries: {last_err}"
+        f"no pair of regular values found in {HOPF_MAX_TRIES} tries: {last_err}"
     )
 
 
@@ -413,49 +415,6 @@ def _pick_targets(f: SphereMap, rng):
             continue
         return z1, z2
     raise NonRegularValueError("could not draw separated target values")
-
-
-def _fiber_seeds(desc, target, n_per_component: int = 8):
-    """Approximate fiber points of the described map over the target.
-
-    Dispatches on the construction so every component gets at least one
-    seed: analytic circles for the Hopf map and compositions with it,
-    in-ball grids for bumps, recursion for wrappers. Seeds only need to be
-    near the fiber; tracing corrects and deduplicates them.
-    """
-    variant = desc["variant"]
-    p = desc.get("params", {})
-    kids = desc.get("children", [])
-    zc = np.asarray(target, dtype=np.float64)
-    if variant == "constant":
-        return []
-    if variant == "hopf":
-        return list(fiber_circle(zc, n_per_component))
-    if variant == "compose_hopf":
-        v = map_from_descriptor(kids[0])
-        seeds = []
-        for pre in _preimages_on_s2(v, zc):
-            seeds.extend(fiber_circle(pre, n_per_component))
-        return seeds
-    if variant == "hopf_bump":
-        return _ball_grid(np.array(p["center"]), p["support_radius"], 64)
-    if variant == "patched":
-        seeds = list(_fiber_seeds(kids[0], zc, n_per_component))
-        for kid, sup in zip(kids[1:], p["supports"]):
-            if kid["variant"] == "hopf_bump":
-                seeds.extend(_fiber_seeds(kid, zc, n_per_component))
-            else:
-                seeds.extend(_ball_grid(np.array(sup["center"]), sup["radius"], 64))
-        return seeds
-    if variant == "orientation_flip":
-        seeds = _fiber_seeds(kids[0], zc, n_per_component)
-        return [s * np.array([-1.0, 1.0, 1.0, 1.0]) for s in seeds]
-    if variant == "precompose_rotation":
-        inv = np.array(p["matrix"]).T
-        seeds = _fiber_seeds(kids[0], zc, n_per_component)
-        return [inv @ s for s in seeds]
-    # unknown construction: fall back to a global lattice
-    return list(kronecker_lattice_s3(4096))
 
 
 def _preimages_on_s2(v: SphereMap, zc, grid: int = 24):
@@ -482,31 +441,11 @@ def _preimages_on_s2(v: SphereMap, zc, grid: int = 24):
                 found.append(x)
         return found
     for ball in v.supports:
-        x = next(converged(_ball_grid(ball.center.coords, ball.radius, grid)),
+        x = next(converged(ball_grid(ball.center.coords, ball.radius, grid)),
                  None)
         if x is not None:
             found.append(x)
     return found
-
-
-def _ball_grid(center, radius, n):
-    """Points spread over a geodesic ball (polar rings), as a seed pool."""
-    c = np.asarray(center, dtype=np.float64)
-    V = _kernels.oriented_frames(c[None, :])[0]
-    m = c.shape[0] - 1
-    out = [c]
-    n_r = max(2, int(np.sqrt(n / 4)))
-    for i in range(1, n_r + 1):
-        t = radius * i / (n_r + 0.5)
-        n_a = max(4, int(n / n_r))
-        if m == 2:
-            ang = 2.0 * np.pi * (np.arange(n_a) + 0.3 * i) / n_a
-            omega = np.column_stack([np.cos(ang), np.sin(ang)])
-        else:
-            omega = sphere_lattice(2, n_a)
-        ring = np.cos(t) * c[None, :] + np.sin(t) * (omega @ V.T)
-        out.extend(ring)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -217,12 +217,19 @@ def test_hopf_invariant_patched_adds():
     assert rep.residual < 0.05
 
 
-def test_hopf_invariant_identity_composed_with_hopf():
+@pytest.mark.parametrize("v", [
+    maps.identity_map(2),
+    # hand-built: no descriptor variant certification could rebuild it from
+    maps.SphereMap(2, 2, lambda p: p.copy(),
+                   {"variant": "bare", "params": {}, "children": []},
+                   lipschitz_hint=1.0),
+], ids=["identity", "hand-built"])
+def test_hopf_invariant_identity_composed_with_hopf(v):
     # identity o h is h; v declares no supports, so its preimages come from
     # a search over the whole of S^2
-    u = maps.composed_with_hopf(maps.identity_map(2))
+    u = maps.composed_with_hopf(v)
     rep = topology.hopf_invariant(u, step=4e-3)
-    assert rep.value == u.degree == 1
+    assert rep.value == 1
     assert rep.residual < 0.05
 
 
@@ -295,6 +302,18 @@ def test_bookkept_prescribed_all_values():
 def test_bookkept_flip_negates():
     u = maps.precompose_flip(maps.prescribed_hopf_map(5))
     assert topology.bookkept_degree(u.descriptor).value == -5
+
+
+@pytest.mark.parametrize("matrix", [
+    np.diag([-1.0, 1.0, 1.0, 1.0]),  # a reflection, not a rotation
+    2.0 * np.eye(4),  # not orthogonal: values would leave S^2
+], ids=["reflection", "scaled"])
+def test_bookkept_degree_rejects_non_rotation_matrix(matrix):
+    desc = {"variant": "precompose_rotation",
+            "params": {"matrix": matrix.tolist()},
+            "children": [maps.hopf_map().descriptor]}
+    with pytest.raises(ParameterError):
+        topology.bookkept_degree(desc)
 
 
 def test_bookkept_rotation_keeps():
