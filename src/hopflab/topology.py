@@ -208,118 +208,124 @@ def _ball_jacobian_integral(f: SphereMap, ball, budget: int) -> float:
 def trace_fiber(f: SphereMap, target, seeds, step: float = 1e-3):
     """Closed fiber components of f: S^3 -> S^2 over the target value.
 
-    Each seed is first corrected onto the fiber (Gauss-Newton on
-    |f(x) - target| to below 1e-8; seeds that do not converge are dropped,
-    so off-fiber seeds are harmless). From each remaining start the fiber
-    is followed by a predictor along the kernel of the differential and a
-    corrector back to the fiber; the traversal direction is the one induced
-    from f and the global orientation convention. Components already traced
-    are deduplicated. A second-singular-value drop below FIBER_SIGMA_MIN
-    raises a non-regular-value error.
+    One batched Gauss-Newton (_correct) moves the seeds onto the fiber and
+    drops those that do not converge. Each start opens a curve; all curves
+    advance in lockstep, one tangential_jacobian call per step: a predictor
+    along the kernel, oriented as induced from f, then the corrector. A
+    curve closes after more than 10 steps back within 2 steps of its start,
+    and is dropped once a live lower-index curve passes within 3 steps of
+    its start, so each component is traced once, from its first seed. A
+    sigma2 below FIBER_SIGMA_MIN, a failed corrector or a curve open after
+    FIBER_MAX_STEPS raises a non-regular-value error.
     """
+    return _trace_fibers(f, [target], [seeds], step)[0]
+
+
+def _trace_fibers(f: SphereMap, targets, seed_sets, step: float):
+    """trace_fiber's curves for each target, all traced in one lockstep batch."""
     if f.domain_dim != 3 or f.codomain_dim != 2:
         raise ParameterError("fiber tracing needs a map S^3 -> S^2")
-    zc = np.asarray(target.coords if hasattr(target, "coords") else target, float)
-    curves = []
-    for seed in seeds:
-        x0 = np.asarray(seed.coords if hasattr(seed, "coords") else seed, float)
-        x0 = x0 / np.linalg.norm(x0)
-        ok, x0, jac = _correct_to_fiber(f, x0, zc)
-        if not ok:
-            continue
-        if any(
-            float(np.min(np.linalg.norm(c.points - x0, axis=1))) < 3.0 * step
-            for c in curves
-        ):
-            continue
-        curves.append(_follow_fiber(f, x0, jac, zc, step))
+    X = [np.reshape([getattr(s, "coords", s) for s in seeds], (-1, 4))
+         for seeds in seed_sets]
+    fib = np.repeat(np.arange(len(X)), [len(x) for x in X])
+    Z = np.array([getattr(z, "coords", z) for z in targets], float)[fib]
+    X = np.concatenate(X)
+    ok, starts, D, E = _correct(f, X / np.linalg.norm(X, axis=1)[:, None], Z)
+    starts, D, E, Z, fib = starts[ok], D[ok], E[ok], Z[ok], fib[ok]
+    x, live, dropped = starts, np.arange(len(starts)), np.zeros(len(starts), bool)
+    trails, closing, travelled = [[s] for s in starts], False, 0.0
+    for nstep in range(FIBER_MAX_STEPS + 1):
+        # drop the starts a live lower-index curve of their fiber passes
+        cand = np.flatnonzero(~dropped)
+        chunk = max(1, _kernels.PAIR_BLOCK // max(1, cand.size))
+        for a in range(0, live.size, chunk):
+            i = live[a:a + chunk, None]
+            j = cand[cand > i[0, 0]]
+            d2 = sum((x[a:a + chunk, k, None] - starts[j, k]) ** 2 for k in range(4))
+            hit = (np.sqrt(d2) < 3.0 * step) & (i < j) & (fib[i] == fib[j])
+            dropped[j[np.any(hit, axis=0)]] = True
+        keep = ~(dropped[live] | closing)
+        live, x, D, E = live[keep], x[keep], D[keep], E[keep]
+        if live.size == 0:
+            break
+        if nstep == FIBER_MAX_STEPS:
+            raise NonRegularValueError(f"fiber did not close within {FIBER_MAX_STEPS}"
+                                       f" steps (length {travelled:.2f})")
+        # the kernel a1 x a2 has det[v, a1, a2] > 0: the induced orientation
+        _, _, c, _, sigma2 = _row_cross(D)
+        if np.min(sigma2) < FIBER_SIGMA_MIN:
+            raise NonRegularValueError(
+                f"differential nearly singular along fiber (sigma2 = "
+                f"{np.min(sigma2):.2e}); retry with a different target")
+        v = c / np.linalg.norm(c, axis=1)[:, None]
+        x = np.cos(step) * x + np.sin(step) * (E @ v[:, :, None])[:, :, 0]
+        ok, x, D, E = _correct(f, x / np.linalg.norm(x, axis=1)[:, None], Z[live])
+        if not np.all(ok):
+            raise NonRegularValueError("corrector failed to return to the fiber")
+        travelled += step
+        for j, p in zip(live, x):
+            trails[j].append(p)
+        closing = (travelled > 10.0 * step) & (
+            np.linalg.norm(x - starts[live], axis=1) < 2.0 * step)
+    curves = [[] for _ in targets]
+    for j in np.flatnonzero(~dropped):
+        curves[fib[j]].append(ClosedCurve(np.array(trails[j]), 2.0 * step))
     return curves
 
 
-def _correct_to_fiber(f: SphereMap, x, zc, tol: float = 1e-8, iters: int = 60,
-                      min_step: float = 1e-15):
-    """Gauss-Newton: move x on the domain sphere until |f(x) - target| < tol.
-
-    Returns (ok, x, jac) with jac = tangential_jacobian(f, x) at the
-    returned x when ok, so the caller can reuse it; jac is None otherwise.
-    A flat spot (constant region) or a step below min_step means the seed
-    is off the fiber.
+def _correct(f: SphereMap, X, Z, tol: float = 1e-8, iters: int = 60,
+             min_step: float = 1e-15):
+    """Batched Gauss-Newton: move each row x of X on the domain sphere until
+    |f(x) - z| < tol, z its row of Z; returns (ok, X, D, E), with D, E from
+    tangential_jacobian at each converged x. A row is off the fiber on a flat
+    spot, a step below min_step or after iters iterations. A step solves
+    D h = -W^T (f(x) - z) in the frame W at f(x), built once per iteration
+    for the open rows, and is capped at length 0.2.
     """
-    for _ in range(iters):
-        jac = tangential_jacobian(f, x[None, :])
-        D, E, val = jac
-        r = val[0] - zc
-        if float(np.linalg.norm(r)) < tol:
-            return True, x, jac
-        # residual in the codomain tangent frame at f(x)
-        W = _kernels.oriented_frames(val)[0]
-        A = D[0]
-        if float(np.linalg.norm(A)) < 1e-12:
-            return False, x, None
-        h, *_ = np.linalg.lstsq(A, -(W.T @ r), rcond=None)
-        n = float(np.linalg.norm(h))
-        if n < min_step:
-            return False, x, None
-        if n > 0.2:
-            h *= 0.2 / n
-            n = 0.2
-        x = np.cos(n) * x + np.sin(n) * (E[0] @ (h / n))
-        x /= np.linalg.norm(x)
-    return False, x, None
-
-
-def _fiber_direction(jac, prev=None):
-    """Unit tangent along the fiber, oriented as induced from f.
-
-    jac is tangential_jacobian(f, x) at the fiber point x.
-    """
-    D, E, _ = jac
-    A = D[0]
-    U, S, Vt = np.linalg.svd(A)
-    sigma2 = float(S[1])
-    v = Vt[2]  # kernel direction in frame coordinates
-    a1 = A.T @ np.array([1.0, 0.0])
-    a2 = A.T @ np.array([0.0, 1.0])
-    det = float(np.linalg.det(np.column_stack([v, a1, a2])))
-    if det < 0.0:
-        v = -v
-    tangent = E[0] @ v
-    if prev is not None and float(np.dot(tangent, prev)) < 0.0:
-        # the induced orientation never flips along a traced component;
-        # a sign disagreement with the previous step means the SVD sign
-        # wobbled at a near-degenerate point, keep continuity instead
-        tangent = -tangent
-    return tangent, sigma2
-
-
-def _follow_fiber(f: SphereMap, x0, jac, zc, step):
-    pts = [x0]
-    x = x0
-    prev = None
-    travelled = 0.0
-    for nstep in range(FIBER_MAX_STEPS):
-        tangent, sigma2 = _fiber_direction(jac, prev)
-        if sigma2 < FIBER_SIGMA_MIN:
-            raise NonRegularValueError(
-                f"differential nearly singular along fiber (sigma2 = {sigma2:.2e}); "
-                "retry with a different target"
-            )
-        x_new = np.cos(step) * x + np.sin(step) * tangent
-        ok, x_new, jac = _correct_to_fiber(f, x_new / np.linalg.norm(x_new), zc)
-        if not ok:
-            raise NonRegularValueError("corrector failed to return to the fiber")
-        travelled += step
-        prev = tangent
-        x = x_new
-        pts.append(x)
-        if travelled > 10.0 * step and float(np.linalg.norm(x - x0)) < 2.0 * step:
+    X, n, m = np.array(X, float), len(X), f.domain_dim
+    ok, todo = np.zeros(n, bool), np.arange(n)
+    D, E = np.empty((n, f.codomain_dim, m)), np.empty((n, m + 1, m))
+    for _ in range(iters if n else 0):
+        Dt, Et, vals = tangential_jacobian(f, X[todo])
+        r = vals - Z[todo]
+        done = np.linalg.norm(r, axis=1) < tol
+        ok[todo[done]] = True
+        D[todo[done]], E[todo[done]] = Dt[done], Et[done]
+        todo, Dt, Et, vals, r = (a[~done] for a in (todo, Dt, Et, vals, r))
+        if todo.size == 0:
             break
-    else:
-        raise NonRegularValueError(
-            f"fiber did not close within {FIBER_MAX_STEPS} steps "
-            f"(length {travelled:.2f})"
-        )
-    return ClosedCurve(np.array(pts), tolerance=2.0 * step)
+        W = _kernels.oriented_frames(vals)
+        b = -(np.swapaxes(W, 1, 2) @ r[:, :, None])[:, :, 0]
+        # min-norm solution of Dt h = b: (b1 a2 x c - b2 a1 x c) / |c|^2 at
+        # rank two; Dt^T b / |Dt|^2 at the rank one that np.linalg.lstsq
+        # sees below sigma2 = m eps sigma1; 0 on a flat spot, |Dt| < 1e-12
+        a1, a2, c, sigma1, sigma2 = _row_cross(Dt)
+        full = sigma2 > m * np.finfo(float).eps * sigma1
+        h = b[:, :1] * _kernels.cross3(a2, c) - b[:, 1:] * _kernels.cross3(a1, c)
+        h = h[:, :m] / np.where(full, np.sum(c * c, axis=1), 1.0)[:, None]
+        d2 = np.sum(Dt * Dt, axis=(1, 2))
+        low = np.einsum("nia,ni->na", Dt, b) / np.maximum(d2, 1e-300)[:, None]
+        h = np.where((d2 < 1e-24)[:, None], 0.0, np.where(full[:, None], h, low))
+        hn = np.linalg.norm(h, axis=1)
+        go = hn >= min_step
+        todo, u, hn, Et = todo[go], h[go] / hn[go, None], hn[go], Et[go]
+        hn = np.minimum(hn, 0.2)
+        x = (np.cos(hn)[:, None] * X[todo]
+             + np.sin(hn)[:, None] * (Et @ u[:, :, None])[:, :, 0])
+        X[todo] = x / np.linalg.norm(x, axis=1)[:, None]
+    return ok, X, D, E
+
+
+def _row_cross(D):
+    """Rows a1, a2 of each (2, m) block of D, padded to R^3, c = a1 x a2 and
+    the singular values: |c| = sigma1 sigma2, and sigma1^2 is the larger
+    eigenvalue of the rows' Gram matrix [[p, r], [r, q]]."""
+    D = np.concatenate([D, np.zeros(D.shape[:2] + (3 - D.shape[2],))], axis=2)
+    c = _kernels.cross3(D[:, 0], D[:, 1])
+    (p, r), (_, q) = np.einsum("nij,nkj->nik", D, D).transpose(1, 2, 0)
+    sigma1 = np.sqrt(0.5 * (p + q) + np.hypot(0.5 * (p - q), r))
+    sigma2 = np.linalg.norm(c, axis=1) / np.maximum(sigma1, 1e-300)
+    return D[:, 0], D[:, 1], c, sigma1, sigma2
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +376,12 @@ def hopf_invariant(f: SphereMap, step: float = 1e-3,
                    seed: int = 0) -> DegreeReport:
     """Hopf invariant of f: S^3 -> S^2 by fiber tracing and linking.
 
-    Traces the fibers over two regular values and sums the Gauss linking
-    numbers over all pairs of components, one from each fiber. The map's
-    fiber_seeds rule seeds the tracing; a map without one is seeded from a
-    LATTICE_SEEDS-point lattice of S^3. Targets are drawn away from the
-    map's constant value and re-drawn, up to HOPF_MAX_TRIES pairs, if
-    tracing finds a non-regular point.
+    Traces the fibers over two regular values in one lockstep batch and
+    sums the Gauss linking numbers over all pairs of components, one from
+    each fiber. The map's fiber_seeds rule seeds the tracing; a map without
+    one is seeded from a LATTICE_SEEDS-point lattice of S^3. Targets are
+    drawn away from the map's constant value and re-drawn, up to
+    HOPF_MAX_TRIES pairs, if tracing finds a non-regular point.
     """
     if f.domain_dim != 3 or f.codomain_dim != 2:
         raise ParameterError("the Hopf invariant needs a map S^3 -> S^2")
@@ -385,8 +391,8 @@ def hopf_invariant(f: SphereMap, step: float = 1e-3,
     for _ in range(HOPF_MAX_TRIES):
         z1, z2 = _pick_targets(f, rng)
         try:
-            fib1 = trace_fiber(f, z1, seeds(z1), step)
-            fib2 = trace_fiber(f, z2, seeds(z2), step)
+            fib1, fib2 = _trace_fibers(f, (z1, z2), (seeds(z1), seeds(z2)),
+                                       step)
             raw = 0.0
             for c1 in fib1:
                 for c2 in fib2:
@@ -418,7 +424,7 @@ def _pick_targets(f: SphereMap, rng):
 
 
 def _preimages_on_s2(v: SphereMap, zc, grid: int = 24):
-    """All preimages of zc under v: S^2 -> S^2.
+    """All preimages of zc under v: S^2 -> S^2, corrected in one batch.
 
     A map with declared supports (a bubble map) has one preimage per ball:
     the first point of a grid over the ball that converges. A map without
@@ -426,24 +432,17 @@ def _preimages_on_s2(v: SphereMap, zc, grid: int = 24):
     distinct converged point, since preimages of opposite orientation can
     cancel in the invariant.
     """
-
-    def converged(pool):
-        for x in pool:
-            ok, x, _ = _correct_to_fiber(v, x, zc, tol=1e-10, iters=80,
-                                         min_step=1e-16)
-            if ok:
-                yield x
-
+    pools = ([sphere_lattice(2, 64)] if v.supports is None else
+             [ball_grid(b.center.coords, b.radius, grid) for b in v.supports])
+    pool = np.concatenate(pools + [np.empty((0, 3))])
+    ok, X, _, _ = _correct(v, pool, np.broadcast_to(zc, pool.shape),
+                           tol=1e-10, iters=80, min_step=1e-16)
+    if v.supports is not None:
+        owner = np.repeat(np.arange(len(pools)), [len(g) for g in pools])
+        return [X[ok & (owner == k)][0] for k in np.unique(owner[ok])]
     found = []
-    if v.supports is None:
-        for x in converged(sphere_lattice(2, 64)):
-            if all(float(np.linalg.norm(x - y)) > 1e-6 for y in found):
-                found.append(x)
-        return found
-    for ball in v.supports:
-        x = next(converged(ball_grid(ball.center.coords, ball.radius, grid)),
-                 None)
-        if x is not None:
+    for x in X[ok]:
+        if all(float(np.linalg.norm(x - y)) > 1e-6 for y in found):
             found.append(x)
     return found
 

@@ -60,14 +60,6 @@ def test_oriented_frames_numpy(d):
     _check_frames(pts, K.oriented_frames(pts))
 
 
-def test_min_pairwise_distance_matches_brute_force():
-    gen = np.random.default_rng(2)
-    a = gen.normal(size=(150, 3))
-    b = gen.normal(size=(170, 3))
-    brute = np.min(np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2))
-    assert np.isclose(K.min_pairwise_distance(a, b), brute, rtol=1e-12)
-
-
 def test_pairwise_kernels_peak_memory_is_bounded():
     # blocks of PAIR_BLOCK pairs keep the broadcast temporaries small
     m1, s1 = _circle(np.zeros(3), [0, 0, 1], 1.0, 1600)
@@ -83,14 +75,35 @@ def test_pairwise_kernels_peak_memory_is_bounded():
         assert peak < 40e6, f"{kernel.__name__} peaked at {peak / 1e6:.0f} MB"
 
 
-def test_pairwise_kernels_do_not_depend_on_the_block_size(monkeypatch):
+def _brute_linking(m1, s1, m2, s2):
+    """The Gauss sum over all segment pairs in one unblocked broadcast."""
+    diff = m1[:, None, :] - m2[None, :, :]
+    num = np.einsum("ijk,ijk->ij", diff, np.cross(s1[:, None, :], s2[None, :, :]))
+    return np.sum(num / np.linalg.norm(diff, axis=2) ** 3) / (4.0 * np.pi)
+
+
+def _brute_distance(a, b):
+    return np.min(np.linalg.norm(a[:, None, :] - b[None, :, :], axis=2))
+
+
+@pytest.mark.parametrize("block", [None, 1000], ids=["default", "small"])
+def test_pairwise_kernels_match_brute_force(monkeypatch, block):
+    if block is not None:
+        # 1000 pairs against 311 inner rows: blocks of 3 outer rows, and the
+        # last of the 257 outer rows in a short block of 2
+        monkeypatch.setattr(K, "PAIR_BLOCK", block)
     gen = np.random.default_rng(4)
-    m1, s1 = _circle(gen.normal(size=3) * 0.1, gen.normal(size=3), 1.0, 257)
-    m2, s2 = _circle(gen.normal(size=3) * 0.1, gen.normal(size=3), 0.7, 311)
+    # a tilted Hopf-link configuration: linked, so a relative check bites
+    m1, s1 = _circle(gen.normal(size=3) * 0.05,
+                     [0, 0, 1] + gen.normal(size=3) * 0.1, 1.0, 257)
+    m2, s2 = _circle(np.array([1.0, 0, 0]) + gen.normal(size=3) * 0.05,
+                     [0, 1, 0] + gen.normal(size=3) * 0.1, 0.7, 311)
     lk = K.gauss_linking_sum(m1, s1, m2, s2)
-    dist = K.min_pairwise_distance(m1, m2)
-    # 1000 pairs: blocks of 3 rows, the last one short
-    monkeypatch.setattr(K, "PAIR_BLOCK", 1000)
-    assert np.isclose(K.gauss_linking_sum(m1, s1, m2, s2), lk,
-                      rtol=1e-12, atol=1e-14)
-    assert np.isclose(K.min_pairwise_distance(m1, m2), dist, rtol=1e-12)
+    assert abs(abs(lk) - 1.0) < 1e-2
+    assert np.isclose(lk, _brute_linking(m1, s1, m2, s2), rtol=1e-12, atol=0)
+    assert np.isclose(K.min_pairwise_distance(m1, m2), _brute_distance(m1, m2),
+                      rtol=1e-12, atol=0)
+    # gauss_linking passes (N, 4) points of S^3: every column counts
+    a, b = gen.normal(size=(257, 4)), gen.normal(size=(311, 4))
+    assert np.isclose(K.min_pairwise_distance(a, b), _brute_distance(a, b),
+                      rtol=1e-12, atol=0)

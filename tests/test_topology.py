@@ -177,6 +177,56 @@ def test_trace_fiber_reuses_the_corrector_jacobian(monkeypatch):
     assert len(calls) <= n_points + 2 * len(seeds)
 
 
+def test_trace_fiber_traces_each_component_once_from_its_first_seed():
+    # v o h with two bubbles: the fiber over z is two Hopf circles, and the
+    # map's own rule seeds each of them with several points
+    u = maps.composed_with_hopf(maps.multi_bubble(2))
+    z, _ = topology._pick_targets(u, np.random.default_rng(0))
+    seeds, step = np.array(u.fiber_seeds(z)), 4e-3
+    curves = topology.trace_fiber(u, z, seeds, step=step)
+    assert len(curves) == 2
+    # each seed lies on exactly one traced curve
+    owner = [[k for k, c in enumerate(curves)
+              if np.min(np.linalg.norm(c.points - s, axis=1)) < 3 * step]
+             for s in seeds]
+    assert all(len(o) == 1 for o in owner)
+    first = [[o[0] for o in owner].index(k) for k in range(len(curves))]
+    assert first == sorted(first)
+    for k, c in enumerate(curves):
+        x0 = seeds[first[k]] / np.linalg.norm(seeds[first[k]])
+        assert np.max(np.abs(c.points[0] - x0)) < 1e-9
+
+
+@pytest.mark.parametrize("u", [
+    maps.composed_with_hopf(maps.multi_bubble(2)),
+    maps.hopf_bump(geo.sphere_point([0.0, 0.0, 0.0, 1.0]), 0.3),
+], ids=["bubbles-o-hopf", "hopf-bump"])
+def test_lockstep_tracing_matches_one_target_calls(u):
+    # both fibers in one batch give the curves of two separate calls, point
+    # for point: rows of the batched predictor-corrector never mix
+    z1, z2 = topology._pick_targets(u, np.random.default_rng(1))
+    both = topology._trace_fibers(u, (z1, z2), (u.fiber_seeds(z1),
+                                                u.fiber_seeds(z2)), 4e-3)
+    for z, curves in zip((z1, z2), both):
+        alone = topology.trace_fiber(u, z, u.fiber_seeds(z), step=4e-3)
+        assert len(alone) == len(curves) > 0
+        for a, b in zip(alone, curves):
+            assert a.points.shape == b.points.shape
+            assert np.max(np.abs(a.points - b.points)) < 1e-12
+
+
+def test_hopf_invariant_of_a_map_without_seed_rule():
+    # a hand-built Hopf map has no fiber_seeds rule: both fibers are seeded
+    # from the whole S^3 lattice and corrected in one batch
+    u = maps.SphereMap(3, 2, maps.hopf_eval_many,
+                       {"variant": "hopf_hand", "params": {}, "children": []},
+                       jacobian_many=maps.hopf_jacobian_many)
+    assert u.fiber_seeds is None
+    rep = topology.hopf_invariant(u, step=4e-3)
+    assert rep.value == 1
+    assert rep.residual < 0.05
+
+
 def test_hopf_invariant_of_hopf_map():
     rep = topology.hopf_invariant(maps.hopf_map(), step=TRACE_STEP)
     assert rep.value == 1
