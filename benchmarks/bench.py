@@ -1,0 +1,126 @@
+"""Write BENCH_<pr>.json: perfbench's workloads over several seeds, with an
+optional parent checkout run in alternation, plus one traced run each.
+
+Run from the root of a checkout:
+
+    python3 benchmarks/bench.py --pr N --quick --parent ../parent
+
+--parent names another checkout of the package, for example one made with
+`git worktree add ../parent HEAD~1`. For each workload and seed the two
+checkouts run back to back, the parent first on even seeds and second on
+odd ones, so that slow drifts of the host's speed fall on both sides. The
+full mode runs 5 seeds at --seconds 40, --quick 2 seeds at --seconds 10.
+
+The file holds the machine (nproc, Python, numpy, BLAS threads); per
+workload the median and interquartile range of the four end-to-end metrics
+over the seeds, each seed's values and whether every gate passed; and the
+per-layer metrics and raw unit times (`quad_s:hopf`, ...) of one
+`--trace 1` run at the first seed. With a parent,
+each workload also carries the parent's figures, the change's median
+relative to the parent's, and how many seeds read lower on the change.
+Only perfbench/run.py is run; nothing here changes what it measures.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("scaling", "certify", "oracle")
+END_TO_END = ("setup_s", "wall_s", "stage_s", "peak_rss_mb")
+
+
+def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int):
+    """One perfbench run: (details, result) parsed from its last two lines."""
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)],
+        cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or len(lines) < 2:
+        raise SystemExit(f"perfbench {workload} seed {seed} in {checkout} failed:\n"
+                         f"{proc.stderr[-2000:]}")
+    return json.loads(lines[-2]), json.loads(lines[-1])
+
+
+def spread(values):
+    q25, q50, q75 = np.percentile(values, [25, 50, 75])
+    return {"median": float(q50), "iqr": float(q75 - q25),
+            "values": [float(v) for v in values]}
+
+
+def summarize(results):
+    """Median and IQR of each end-to-end metric over a side's runs."""
+    return {
+        "metrics": {m: spread([r["metrics"][m]["value"] for r in results])
+                    for m in END_TO_END},
+        "correct": all(r["correct"] for r in results),
+        "failed": sum(r["failed"] for r in results),
+    }
+
+
+def bench_workload(workload, seeds, seconds, parent):
+    sides = {"change": ROOT} if parent is None else {"change": ROOT, "parent": parent}
+    results = {side: [] for side in sides}
+    for seed in seeds:
+        order = list(sides)
+        if parent is not None and seed % 2 == 0:
+            order.reverse()  # the parent goes first on even seeds
+        for side in order:
+            results[side].append(run(sides[side], workload, seed, seconds, 0)[1])
+        print(f"{workload} seed {seed}: " + ", ".join(
+            f"{side} stage_s {results[side][-1]['metrics']['stage_s']['value']:.3f}"
+            for side in sides), file=sys.stderr)
+    out = {}
+    for side, checkout in sides.items():
+        details, traced = run(checkout, workload, seeds[0], seconds, 1)
+        out[side] = {**summarize(results[side]),
+                     "per_layer": {k: v["value"] for k, v in traced["metrics"].items()},
+                     "traced_unit_s": details["unit_raw_s"],
+                     "environment": details["environment"]}
+    if parent is not None:
+        for m in END_TO_END:
+            new, old = (np.array(out[s]["metrics"][m]["values"]) for s in ("change", "parent"))
+            out["change"]["metrics"][m]["vs_parent"] = {
+                "relative_median": float(np.median(new) / np.median(old) - 1.0),
+                "seeds_lower": int(np.sum(new < old)),
+            }
+    return out
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--pr", type=int, required=True, help="writes BENCH_<pr>.json")
+    ap.add_argument("--quick", action="store_true", help="2 seeds at --seconds 10")
+    ap.add_argument("--parent", type=Path, help="a parent checkout to alternate with")
+    args = ap.parse_args(argv)
+    seeds, seconds = (range(2), 10.0) if args.quick else (range(5), 40.0)
+    parent = None if args.parent is None else args.parent.resolve()
+    if parent is not None and not (parent / "perfbench" / "run.py").is_file():
+        raise SystemExit(f"no perfbench/run.py under {parent}")
+    workloads = {w: bench_workload(w, list(seeds), seconds, parent)
+                 for w in WORKLOADS}
+    env = next(iter(workloads.values()))["change"]["environment"]
+    doc = {
+        "machine": {k: env[k] for k in ("nproc", "affinity_cpus", "python",
+                                        "numpy", "blas_threads")},
+        "mode": "quick" if args.quick else "full",
+        "seeds": list(seeds),
+        "seconds": seconds,
+        "parent": parent is not None,
+        "workloads": workloads,
+    }
+    path = ROOT / f"BENCH_{args.pr}.json"
+    path.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

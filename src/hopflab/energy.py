@@ -15,7 +15,8 @@ distances throughout. Two independent evaluation routes:
   at the singularity) used as a cross-checking oracle on the whole sphere.
   Its outer rule uses the Hopf fiber symmetry where the map has it: an S^2
   lattice of fiber lifts for v o h, one node for the Hopf map. Its bands
-  stop once the certified remainder is negligible.
+  stop once the certified remainder is negligible, and skip the outer
+  nodes whose pairs are exact zeros off the map's support balls.
 
 Determinism: estimates are bit-identical given (map, params, region, n,
 seed); every stratum draws from its own counter-based substream and the
@@ -443,6 +444,17 @@ def energy_quadrature(u: SphereMap, params: EnergyParams, resolution: int,
     about QUAD_BLOCK. Converges to the Monte Carlo limit as resolution
     grows. The pair budget applies to the requested rule, resolution x
     angular x 4 x QUAD_MIN_BAND_EXP, whichever outer rule runs.
+
+    Pairs that are exactly zero are skipped, which leaves the rule as it
+    is. A map with supports and a basepoint equals the basepoint off its
+    support balls B(c_i, r_i). An outer node x with gap(x) = min_i
+    (d(x, c_i) - r_i) >= hi lies off every closed ball, and so does every
+    inner point of the band below hi, so the band evaluates only nodes with
+    gap < hi. This prunes bumps, multi-bubbles, Hopf bumps and maps patched
+    over such a background on S^2 or S^3. The Hopf map, v o h, the identity
+    and anything without declared supports run every node: v o h equals
+    its basepoint off the tubes h^-1(B_i), but it does not carry v's
+    balls, and a node test on them would read d_S2(h(x), W) >= 2 hi.
     """
     if u.domain_dim != params.n:
         raise ParameterError("map domain does not match params.n")
@@ -467,12 +479,21 @@ def _quad_rule(u: SphereMap, params: EnergyParams, X, outer_w: float,
     p = params.p
     measure = sphere_area(n)
     step = max(1, QUAD_BLOCK // (_QUAD_GAUSS * n_ang))
+    # gap(x) = min_i d(x, c_i) - r_i; in the band below hi a node with
+    # gap >= hi adds only exact zeros (see energy_quadrature)
+    gap = np.full(X.shape[0], -np.inf)
+    if u.supports is not None and u.basepoint is not None:
+        gap = np.full(X.shape[0], np.inf)
+        for ball in u.supports:
+            gap = np.minimum(gap, geodesic_distances(X, ball.center.coords)
+                             - ball.radius)
     total = 0.0
     for band in range(QUAD_MIN_BAND_EXP):
         hi = np.pi * 2.0 ** (-band)
         if (u.lipschitz_hint is not None and
                 lipschitz_tail_bound(u, params, measure, hi) < QUAD_TAIL_RTOL * total):
             break
+        near = np.flatnonzero(gap < hi)
         lo = 0.5 * hi
         t = 0.5 * (hi - lo) * (nodes + 1.0) + lo
         w_t = 0.5 * (hi - lo) * weights * np.sin(t) ** (n - 1)
@@ -480,13 +501,14 @@ def _quad_rule(u: SphereMap, params: EnergyParams, X, outer_w: float,
         cos_t = np.cos(t)[None, :, None, None]
         sin_t = np.sin(t)[None, :, None, None]
         band_sum = 0.0
-        for i in range(0, X.shape[0], step):
-            x = X[i:i + step]
+        for i in range(0, near.shape[0], step):
+            block = near[i:i + step]
+            x = X[block]
             # unit tangents at each node of the block, one per angular node
-            dirs = np.einsum("ndm,am->nad", frames[i:i + step], omega)
+            dirs = np.einsum("ndm,am->nad", frames[block], omega)
             Y = cos_t * x[:, None, None, :] + sin_t * dirs[:, None]
             uy = u.eval_many(Y.reshape(-1, n + 1)).reshape(Y.shape[:3] + (-1,))
-            du = np.linalg.norm(uy - ux[i:i + step, None, None, :], axis=3)
+            du = np.linalg.norm(uy - ux[block, None, None, :], axis=3)
             band_sum += float(np.einsum("bga,g->", du ** p, kern))
         total += outer_w * w_ang * band_sum
     return total

@@ -179,13 +179,6 @@ def stereographic_many(points):
     return pts[:, :-1] / (1.0 - last)[:, None]
 
 
-def stereographic_inv_many(y):
-    """Batch inverse projection of (N, m) points in R^m onto S^m."""
-    y = np.asarray(y, dtype=np.float64)
-    s = np.sum(y * y, axis=1, keepdims=True)
-    return np.concatenate([2.0 * y, s - 1.0], axis=1) / (1.0 + s)
-
-
 # ---------------------------------------------------------------------------
 # Rotations
 # ---------------------------------------------------------------------------

@@ -38,8 +38,6 @@ from .geometry import (
     rotation_taking,
     sample_uniform_many,
     sphere_point,
-    stereographic_inv_many,
-    stereographic_many,
     tangent_directions,
 )
 
@@ -215,17 +213,14 @@ def equator_collapse(m: int) -> SphereMap:
     """
 
     def ev(pts):
-        return _collapse_eval(pts)
+        last = pts[:, -1:]
+        return np.concatenate([-2.0 * pts[:, :-1] * last, 1.0 - 2.0 * last * last],
+                              axis=1)
 
     # double cover of the sphere by the two hemispheres; the covers agree
     # in orientation exactly when m is odd
     return SphereMap(m, m, ev, _desc("equator_collapse", {"dim": m}),
                      lipschitz_hint=2.0, degree=1 + (-1) ** (m + 1))
-
-
-def _collapse_eval(pts):
-    last = pts[:, -1:]
-    return np.concatenate([-2.0 * pts[:, :-1] * last, 1.0 - 2.0 * last * last], axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +238,11 @@ def bump_deg1(x0, r: float, b) -> SphereMap:
     Inside the ball the map is R_cod o g o Pi^{-1} o (y -> y/r) o Pi o R_dom
     with R_dom taking x0 to the south pole and R_cod taking the north pole
     to b; the support boundary lands exactly on b, so the seam is
-    continuous and the outside value is assigned exactly.
+    continuous and the outside value is assigned exactly. It is evaluated
+    in closed form: with q = R_dom x, D = (1 + q_m) + (1 - q_m) r^2 and
+    z = ((1 + q_m) - (1 - q_m) r^2) / D, the image of q is
+    (-4 r z q_<m / D, 1 - 2 z^2). 1 + q_m is taken as |q_<m|^2 / (1 - q_m),
+    which keeps its relative precision near x0.
     """
     if not (0.0 < r < 1.0):
         raise ParameterError(f"bump stereographic radius must lie in (0,1), got {r}")
@@ -262,10 +261,19 @@ def bump_deg1(x0, r: float, b) -> SphereMap:
     def ev(pts):
         out = np.broadcast_to(bc, pts.shape).copy()
         inside = geodesic_distances(pts, c0) < rho
-        if np.any(inside):
-            q = pts[inside] @ rot_dom.T
-            y = stereographic_many(q) / r
-            out[inside] = _collapse_eval(stereographic_inv_many(y)) @ rot_cod.T
+        if not np.any(inside):
+            return out
+        if np.all(inside):
+            inside = slice(None)  # a basic index: no copies
+        q = rot_dom @ pts[inside].T  # one row per coordinate
+        head, below = q[:-1], 1.0 - q[-1]
+        up = np.einsum("ik,ik->k", head, head) / below
+        down = below * (r * r)
+        denom = up + down
+        z = (up - down) / denom
+        head *= (-4.0 * r) * z / denom
+        q[-1] = 1.0 - 2.0 * z * z
+        out[inside] = (rot_cod @ q).T
         return out
 
     desc = _desc("bump_deg1", {

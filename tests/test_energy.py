@@ -303,6 +303,58 @@ def test_quadrature_without_lipschitz_hint_runs_every_band():
     assert abs(q_bare - q_hinted) <= 1e-12 * q_bare
 
 
+def _redeclared(u, supports=None, basepoint=None):
+    """u's values under its own descriptor and hint, with the given support
+    declaration; returns the map and a list of its eval_many batch sizes."""
+    seen = []
+
+    def counted(pts):
+        seen.append(pts.shape[0])
+        return u.eval_many(pts)
+
+    return maps.SphereMap(u.domain_dim, u.codomain_dim, counted, u.descriptor,
+                          lipschitz_hint=u.lipschitz_hint, supports=supports,
+                          basepoint=basepoint), seen
+
+
+@pytest.mark.parametrize("build, params", [
+    (lambda: maps.multi_bubble(2), energy.EnergyParams(s=0.5, p=6.0, n=2)),
+    (lambda: maps.multi_bubble(5), energy.EnergyParams(s=0.5, p=6.0, n=2)),
+    (lambda: maps.hopf_bump(CENTER_S3, 0.3), PARAMS_S3),
+    (lambda: maps.bump_deg1(CENTER_S3, 0.3, [1.0, 0.0, 0.0, 0.0]), PARAMS_S3),
+], ids=["bubbles2_s2", "bubbles5_s2", "hopf_bump", "bump_s3"])
+def test_quadrature_support_pruning_is_exact(build, params):
+    # the pruned pairs are exact zeros, so only the summation order moves
+    u = build()
+    pruned, seen_pruned = _redeclared(u, u.supports, u.basepoint)
+    full, seen_full = _redeclared(u, basepoint=u.basepoint)
+    q = energy.energy_quadrature(pruned, params, 300)
+    q_full = energy.energy_quadrature(full, params, 300)
+    assert abs(q - q_full) <= 1e-12 * q_full
+    assert sum(seen_pruned) < sum(seen_full)
+
+
+def test_quadrature_support_pruning_skips_most_points():
+    u = maps.multi_bubble(2)
+    params = energy.EnergyParams(s=0.5, p=6.0, n=2)
+    pruned, seen_pruned = _redeclared(u, u.supports, u.basepoint)
+    full, seen_full = _redeclared(u, basepoint=u.basepoint)
+    energy.energy_quadrature(pruned, params, 1_000)
+    energy.energy_quadrature(full, params, 1_000)
+    assert sum(seen_pruned) <= 0.4 * sum(seen_full)
+
+
+def test_quadrature_support_pruning_needs_a_basepoint():
+    # supports without a basepoint do not say what the map is off them
+    u = maps.multi_bubble(2)
+    params = energy.EnergyParams(s=0.5, p=6.0, n=2)
+    no_base, seen_no_base = _redeclared(u, supports=u.supports)
+    full, seen_full = _redeclared(u)
+    q = energy.energy_quadrature(no_base, params, 300)
+    assert q == energy.energy_quadrature(full, params, 300)
+    assert seen_no_base == seen_full
+
+
 # ---------------------------------------------------------------------------
 # Inequality checks
 # ---------------------------------------------------------------------------

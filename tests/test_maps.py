@@ -112,6 +112,54 @@ def test_bump_lipschitz_hint_matches_probe():
         assert probe > 0.9 * f.lipschitz_hint
 
 
+def _bump_chain(c0, r, b, q_pts):
+    """The bump as R_cod o g o Pi^-1 o (y -> y/r) o Pi o R_dom, written out."""
+    m = c0.shape[0] - 1
+    south = np.zeros(m + 1)
+    south[-1] = -1.0
+    rot_dom = geo.rotation_taking(geo.sphere_point(c0), geo.sphere_point(south))
+    rot_cod = geo.rotation_taking(geo.sphere_point(-south), geo.sphere_point(b))
+
+    def stereographic_inv(y):
+        s = np.sum(y * y, axis=1, keepdims=True)
+        return np.concatenate([2.0 * y, s - 1.0], axis=1) / (1.0 + s)
+
+    q = q_pts @ rot_dom.matrix.T
+    y = geo.stereographic_many(q)
+    assert np.allclose(stereographic_inv(y), q, rtol=0, atol=1e-12)  # round trip
+    p = stereographic_inv(y / r)
+    last = p[:, -1:]
+    g = np.concatenate([-2.0 * p[:, :-1] * last, 1.0 - 2.0 * last * last], axis=1)
+    return g @ rot_cod.matrix.T
+
+
+@pytest.mark.parametrize("m", [2, 3])
+def test_bump_closed_form_matches_the_stereographic_chain(m):
+    gen = np.random.default_rng(40 + m)
+    for r in (0.03, 0.1, 0.3, 0.7):
+        c0 = geo.sample_uniform_many(m, 1, gen)[0]
+        b = geo.sample_uniform_many(m, 1, gen)[0]
+        f = maps.bump_deg1(c0, r, b)
+        rho = f.supports[0].radius
+        base = np.broadcast_to(c0, (600, m + 1)).copy()
+        dirs = geo.tangent_directions(base, gen)
+        t = np.concatenate([
+            np.array([0.0, 1e-12, 1e-9, 1e-6, 1e-3]),  # near the centre
+            rho - np.array([1e-9, 3e-10, 1e-10]),       # just inside the seam
+            gen.random(586) * rho,
+            rho + np.array([1e-10, 1e-9, 1e-3]),        # just outside it
+            rho + gen.random(3) * (np.pi - rho),
+        ])
+        pts = geo.geodesic_step(base, dirs, t)
+        pts[0] = c0
+        inside = geo.geodesic_distances(pts, c0) < rho
+        assert np.all(inside[:594]) and not np.any(inside[594:])
+        out = f.eval_many(pts)
+        assert np.allclose(out[inside], _bump_chain(c0, r, b, pts[inside]),
+                           rtol=0, atol=1e-13)
+        assert np.all(out[~inside] == b)
+
+
 def test_bump_rejects_bad_radius():
     b = np.array([1.0, 0.0, 0.0])
     x0 = geo.sphere_point([0.0, 0.0, 1.0])
