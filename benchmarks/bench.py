@@ -18,13 +18,21 @@ per-layer metrics and raw unit times (`quad_s:hopf`, ...) of one
 `--trace 1` run at the first seed. With a parent,
 each workload also carries the parent's figures, the change's median
 relative to the parent's, and how many seeds read lower on the change.
-Only perfbench/run.py is run; nothing here changes what it measures.
+Nothing here changes what perfbench/run.py measures.
+
+`scaling` also carries the Monte Carlo efficiency 1/(SE^2 * seconds) of
+the headline rows d = 1, 9, 25 (s = 0.5, 2.5e5 samples), from a
+`run_scaling` call per row in a fresh interpreter on each checkout, timed
+by the wall clock without perfbench's host-speed scaling. A row's SE is
+fixed by its seed, so between checkouts with the same estimates the
+efficiency moves with the seconds alone.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +42,22 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("scaling", "certify", "oracle")
 END_TO_END = ("setup_s", "wall_s", "stage_s", "peak_rss_mb")
+EFFICIENCY_DEGREES = (1, 9, 25)
+EFFICIENCY_SAMPLES = 250_000
+# one row per degree, so that each row's seconds are its own
+EFFICIENCY_SCRIPT = """
+import json, sys, time
+from hopflab import ExperimentConfig, run_scaling
+seed, samples = int(sys.argv[1]), int(sys.argv[2])
+rows = {}
+for d in map(int, sys.argv[3:]):
+    cfg = ExperimentConfig(s=0.5, degrees=(d,), samples_per_estimate=samples,
+                           seed=seed, output_path="")
+    start = time.perf_counter()
+    est = run_scaling(cfg).rows[0][1]
+    rows[d] = {"se": est.std_error, "seconds": time.perf_counter() - start}
+print(json.dumps(rows))
+"""
 
 
 def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int):
@@ -47,6 +71,19 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int):
         raise SystemExit(f"perfbench {workload} seed {seed} in {checkout} failed:\n"
                          f"{proc.stderr[-2000:]}")
     return json.loads(lines[-2]), json.loads(lines[-1])
+
+
+def efficiency(checkout: Path, seed: int):
+    """{d: {"se", "seconds"}} of the headline rows, from checkout's src/."""
+    proc = subprocess.run(
+        [sys.executable, "-c", EFFICIENCY_SCRIPT, str(seed), str(EFFICIENCY_SAMPLES),
+         *map(str, EFFICIENCY_DEGREES)],
+        cwd=checkout, capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": str(checkout / "src")})
+    if proc.returncode != 0:
+        raise SystemExit(f"run_scaling seed {seed} in {checkout} failed:\n"
+                         f"{proc.stderr[-2000:]}")
+    return json.loads(proc.stdout)
 
 
 def spread(values):
@@ -68,12 +105,15 @@ def summarize(results):
 def bench_workload(workload, seeds, seconds, parent):
     sides = {"change": ROOT} if parent is None else {"change": ROOT, "parent": parent}
     results = {side: [] for side in sides}
+    rows = {side: [] for side in sides}
     for seed in seeds:
         order = list(sides)
         if parent is not None and seed % 2 == 0:
             order.reverse()  # the parent goes first on even seeds
         for side in order:
             results[side].append(run(sides[side], workload, seed, seconds, 0)[1])
+            if workload == "scaling":
+                rows[side].append(efficiency(sides[side], seed))
         print(f"{workload} seed {seed}: " + ", ".join(
             f"{side} stage_s {results[side][-1]['metrics']['stage_s']['value']:.3f}"
             for side in sides), file=sys.stderr)
@@ -84,12 +124,26 @@ def bench_workload(workload, seeds, seconds, parent):
                      "per_layer": {k: v["value"] for k, v in traced["metrics"].items()},
                      "traced_unit_s": details["unit_raw_s"],
                      "environment": details["environment"]}
+        if rows[side]:
+            out[side]["efficiency"] = {
+                f"d{d}": {**spread([1.0 / (r[str(d)]["se"] ** 2 * r[str(d)]["seconds"])
+                                    for r in rows[side]]),
+                          "se": [r[str(d)]["se"] for r in rows[side]],
+                          "seconds": [r[str(d)]["seconds"] for r in rows[side]]}
+                for d in EFFICIENCY_DEGREES}
     if parent is not None:
         for m in END_TO_END:
             new, old = (np.array(out[s]["metrics"][m]["values"]) for s in ("change", "parent"))
             out["change"]["metrics"][m]["vs_parent"] = {
                 "relative_median": float(np.median(new) / np.median(old) - 1.0),
                 "seeds_lower": int(np.sum(new < old)),
+            }
+        for name, eff in out["change"].get("efficiency", {}).items():
+            new, old = (np.array(out[s]["efficiency"][name]["values"])
+                        for s in ("change", "parent"))
+            eff["vs_parent"] = {
+                "relative_median": float(np.median(new) / np.median(old) - 1.0),
+                "seeds_higher": int(np.sum(new > old)),
             }
     return out
 

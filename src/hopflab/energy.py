@@ -16,7 +16,8 @@ distances throughout. Two independent evaluation routes:
   Its outer rule uses the Hopf fiber symmetry where the map has it: an S^2
   lattice of fiber lifts for v o h, one node for the Hopf map. Its bands
   stop once the certified remainder is negligible, and skip the outer
-  nodes whose pairs are exact zeros off the map's support balls.
+  nodes whose pairs are exact zeros off the map's support (its support
+  gap, SphereMap.support_gap).
 
 Determinism: estimates are bit-identical given (map, params, region, n,
 seed); every stratum draws from its own counter-based substream and the
@@ -285,21 +286,19 @@ def _strata(u: SphereMap, dim: int, region: Region):
     constant outside support balls, on the whole sphere: with W their
     union, pairs outside W x W contribute nothing, so E(u, S^n) =
     E(W x W) + 2 E(W x W^c); x is uniform in one ball, pair weight
-    2 - 1{y in W}. Each source is cut into MC_SHELLS dyadic shells of the
-    step length, keyed j (plain) or (i + 1) 2^32 + j (ball i).
+    2 - 1{y in W}, with y in W read as support_gap(y) <= 0 (for balls,
+    d - r <= 0 exactly when d <= r). Each source is cut into MC_SHELLS
+    dyadic shells of the step length, keyed j (plain) or (i + 1) 2^32 + j
+    (ball i).
     """
     if (region.variant == "whole" and u.supports is not None
             and u.basepoint is not None):
-        balls = list(u.supports)
         sources = [(ball_region(b), cap_area(dim, b.radius), {"ball": i}, i + 1)
-                   for i, b in enumerate(balls)]
+                   for i, b in enumerate(u.supports)]
         tail_measure = 2.0 * sum(src[1] for src in sources)
 
         def pair_weight(y):
-            in_w = np.zeros(y.shape[0], dtype=bool)
-            for b in balls:
-                in_w |= geodesic_distances(y, b.center.coords) <= b.radius
-            return np.where(in_w, 1.0, 2.0)
+            return np.where(u.support_gap(y) <= 0.0, 1.0, 2.0)
     else:
         sources = [(region, region.measure(), {}, 0)]
         tail_measure = region.measure()
@@ -446,15 +445,17 @@ def energy_quadrature(u: SphereMap, params: EnergyParams, resolution: int,
     angular x 4 x QUAD_MIN_BAND_EXP, whichever outer rule runs.
 
     Pairs that are exactly zero are skipped, which leaves the rule as it
-    is. A map with supports and a basepoint equals the basepoint off its
-    support balls B(c_i, r_i). An outer node x with gap(x) = min_i
-    (d(x, c_i) - r_i) >= hi lies off every closed ball, and so does every
-    inner point of the band below hi, so the band evaluates only nodes with
-    gap < hi. This prunes bumps, multi-bubbles, Hopf bumps and maps patched
-    over such a background on S^2 or S^3. The Hopf map, v o h, the identity
-    and anything without declared supports run every node: v o h equals
-    its basepoint off the tubes h^-1(B_i), but it does not carry v's
-    balls, and a node test on them would read d_S2(h(x), W) >= 2 hi.
+    is. The map's support gap (SphereMap.support_gap) bounds from below the
+    distance from x to the set where u differs from its basepoint. An outer
+    node with gap(x) >= hi, and every inner point of the band below hi, lie
+    off that set, so the band evaluates only nodes with gap < hi. The rule
+    is min_i (d(x, c_i) - r_i) for maps with support balls B(c_i, r_i) and
+    a basepoint (bumps, multi-bubbles, Hopf bumps); half of v's gap at h(x)
+    for v o h, since d_S2(h(x), h(y)) <= 2 d_S3(x, y), so v o h prunes off
+    the tubes h^-1(B_i); the smaller of the background's and the balls'
+    for patched maps, which prunes the patched headline rows; and the gap
+    at M x for u o M. The Hopf map, the identity and maps without a rule
+    run every node.
     """
     if u.domain_dim != params.n:
         raise ParameterError("map domain does not match params.n")
@@ -479,14 +480,10 @@ def _quad_rule(u: SphereMap, params: EnergyParams, X, outer_w: float,
     p = params.p
     measure = sphere_area(n)
     step = max(1, QUAD_BLOCK // (_QUAD_GAUSS * n_ang))
-    # gap(x) = min_i d(x, c_i) - r_i; in the band below hi a node with
-    # gap >= hi adds only exact zeros (see energy_quadrature)
-    gap = np.full(X.shape[0], -np.inf)
-    if u.supports is not None and u.basepoint is not None:
-        gap = np.full(X.shape[0], np.inf)
-        for ball in u.supports:
-            gap = np.minimum(gap, geodesic_distances(X, ball.center.coords)
-                             - ball.radius)
+    # in the band below hi a node with gap >= hi adds only exact zeros
+    # (see energy_quadrature)
+    gap = (np.full(X.shape[0], -np.inf) if u.support_gap is None
+           else u.support_gap(X))
     total = 0.0
     for band in range(QUAD_MIN_BAND_EXP):
         hi = np.pi * 2.0 ** (-band)

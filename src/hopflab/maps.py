@@ -7,8 +7,10 @@ patching, and maps of any prescribed Hopf degree assembled from these.
 
 Every map carries a serializable descriptor that fully determines its
 values, so constructions can be persisted and rebuilt bit-identically.
-Each constructor also sets the exact degree it bookkeeps from the pieces
-and, for maps S^3 -> S^2, a rule that seeds the fiber over a target.
+Each constructor also sets the exact degree it bookkeeps from the pieces,
+for maps S^3 -> S^2 a rule that seeds the fiber over a target, and, for
+maps equal to a basepoint off a known set, a rule bounding the distance to
+that set from below (the support gap).
 Evaluation is vectorized over (N, dim+1) coordinate arrays.
 """
 
@@ -58,8 +60,15 @@ class SphereMap:
     bookkeeps from its children: the mapping degree of S^m -> S^m maps,
     the Hopf invariant of S^3 -> S^2 maps. fiber_seeds, when not None,
     maps a target z on S^2 to domain points near every component of the
-    fiber over z; fiber tracing corrects and deduplicates them. Hand-built
-    maps leave both None, and None propagates through the combinators.
+    fiber over z; fiber tracing corrects and deduplicates them.
+    support_gap, when not None, maps an (N, domain_dim+1) array to a lower
+    bound on each point's geodesic distance to where the map differs from
+    basepoint: positive only where the map equals basepoint exactly. A map
+    declaring supports and a basepoint gets min_i d(x, c_i) - r_i over its
+    balls unless its constructor passes a rule; combinators derive theirs
+    from their children's. Hand-built maps leave degree, fiber_seeds and
+    (without supports and basepoint) support_gap None, and None propagates
+    through the combinators.
     """
 
     def __init__(
@@ -74,6 +83,7 @@ class SphereMap:
         basepoint=None,
         degree=None,
         fiber_seeds=None,
+        support_gap=None,
     ):
         self.domain_dim = int(domain_dim)
         self.codomain_dim = int(codomain_dim)
@@ -85,6 +95,9 @@ class SphereMap:
         self.basepoint = None if basepoint is None else np.asarray(basepoint, float)
         self.degree = degree
         self.fiber_seeds = fiber_seeds
+        if support_gap is None and supports is not None and self.basepoint is not None:
+            support_gap = _ball_gap(supports)
+        self.support_gap = support_gap
 
     def eval_many(self, points):
         pts = np.asarray(points, dtype=np.float64)
@@ -101,6 +114,20 @@ class SphereMap:
             )
         out = self.eval_many(x.coords[None, :])[0]
         return sphere_point(out)
+
+
+def _ball_gap(balls):
+    """The support-gap rule min_i d(x, c_i) - r_i of geodesic balls (+inf
+    for none); a point is in a closed ball exactly when its gap is <= 0."""
+
+    def gap(pts):
+        out = np.full(pts.shape[0], np.inf)
+        for ball in balls:
+            out = np.minimum(out, geodesic_distances(pts, ball.center.coords)
+                             - ball.radius)
+        return out
+
+    return gap
 
 
 # ---------------------------------------------------------------------------
@@ -308,13 +335,19 @@ def _bubble_assembly(balls, bc, k, safety):
     bumps = [bump_deg1(ball.center, r_bump, bc) for ball in balls]
     centers = np.array([ball.center.coords for ball in balls])
     radius = balls[0].radius
+    # d(x, c) = arccos(x.c) < radius needs x.c > cos(radius) - 1e-12: cos
+    # and arccos round by a few ulp, i.e. moves of x.c below 1e-15
+    cos_near = math.cos(radius) - 1e-12
 
     def ev(pts):
         out = np.broadcast_to(bc, pts.shape).copy()
-        for i, bump in enumerate(bumps):
-            inside = geodesic_distances(pts, centers[i]) < radius
-            if np.any(inside):
-                out[inside] = bump.eval_many(pts[inside])
+        for c, bump in zip(centers, bumps):
+            dot = pts @ c
+            near = np.flatnonzero(dot > cos_near)
+            # the exact test of geodesic_distances, on the few points near c
+            near = near[np.arccos(np.clip(dot[near], -1.0, 1.0)) < radius]
+            if near.size:
+                out[near] = bump.eval_many(pts[near])
         return out
 
     desc = _desc("multi_bubble", {
@@ -349,11 +382,17 @@ def composed_with_hopf(v: SphereMap) -> SphereMap:
         return [x for pre in _preimages_on_s2(v, _unit(target))
                 for x in fiber_circle(pre, _CIRCLE_SEEDS)]
 
+    def gap(pts):
+        # d_S2(h(x), h(y)) <= 2 d_S3(x, y), and the distance from x to a tube
+        # h^-1(B) is half the distance from h(x) to B
+        return 0.5 * v.support_gap(hopf_eval_many(pts))
+
     hint = None if v.lipschitz_hint is None else 2.0 * v.lipschitz_hint
     degree = None if v.degree is None else v.degree ** 2
     desc = _desc("compose_hopf", {}, children=[v.descriptor])
     return SphereMap(3, 2, ev, desc, lipschitz_hint=hint, basepoint=v.basepoint,
-                     degree=degree, fiber_seeds=seeds)
+                     degree=degree, fiber_seeds=seeds,
+                     support_gap=None if v.support_gap is None else gap)
 
 
 def hopf_bump(x0, r: float, b=None) -> SphereMap:
@@ -409,7 +448,9 @@ def _patched(background: SphereMap, pieces, bc) -> SphereMap:
     equal bc outside its own ball (both verified on sampled points), so the
     result is continuous and Hopf degrees add. The fiber seeds are the
     background's plus each piece's own, or a grid over its ball for a
-    piece without a rule; a background without a rule leaves none.
+    piece without a rule; the support gap is the smaller of the
+    background's and the support balls'. A background without a seed or
+    gap rule leaves the result without that rule.
     """
     dom = background.domain_dim
     cod = background.codomain_dim
@@ -463,9 +504,15 @@ def _patched(background: SphereMap, pieces, bc) -> SphereMap:
     degree = None if None in degrees else sum(degrees)
     bg_sup = background.supports
     supports = None if bg_sup is None else list(bg_sup) + list(balls)
+    ball_gap = _ball_gap(balls)
+
+    def gap(pts):
+        return np.minimum(background.support_gap(pts), ball_gap(pts))
+
     return SphereMap(dom, cod, ev, desc, lipschitz_hint=hint,
                      supports=supports, basepoint=bc, degree=degree,
-                     fiber_seeds=None if background.fiber_seeds is None else seeds)
+                     fiber_seeds=None if background.fiber_seeds is None else seeds,
+                     support_gap=None if background.support_gap is None else gap)
 
 
 def _check_constant_off_ball(u, ball, bc, rng, idx, n=256):
@@ -512,8 +559,8 @@ def precompose_flip(u: SphereMap) -> SphereMap:
 def _precompose(u: SphereMap, mat, variant, params) -> SphereMap:
     """u o M for an orthogonal matrix M of the domain.
 
-    Supports and fiber seeds move by M^-1 = M^T; an orientation-reversing
-    M negates the bookkept degree.
+    Supports and fiber seeds move by M^-1 = M^T, and the support gap is
+    read at M x; an orientation-reversing M negates the bookkept degree.
     """
 
     def ev(pts):
@@ -521,6 +568,9 @@ def _precompose(u: SphereMap, mat, variant, params) -> SphereMap:
 
     def seeds(target):
         return [mat.T @ x for x in u.fiber_seeds(target)]
+
+    def gap(pts):
+        return u.support_gap(pts @ mat.T)
 
     supports = None
     if u.supports is not None:
@@ -533,7 +583,8 @@ def _precompose(u: SphereMap, mat, variant, params) -> SphereMap:
                      _desc(variant, params, children=[u.descriptor]),
                      lipschitz_hint=u.lipschitz_hint, supports=supports,
                      basepoint=u.basepoint, degree=degree,
-                     fiber_seeds=None if u.fiber_seeds is None else seeds)
+                     fiber_seeds=None if u.fiber_seeds is None else seeds,
+                     support_gap=None if u.support_gap is None else gap)
 
 
 # ---------------------------------------------------------------------------
@@ -573,23 +624,19 @@ def _extra_bump_sites(v: SphereMap, n_extra: int):
     """Support centers and a common radius for the extra Hopf bumps.
 
     Picks the lattice point b* on S^2 with the largest clearance from every
-    bubble of v, then spreads the centers along the Hopf fiber circle over
-    b*. The radius keeps the supports pairwise disjoint (a third of their
-    spacing) and keeps their Hopf image inside the clearance region (the
-    Hopf map is 2-Lipschitz, so radius <= clearance/4 leaves the image
-    within half the clearance).
+    bubble of v (its support gap), then spreads the centers along the Hopf
+    fiber circle over b*. The radius keeps the supports pairwise disjoint
+    (a third of their spacing) and keeps their Hopf image inside the
+    clearance region (the Hopf map is 2-Lipschitz, so radius <=
+    clearance/4 leaves the image within half the clearance).
     """
-    centers_s2 = np.array([ball.center.coords for ball in v.supports])
-    radius_s2 = v.supports[0].radius
     cand = fibonacci_lattice_s2(4096)
-    clear = np.full(cand.shape[0], np.pi)
-    for c in centers_s2:
-        clear = np.minimum(clear, geodesic_distances(cand, c) - radius_s2)
+    clear = v.support_gap(cand)
     best = int(np.argmax(clear))
     clearance = float(clear[best])
     if clearance <= 1e-3:
         raise PlacementError(
-            f"no clearance left between {centers_s2.shape[0]} bubbles "
+            f"no clearance left between {len(v.supports)} bubbles "
             f"(best {clearance:.2e})"
         )
     b_star = cand[best]

@@ -303,7 +303,7 @@ def test_quadrature_without_lipschitz_hint_runs_every_band():
     assert abs(q_bare - q_hinted) <= 1e-12 * q_bare
 
 
-def _redeclared(u, supports=None, basepoint=None):
+def _redeclared(u, supports=None, basepoint=None, support_gap=None):
     """u's values under its own descriptor and hint, with the given support
     declaration; returns the map and a list of its eval_many batch sizes."""
     seen = []
@@ -314,7 +314,7 @@ def _redeclared(u, supports=None, basepoint=None):
 
     return maps.SphereMap(u.domain_dim, u.codomain_dim, counted, u.descriptor,
                           lipschitz_hint=u.lipschitz_hint, supports=supports,
-                          basepoint=basepoint), seen
+                          basepoint=basepoint, support_gap=support_gap), seen
 
 
 @pytest.mark.parametrize("build, params", [
@@ -322,11 +322,20 @@ def _redeclared(u, supports=None, basepoint=None):
     (lambda: maps.multi_bubble(5), energy.EnergyParams(s=0.5, p=6.0, n=2)),
     (lambda: maps.hopf_bump(CENTER_S3, 0.3), PARAMS_S3),
     (lambda: maps.bump_deg1(CENTER_S3, 0.3, [1.0, 0.0, 0.0, 0.0]), PARAMS_S3),
-], ids=["bubbles2_s2", "bubbles5_s2", "hopf_bump", "bump_s3"])
+    (lambda: maps.composed_with_hopf(maps.multi_bubble(2)), PARAMS_S3),
+    (lambda: maps.prescribed_hopf_map(25), PARAMS_S3),
+    (lambda: maps.prescribed_hopf_map(5), PARAMS_S3),
+    # d = 5's Hopf bump is too small for 300 nodes to see; d = 2's is not
+    (lambda: maps.prescribed_hopf_map(2), PARAMS_S3),
+    (lambda: maps.precompose_flip(maps.composed_with_hopf(maps.multi_bubble(2))),
+     PARAMS_S3),
+], ids=["bubbles2_s2", "bubbles5_s2", "hopf_bump", "bump_s3", "bubbles2_hopf",
+        "prescribed25", "prescribed5_patched", "prescribed2_patched",
+        "flipped_bubbles2_hopf"])
 def test_quadrature_support_pruning_is_exact(build, params):
     # the pruned pairs are exact zeros, so only the summation order moves
     u = build()
-    pruned, seen_pruned = _redeclared(u, u.supports, u.basepoint)
+    pruned, seen_pruned = _redeclared(u, u.supports, u.basepoint, u.support_gap)
     full, seen_full = _redeclared(u, basepoint=u.basepoint)
     q = energy.energy_quadrature(pruned, params, 300)
     q_full = energy.energy_quadrature(full, params, 300)

@@ -1,6 +1,7 @@
 """Map constructions: Hopf map, bumps, bubbles, patching, descriptors."""
 
 import json
+import math
 
 import numpy as np
 import pytest
@@ -177,6 +178,31 @@ def test_multi_bubble_constant_off_balls():
     assert np.all(out == v.basepoint)
 
 
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_multi_bubble_matches_the_per_ball_reference(k):
+    # the reference classifies each ball by geodesic distance over every
+    # point; eval_many pre-selects by a dot product first and must agree
+    # bit for bit, also 1e-12 to 1e-9 on either side of each seam
+    v = maps.multi_bubble(k)
+    rng = np.random.default_rng(40 + k)
+    pts = [geo.sample_uniform_many(2, 20_000, rng)]
+    for ball in v.supports:
+        c = np.broadcast_to(ball.center.coords, (64, 3)).copy()
+        dirs = geo.tangent_directions(c, rng)
+        for delta in (1e-12, 1e-11, 1e-10, 1e-9):
+            for t in (ball.radius - delta, ball.radius + delta):
+                pts.append(geo.geodesic_step(c, dirs, np.full(64, t)))
+    pts = np.concatenate(pts)
+    ref = np.broadcast_to(v.basepoint, pts.shape).copy()
+    for ball in v.supports:
+        bump = maps.bump_deg1(ball.center, math.tan(ball.radius / 2.0), v.basepoint)
+        inside = geo.geodesic_distances(pts, ball.center.coords) < ball.radius
+        ref[inside] = bump.eval_many(pts[inside])
+    assert np.array_equal(v.eval_many(pts), ref)
+    moved = np.any(ref != v.basepoint, axis=1)
+    assert 0 < moved[20_000:].sum() < pts.shape[0] - 20_000  # seams on both sides
+
+
 def test_multi_bubble_needs_positive_k():
     with pytest.raises(ParameterError):
         maps.multi_bubble(0)
@@ -192,6 +218,37 @@ def test_composed_with_hopf_evaluates_pointwise():
     h = maps.hopf_map()
     assert np.allclose(u.eval_many(S3_PTS), v.eval_many(h.eval_many(S3_PTS)),
                        rtol=0, atol=0)
+
+
+def test_hopf_map_halves_distances_at_most():
+    # the premise of the v o h support gap: d_S2(h(x), h(y)) <= 2 d_S3(x, y),
+    # with equality along horizontal geodesics (orthogonal to the fiber),
+    # and the distance from x to the fiber over z is d_S2(h(x), z) / 2
+    rng = np.random.default_rng(31)
+    x = geo.sample_uniform_many(3, 2000, rng)
+    far = -x + 1e-6 * geo.tangent_directions(x, rng)
+    far /= np.linalg.norm(far, axis=1, keepdims=True)
+    for y in (geo.sample_uniform_many(3, 2000, rng), far):
+        d3 = np.arccos(np.clip(np.sum(x * y, axis=1), -1.0, 1.0))
+        hx, hy = maps.hopf_eval_many(x), maps.hopf_eval_many(y)
+        d2 = np.arccos(np.clip(np.sum(hx * hy, axis=1), -1.0, 1.0))
+        assert np.all(d2 <= 2.0 * d3 + 1e-12)
+    # horizontal: orthogonal to x and to the fiber direction i x
+    ix = x[:, [1, 0, 3, 2]] * np.array([-1.0, 1.0, -1.0, 1.0])
+    v = geo.tangent_directions(x, rng)
+    v -= np.sum(v * ix, axis=1, keepdims=True) * ix
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    t = rng.uniform(0.0, np.pi / 2.0, 2000)
+    y = geo.geodesic_step(x, v, t)
+    hx, hy = maps.hopf_eval_many(x), maps.hopf_eval_many(y)
+    d2 = np.arccos(np.clip(np.sum(hx * hy, axis=1), -1.0, 1.0))
+    assert np.allclose(d2, 2.0 * t, rtol=0, atol=1e-7)
+    z = geo.sample_uniform_many(2, 2000, rng)
+    p = maps.hopf_lift_many(z)
+    herm = np.hypot(np.sum(x * p, axis=1), np.sum(ix * p, axis=1))
+    to_fiber = np.arccos(np.clip(herm, -1.0, 1.0))
+    d2 = np.arccos(np.clip(np.sum(hx * z, axis=1), -1.0, 1.0))
+    assert np.allclose(to_fiber, 0.5 * d2, rtol=0, atol=1e-7)
 
 
 def test_composed_with_hopf_rejects_wrong_dims():
