@@ -21,10 +21,12 @@ relative to the parent's, and how many seeds read lower on the change.
 Nothing here changes what perfbench/run.py measures.
 
 `scaling` also carries the Monte Carlo efficiency 1/(SE^2 * seconds) of
-the headline rows d = 1, 9, 25 (s = 0.5, 2.5e5 samples), from a
-`run_scaling` call per row in a fresh interpreter on each checkout, timed
-by the wall clock without perfbench's host-speed scaling. A row's SE is
-fixed by its seed, so between checkouts with the same estimates the
+the headline rows d = 1, 9, 25 (s = 0.5, 2.5e5 samples), from
+EFFICIENCY_REPEATS `run_scaling` calls per row in a fresh interpreter on
+each checkout. Each call is timed under perfbench's host-speed sampler
+(perfbench/hostspeed.py of this checkout, on both sides) and its scaled
+seconds are kept; a row's seconds are the median of its calls. A row's SE
+is fixed by its seed, so between checkouts with the same estimates the
 efficiency moves with the seconds alone.
 """
 
@@ -44,18 +46,27 @@ WORKLOADS = ("scaling", "certify", "oracle")
 END_TO_END = ("setup_s", "wall_s", "stage_s", "peak_rss_mb")
 EFFICIENCY_DEGREES = (1, 9, 25)
 EFFICIENCY_SAMPLES = 250_000
-# one row per degree, so that each row's seconds are its own
+EFFICIENCY_REPEATS = 3
+# one row per degree, so that each row's seconds are its own; a call's
+# seconds are scaled by the probes taken during it and near it
 EFFICIENCY_SCRIPT = """
-import json, sys, time
+import json, statistics, sys
+sys.path.insert(0, sys.argv[1])
+import hostspeed
 from hopflab import ExperimentConfig, run_scaling
-seed, samples = int(sys.argv[1]), int(sys.argv[2])
-rows = {}
-for d in map(int, sys.argv[3:]):
-    cfg = ExperimentConfig(s=0.5, degrees=(d,), samples_per_estimate=samples,
-                           seed=seed, output_path="")
-    start = time.perf_counter()
-    est = run_scaling(cfg).rows[0][1]
-    rows[d] = {"se": est.std_error, "seconds": time.perf_counter() - start}
+seed, samples, repeats = map(int, sys.argv[2:5])
+spans, se = {}, {}
+with hostspeed.Sampler() as sampler:
+    for d in map(int, sys.argv[5:]):
+        cfg = ExperimentConfig(s=0.5, degrees=(d,), samples_per_estimate=samples,
+                               seed=seed, output_path="")
+        spans[d] = []
+        for _ in range(repeats):
+            span = sampler.start()
+            se[d] = run_scaling(cfg).rows[0][1].std_error
+            spans[d].append(sampler.stop(span))
+rows = {d: {"se": se[d], "seconds": statistics.median(map(sampler.scaled, s))}
+        for d, s in spans.items()}
 print(json.dumps(rows))
 """
 
@@ -74,10 +85,11 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int):
 
 
 def efficiency(checkout: Path, seed: int):
-    """{d: {"se", "seconds"}} of the headline rows, from checkout's src/."""
+    """{d: {"se", "seconds"}} of the headline rows, from checkout's src/;
+    seconds are the median scaled time of EFFICIENCY_REPEATS calls."""
     proc = subprocess.run(
-        [sys.executable, "-c", EFFICIENCY_SCRIPT, str(seed), str(EFFICIENCY_SAMPLES),
-         *map(str, EFFICIENCY_DEGREES)],
+        [sys.executable, "-c", EFFICIENCY_SCRIPT, str(ROOT / "perfbench"), str(seed),
+         str(EFFICIENCY_SAMPLES), str(EFFICIENCY_REPEATS), *map(str, EFFICIENCY_DEGREES)],
         cwd=checkout, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(checkout / "src")})
     if proc.returncode != 0:

@@ -4,9 +4,12 @@ The seminorm E_{s,p}(u, Omega) is the double integral over Omega x Omega
 of |u(x) - u(y)|^p / |x - y|^(n + sp), with chordal (ambient Euclidean)
 distances throughout. Two independent evaluation routes:
 
-* energy_mc: unbiased stratified Monte Carlo. x is uniform in the region
-  (or in a support ball); y is sampled in dyadic geodesic shells around x
-  with exact shell-measure weights. A pilot sets the samples per stratum
+* energy_mc: unbiased stratified Monte Carlo. A region is the whole
+  sphere or a geodesic annulus {lo <= d(center, x) <= hi} (Region), which
+  covers balls, their complements and concentric ball differences. x is
+  uniform in the region (or in a support ball); y is one shell step from
+  x (geometry.shell_step) in a dyadic geodesic shell, with exact
+  shell-measure weights. A pilot sets the samples per stratum
   by Neyman allocation. The innermost ball (geodesic radius pi * 2^-J) is
   never sampled; its contribution is bounded in closed form from the
   map's Lipschitz hint and carried as a certified remainder.
@@ -35,17 +38,16 @@ import numpy as np
 from .errors import ParameterError
 from .geometry import (
     GeodesicBall,
+    SpherePoint,
     cap_area,
     geodesic_distances,
-    geodesic_step,
     polar_directions,
-    sample_shell_radii,
     sample_uniform_many,
     shell_measure,
+    shell_step,
     sphere_area,
     sphere_lattice,
     sphere_point,
-    tangent_directions,
 )
 from .maps import SphereMap, hopf_lift_many
 from . import _kernels
@@ -94,94 +96,86 @@ class EnergyParams:
 
 @dataclass(frozen=True)
 class Region:
-    """Integration region on S^dim: the whole sphere, a geodesic ball, a
-    ball complement, or a concentric ball difference (outer minus inner)."""
+    """Integration region on S^dim: the points at geodesic distance in
+    [lo, hi] from center, or the whole sphere when center is None.
 
-    variant: str
+    A ball B(c, r) is [0, r], its complement [r, pi], and a concentric
+    difference B(c, r) minus B(c, r') is [r', r]. Regions are x sources:
+    sample draws uniform points, measure is their total measure and
+    contains tests membership.
+    """
+
     dim: int
-    outer: GeodesicBall | None = None
-    inner: GeodesicBall | None = None
+    center: SpherePoint | None = None
+    lo: float = 0.0
+    hi: float = math.pi
 
     def __post_init__(self):
-        if self.variant not in ("whole", "ball", "complement", "difference"):
-            raise ParameterError(f"unknown region variant {self.variant!r}")
-        if self.variant != "whole":
-            if self.outer is None:
-                raise ParameterError("region needs its ball")
-            if self.outer.center.dim != self.dim:
-                raise ParameterError("region ball does not live on S^dim")
-        if self.variant == "difference":
-            if self.inner is None:
-                raise ParameterError("difference region needs an inner ball")
-            gap = geodesic_distances(
-                self.inner.center.coords[None, :], self.outer.center.coords
-            )[0]
-            if gap > 1e-12:
-                raise ParameterError("difference region supports concentric balls only")
-            if not (self.inner.radius < self.outer.radius):
-                raise ParameterError("difference region needs inner radius < outer radius")
+        if self.center is not None:
+            if self.center.dim != self.dim:
+                raise ParameterError("region center does not live on S^dim")
+            if not (0.0 <= self.lo < self.hi <= math.pi):
+                raise ParameterError(
+                    f"region needs 0 <= lo < hi <= pi, got [{self.lo}, {self.hi}]")
         if self.measure() <= 0.0:
             raise ParameterError("region has no measure")
 
     def measure(self) -> float:
-        if self.variant == "whole":
+        if self.center is None:
             return sphere_area(self.dim)
-        if self.variant == "ball":
-            return cap_area(self.dim, self.outer.radius)
-        if self.variant == "complement":
-            return sphere_area(self.dim) - cap_area(self.dim, self.outer.radius)
-        return cap_area(self.dim, self.outer.radius) - cap_area(self.dim, self.inner.radius)
+        if self.hi == math.pi:
+            return sphere_area(self.dim) - cap_area(self.dim, self.lo)
+        return cap_area(self.dim, self.hi) - cap_area(self.dim, self.lo)
 
     def sample(self, n: int, rng):
         """n points uniform in the region, shape (n, dim+1)."""
-        if self.variant == "whole":
+        if self.center is None:
             return sample_uniform_many(self.dim, n, rng)
-        lo, hi = self._radial_range()
-        c = self.outer.center.coords
-        base = np.broadcast_to(c, (n, c.shape[0])).copy()
-        dirs = tangent_directions(base, rng)
-        t = sample_shell_radii(self.dim, lo, hi, n, rng)
-        return geodesic_step(base, dirs, t)
+        c = self.center.coords
+        return shell_step(np.broadcast_to(c, (n, c.shape[0])), self.lo, self.hi, rng)[0]
 
     def contains(self, pts):
-        if self.variant == "whole":
+        if self.center is None:
             return np.ones(pts.shape[0], dtype=bool)
-        lo, hi = self._radial_range()
-        d = geodesic_distances(pts, self.outer.center.coords)
-        return (d >= lo) & (d <= hi)
-
-    def _radial_range(self):
-        if self.variant == "ball":
-            return 0.0, self.outer.radius
-        if self.variant == "complement":
-            return self.outer.radius, float(np.pi)
-        return self.inner.radius, self.outer.radius
+        d = geodesic_distances(pts, self.center.coords)
+        return (d >= self.lo) & (d <= self.hi)
 
     def to_dict(self):
-        out = {"variant": self.variant, "dim": self.dim}
-        if self.outer is not None:
-            out["outer"] = {"center": self.outer.center.coords.tolist(),
-                            "radius": self.outer.radius}
-        if self.inner is not None:
-            out["inner"] = {"center": self.inner.center.coords.tolist(),
-                            "radius": self.inner.radius}
-        return out
+        """The region's JSON: variant whole, ball, complement or difference,
+        with its outer (and inner) ball."""
+        if self.center is None:
+            return {"variant": "whole", "dim": self.dim}
+        c = self.center.coords.tolist()
+        if self.lo == 0.0:
+            return {"variant": "ball", "dim": self.dim,
+                    "outer": {"center": c, "radius": self.hi}}
+        if self.hi == math.pi:
+            return {"variant": "complement", "dim": self.dim,
+                    "outer": {"center": c, "radius": self.lo}}
+        return {"variant": "difference", "dim": self.dim,
+                "outer": {"center": c, "radius": self.hi},
+                "inner": {"center": c, "radius": self.lo}}
 
 
 def whole_sphere(dim: int) -> Region:
-    return Region("whole", dim)
+    return Region(dim)
 
 
 def ball_region(ball: GeodesicBall) -> Region:
-    return Region("ball", ball.center.dim, outer=ball)
+    return Region(ball.center.dim, ball.center, 0.0, ball.radius)
 
 
 def complement_region(ball: GeodesicBall) -> Region:
-    return Region("complement", ball.center.dim, outer=ball)
+    return Region(ball.center.dim, ball.center, ball.radius)
 
 
 def difference_region(outer: GeodesicBall, inner: GeodesicBall) -> Region:
-    return Region("difference", outer.center.dim, outer=outer, inner=inner)
+    """outer minus inner; the balls must be concentric, inner the smaller
+    (Region checks lo < hi)."""
+    # chord, not arccos: a centre's dot product with itself can round below 1
+    if np.linalg.norm(inner.center.coords - outer.center.coords) > 1e-12:
+        raise ParameterError("difference region supports concentric balls only")
+    return Region(outer.center.dim, outer.center, inner.radius, outer.radius)
 
 
 @dataclass(frozen=True)
@@ -291,16 +285,15 @@ def _strata(u: SphereMap, dim: int, region: Region):
     dyadic shells of the step length, keyed j (plain) or (i + 1) 2^32 + j
     (ball i).
     """
-    if (region.variant == "whole" and u.supports is not None
-            and u.basepoint is not None):
-        sources = [(ball_region(b), cap_area(dim, b.radius), {"ball": i}, i + 1)
+    if region.center is None and u.supports is not None and u.basepoint is not None:
+        sources = [(ball_region(b), {"ball": i}, i + 1)
                    for i, b in enumerate(u.supports)]
-        tail_measure = 2.0 * sum(src[1] for src in sources)
+        tail_measure = 2.0 * sum(src.measure() for src, _, _ in sources)
 
         def pair_weight(y):
             return np.where(u.support_gap(y) <= 0.0, 1.0, 2.0)
     else:
-        sources = [(region, region.measure(), {}, 0)]
+        sources = [(region, {}, 0)]
         tail_measure = region.measure()
 
         def pair_weight(y):
@@ -308,7 +301,8 @@ def _strata(u: SphereMap, dim: int, region: Region):
 
     edges = np.pi * 2.0 ** (-np.arange(MC_SHELLS + 1, dtype=np.float64))
     strata = []
-    for src, area, label, tag in sources:
+    for src, label, tag in sources:
+        area = src.measure()
         for j in range(MC_SHELLS):
             t_hi, t_lo = float(edges[j]), float(edges[j + 1])
             w_j = shell_measure(dim, t_lo, t_hi)
@@ -364,7 +358,7 @@ def _moments(u, params, pair_weight, jobs, block: int):
     into its job's by the pairwise update of Chan, Golub and LeVeque.
     """
     count, mean, m2 = [0] * len(jobs), [0.0] * len(jobs), [0.0] * len(jobs)
-    for pieces in _blocks(jobs, params.n, block):
+    for pieces in _blocks(jobs, block):
         idx, xs, ys, ts = zip(*pieces)
         vals = _pair_values(u, params, np.concatenate(xs), np.concatenate(ys),
                             np.concatenate(ts), pair_weight)
@@ -379,7 +373,7 @@ def _moments(u, params, pair_weight, jobs, block: int):
     return mean, [q / (c - 1) for q, c in zip(m2, count)]
 
 
-def _blocks(jobs, dim: int, block: int):
+def _blocks(jobs, block: int):
     """Lists of (job index, x, y, t) pieces of at most `block` samples:
     x uniform in the stratum's source, y a geodesic step in its shell."""
     pieces, room = [], block
@@ -387,9 +381,8 @@ def _blocks(jobs, dim: int, block: int):
         while n_j:
             m = min(n_j, room)
             x = st.source.sample(m, gen)
-            dirs = tangent_directions(x, gen)
-            t = sample_shell_radii(dim, st.label["t_lo"], st.label["t_hi"], m, gen)
-            pieces.append((i, x, geodesic_step(x, dirs, t), t))
+            y, t = shell_step(x, st.label["t_lo"], st.label["t_hi"], gen)
+            pieces.append((i, x, y, t))
             n_j -= m
             room -= m
             if not room:
@@ -427,22 +420,21 @@ def lipschitz_tail_bound(u: SphereMap, params: EnergyParams, measure: float,
 # Deterministic quadrature oracle
 # ---------------------------------------------------------------------------
 
-def energy_quadrature(u: SphereMap, params: EnergyParams, resolution: int,
-                      angular: int | None = None) -> float:
+def energy_quadrature(u: SphereMap, params: EnergyParams, resolution: int) -> float:
     """Deterministic product-rule value of E_{s,p}(u, S^n).
 
     resolution is the size of a near-uniform outer lattice on S^n; maps with
     the Hopf fiber symmetry use fewer outer nodes at the same spacing
     (_quad_outer_nodes). The inner geodesic-polar rule uses 4-point
     Gauss-Legendre on dyadic radial bands and an angular lattice
-    (sqrt-of-resolution points by default, at least 48). Bands run from
+    (the rounded square root of resolution, at least 48 points). Bands run from
     pi down to at most pi * 2^-QUAD_MIN_BAND_EXP; they stop early once the
     certified bound on everything nearer the diagonal (lipschitz_tail_bound)
     falls below QUAD_TAIL_RTOL of the running total, and maps without a
     lipschitz_hint run them all. Inner points are evaluated in blocks of
     about QUAD_BLOCK. Converges to the Monte Carlo limit as resolution
     grows. The pair budget applies to the requested rule, resolution x
-    angular x 4 x QUAD_MIN_BAND_EXP, whichever outer rule runs.
+    angular points x 4 x QUAD_MIN_BAND_EXP, whichever outer rule runs.
 
     Pairs that are exactly zero are skipped, which leaves the rule as it
     is. The map's support gap (SphereMap.support_gap) bounds from below the
@@ -459,7 +451,7 @@ def energy_quadrature(u: SphereMap, params: EnergyParams, resolution: int,
     """
     if u.domain_dim != params.n:
         raise ParameterError("map domain does not match params.n")
-    n_ang = int(angular if angular is not None else max(48, round(resolution ** 0.5)))
+    n_ang = max(48, round(resolution ** 0.5))
     pairs = resolution * n_ang * QUAD_MIN_BAND_EXP * _QUAD_GAUSS
     if pairs > QUAD_PAIR_BUDGET:
         raise ParameterError(
@@ -561,26 +553,21 @@ def check_gluing_bound(u: SphereMap, A: Region, eta: float, rho: float,
                       + (1 + C eta^m/(1-eta)) E(u, A minus B(eta rho)).
 
     The ball sits at the given center; the annulus B(rho) minus B(eta rho)
-    must lie inside A. Reports the smallest C >= 0 that makes the
+    must lie inside A, which for an annulus A means the same center and
+    A.lo <= eta rho, rho <= A.hi. Reports the smallest C >= 0 that makes the
     inequality hold for the estimated energies, with propagated error, and
     whether some C <= 1e6 suffices within 3 standard errors.
     """
     if not (0.0 < eta < 1.0):
         raise ParameterError(f"eta must lie in (0,1), got {eta}")
-    cpt = np.asarray(center.coords if hasattr(center, "coords") else center, float)
-    ball_rho = GeodesicBall(sphere_point(cpt), rho)
-    ball_eta = GeodesicBall(sphere_point(cpt), eta * rho)
-    if A.variant == "whole":
-        rest = complement_region(ball_eta)
-    elif A.variant == "ball":
-        gap = geodesic_distances(cpt[None, :], A.outer.center.coords)[0]
-        if gap > 1e-12 or rho > A.outer.radius:
-            raise ParameterError("annulus is not inside the region A")
-        rest = difference_region(A.outer, ball_eta)
-    else:
-        raise ParameterError("gluing check supports whole-sphere or ball regions")
+    c = sphere_point(center.coords if hasattr(center, "coords") else center)
+    if A.center is not None and (
+            np.linalg.norm(c.coords - A.center.coords) > 1e-12
+            or not A.lo <= eta * rho < rho <= A.hi):
+        raise ParameterError("annulus is not inside the region A")
+    rest = Region(c.dim, c if A.center is None else A.center, eta * rho, A.hi)
     e_a = energy_mc(u, params, A, n, seed)
-    e_ball = energy_mc(u, params, ball_region(ball_rho), n, seed + 1)
+    e_ball = energy_mc(u, params, Region(c.dim, c, 0.0, rho), n, seed + 1)
     e_rest = energy_mc(u, params, rest, n, seed + 2)
     sp = params.s * params.p
     m = params.n

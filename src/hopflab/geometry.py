@@ -21,10 +21,6 @@ from .errors import (
     SingularInputError,
 )
 
-# smallest certified geodesic separation of the Fibonacci lattice is
-# 2.0/sqrt(k) for k <= 1e4 (checked in the test suite), so lambda = 1
-PACKING_LAMBDA = 1.0
-
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 
 # x - sin x = x^3 sum_k _SIN_TAIL[k] x^(2k). F(t) = t - sin t cos t is
@@ -164,6 +160,15 @@ def geodesic_step(points, directions, angles):
     """Walk distance angles from points along unit tangents: cos t x + sin t v."""
     t = np.asarray(angles, dtype=np.float64)[:, None]
     return np.cos(t) * points + np.sin(t) * directions
+
+
+def shell_step(points, t0: float, t1: float, rng):
+    """(y, t): each y a uniform point at geodesic distance t in [t0, t1]
+    from its row of points, t drawn by the distance law (sample_shell_radii)
+    along a uniform tangent (tangent_directions), in that draw order."""
+    dirs = tangent_directions(points, rng)
+    t = sample_shell_radii(points.shape[1] - 1, t0, t1, points.shape[0], rng)
+    return geodesic_step(points, dirs, t), t
 
 
 # ---------------------------------------------------------------------------
@@ -453,7 +458,7 @@ def pack_disjoint_balls(k: int, safety: float = 0.9):
         raise ParameterError("packing needs k >= 1")
     if not (0.0 < safety < 1.0):
         raise ParameterError(f"safety must lie in (0, 1), got {safety}")
-    radius = PACKING_LAMBDA * safety / np.sqrt(k)
+    radius = safety / np.sqrt(k)
     centers = fibonacci_lattice_s2(k)
     if k > 1:
         sep = min_center_separation(centers)

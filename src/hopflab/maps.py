@@ -46,7 +46,6 @@ from .geometry import (
 DEFAULT_BASEPOINT_S2 = np.array([1.0, 0.0, 0.0])
 
 _CHECK_RNG_SEED = 20260301  # construction-time support checks, fixed stream
-_CIRCLE_SEEDS = 8  # fiber seeds per Hopf circle
 _BALL_SEEDS = 64  # fiber seeds per support ball
 
 
@@ -168,7 +167,7 @@ def hopf_map() -> SphereMap:
     return SphereMap(
         3, 2, hopf_eval_many, _desc("hopf", {}),
         lipschitz_hint=2.0, jacobian_many=hopf_jacobian_many, degree=1,
-        fiber_seeds=lambda target: fiber_circle(target, _CIRCLE_SEEDS),
+        fiber_seeds=lambda target: fiber_circle(target, 1),
     )
 
 
@@ -376,11 +375,11 @@ def composed_with_hopf(v: SphereMap) -> SphereMap:
         return v.eval_many(hopf_eval_many(pts))
 
     def seeds(target):
-        # the Hopf circles over the preimages of target under v; topology
-        # imports this module, so its solver is imported at call time
+        # one point on each Hopf circle over v's preimages of target;
+        # topology imports this module, so its solver is imported at call time
         from .topology import _preimages_on_s2
         return [x for pre in _preimages_on_s2(v, _unit(target))
-                for x in fiber_circle(pre, _CIRCLE_SEEDS)]
+                for x in fiber_circle(pre, 1)]
 
     def gap(pts):
         # d_S2(h(x), h(y)) <= 2 d_S3(x, y), and the distance from x to a tube
@@ -424,8 +423,7 @@ def hopf_bump(x0, r: float, b=None) -> SphereMap:
         "support_radius": radius,
         "basepoint": bc.tolist(),
     })
-    hint = None if inner.lipschitz_hint is None else 2.0 * inner.lipschitz_hint
-    return SphereMap(3, 2, ev, desc, lipschitz_hint=hint,
+    return SphereMap(3, 2, ev, desc, lipschitz_hint=2.0 * inner.lipschitz_hint,
                      supports=list(inner.supports), basepoint=bc, degree=1,
                      fiber_seeds=lambda target: ball_grid(c0, radius, _BALL_SEEDS))
 

@@ -92,9 +92,6 @@ class ClosedCurve:
                 f"curve gap {np.max(gaps):.3e} exceeds tolerance {self.tolerance:.3e}"
             )
 
-    def reversed_(self) -> "ClosedCurve":
-        return ClosedCurve(self.points[::-1].copy(), self.tolerance)
-
 
 # ---------------------------------------------------------------------------
 # Jacobians in tangent frames

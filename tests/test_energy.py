@@ -39,21 +39,58 @@ def test_region_measures_tile():
     d = energy.difference_region(ball, inner).measure()
     assert np.isclose(d, b - energy.ball_region(inner).measure(),
                       rtol=1e-14, atol=0)
+    # the constructors are annuli: the same sets as Region(dim, c, lo, hi)
+    assert d == energy.Region(3, CENTER_S3, 0.4, 0.8).measure()
+    assert c == energy.Region(3, CENTER_S3, 0.8).measure()
+    assert energy.Region(3).measure() == WHOLE_S3.measure()
+
+
+def test_region_rejects_bad_bounds():
+    for lo, hi in ((0.8, 0.8), (0.8, 0.4), (0.0, np.pi + 1e-9), (-0.1, 0.4)):
+        with pytest.raises(ParameterError):
+            energy.Region(3, CENTER_S3, lo, hi)
+    with pytest.raises(ParameterError):  # a centre on S^2 for a region of S^3
+        energy.Region(3, geo.sphere_point([0.0, 0.0, 1.0]), 0.0, 0.8)
+    with pytest.raises(ParameterError):
+        energy.difference_region(geo.GeodesicBall(CENTER_S3, 0.4),
+                                 geo.GeodesicBall(CENTER_S3, 0.8))
+
+
+def _chord_angle(x, y):
+    """Geodesic distances between rows, accurate near 0 and near pi."""
+    return 2.0 * np.arctan2(np.linalg.norm(x - y, axis=1),
+                            np.linalg.norm(x + y, axis=1))
 
 
 def test_region_sampling_respects_bounds():
     gen = np.random.default_rng(3)
     ball = geo.GeodesicBall(CENTER_S3, 0.8)
     inner = geo.GeodesicBall(CENTER_S3, 0.4)
-    for region, lo, hi in (
-        (energy.ball_region(ball), 0.0, 0.8),
-        (energy.complement_region(ball), 0.8, np.pi),
-        (energy.difference_region(ball, inner), 0.4, 0.8),
+    c = CENTER_S3.coords.tolist()
+    for region, lo, hi, doc in (
+        (energy.ball_region(ball), 0.0, 0.8,
+         {"variant": "ball", "dim": 3, "outer": {"center": c, "radius": 0.8}}),
+        (energy.complement_region(ball), 0.8, np.pi,
+         {"variant": "complement", "dim": 3, "outer": {"center": c, "radius": 0.8}}),
+        (energy.difference_region(ball, inner), 0.4, 0.8,
+         {"variant": "difference", "dim": 3, "outer": {"center": c, "radius": 0.8},
+          "inner": {"center": c, "radius": 0.4}}),
     ):
         pts = region.sample(2000, gen)
         d = geo.geodesic_distances(pts, CENTER_S3.coords)
         assert np.all(d >= lo - 1e-12) and np.all(d <= hi + 1e-12)
         assert np.all(region.contains(pts))
+        every = WHOLE_S3.sample(2000, gen)
+        d = geo.geodesic_distances(every, CENTER_S3.coords)
+        assert np.array_equal(region.contains(every), (d >= lo) & (d <= hi))
+        assert region.to_dict() == doc
+        # one shell step lands each y at its own distance t in [lo, hi]
+        base = geo.sample_uniform_many(3, 2000, gen)
+        y, t = geo.shell_step(base, lo, hi, gen)
+        assert np.all((t >= lo) & (t <= hi))
+        assert np.allclose(_chord_angle(base, y), t, rtol=0, atol=1e-12)
+    assert WHOLE_S3.to_dict() == {"variant": "whole", "dim": 3}
+    assert np.all(WHOLE_S3.contains(WHOLE_S3.sample(10, gen)))
 
 
 def test_difference_region_must_be_concentric():
@@ -61,6 +98,18 @@ def test_difference_region_must_be_concentric():
     other = geo.GeodesicBall(geo.sphere_point([1.0, 0.0, 0.0, 0.0]), 0.4)
     with pytest.raises(ParameterError):
         energy.difference_region(ball, other)
+    # a centre whose dot product with itself rounds below 1, where arccos
+    # reads a gap of 1.5e-8, is still concentric with itself
+    c = geo.SpherePoint(3, np.array([-0.3682164662052865, 0.4380300431627726,
+                                     0.43862928307049404, -0.6929290492793436]))
+    assert geo.geodesic_distances(c.coords[None, :], c.coords)[0] > 1e-12
+    region = energy.difference_region(geo.GeodesicBall(c, 0.8),
+                                      geo.GeodesicBall(c, 0.4))
+    assert (region.lo, region.hi) == (0.4, 0.8)
+    rep = energy.check_gluing_bound(
+        maps.hopf_bump(c, 0.3), energy.ball_region(geo.GeodesicBall(c, 2.0)),
+        eta=0.5, rho=1.0, params=PARAMS_S3, center=c, n=2_000)
+    assert rep.annulus_term.region.to_dict()["variant"] == "difference"
 
 
 # ---------------------------------------------------------------------------
@@ -291,14 +340,14 @@ def test_quadrature_without_lipschitz_hint_runs_every_band():
         return maps.hopf_eval_many(pts)
 
     desc = {"variant": "anon", "params": {}}
-    resolution, angular = 50, 48
+    resolution, angular = 50, 48  # energy_quadrature's angular points at 50
     bare = maps.SphereMap(3, 2, counted, desc)
-    q_bare = energy.energy_quadrature(bare, PARAMS_S3, resolution, angular)
+    q_bare = energy.energy_quadrature(bare, PARAMS_S3, resolution)
     every_band = resolution * (1 + energy.QUAD_MIN_BAND_EXP * 4 * angular)
     assert sum(seen) == every_band
     seen.clear()
     hinted = maps.SphereMap(3, 2, counted, desc, lipschitz_hint=2.0)
-    q_hinted = energy.energy_quadrature(hinted, PARAMS_S3, resolution, angular)
+    q_hinted = energy.energy_quadrature(hinted, PARAMS_S3, resolution)
     assert sum(seen) < every_band
     assert abs(q_bare - q_hinted) <= 1e-12 * q_bare
 
@@ -385,6 +434,17 @@ def test_gluing_bound_validates_eta():
         energy.check_gluing_bound(u, WHOLE_S3, eta=1.5, rho=1.0,
                                   params=PARAMS_S3,
                                   center=u.supports[0].center, n=10_000)
+
+
+def test_gluing_bound_needs_the_annulus_inside_the_region():
+    u = maps.hopf_bump(CENTER_S3, 0.6)
+    other = geo.sphere_point([1.0, 0.0, 0.0, 0.0])
+    for A in (energy.Region(3, CENTER_S3, 0.0, 1.0),   # rho beyond A
+              energy.Region(3, other, 0.0, 2.0),       # another center
+              energy.Region(3, CENTER_S3, 0.5)):       # eta rho inside the hole
+        with pytest.raises(ParameterError):
+            energy.check_gluing_bound(u, A, eta=0.25, rho=1.5, params=PARAMS_S3,
+                                      center=CENTER_S3, n=10_000)
 
 
 def test_patching_bound_holds_for_prescribed_7():
