@@ -12,35 +12,56 @@ import numpy as np
 # named in benchmark reports
 BACKEND = "numpy"
 
-# Segment or point pairs per block in the pairwise kernels. A block holds a
-# few (PAIR_BLOCK,) float64 temporaries, 1.6 MB each, which bounds the
+# Segment pairs per block in the pairwise kernels. A block holds up to about
+# twenty (PAIR_BLOCK,) float64 temporaries, 1.6 MB each, which bounds the
 # kernels' peak memory whatever the curve lengths.
 PAIR_BLOCK = 200_000
 
 
 # ---------------------------------------------------------------------------
-# Discrete Gauss linking sum
+# Exact polygonal linking sum
 # ---------------------------------------------------------------------------
 
-def gauss_linking_sum(mid1, seg1, mid2, seg2):
-    """Double sum of det(m1-m2, d1, d2)/|m1-m2|^3 over segment pairs, /4pi.
+def gauss_linking_sum(start1, end1, start2, end2):
+    """Gauss linking integral of two polygons of segments [start, end] in R^3.
 
-    mid*, seg*: (N,3) midpoints and difference vectors of closed polylines.
-    Blocks of outer rows meet the inner curve one coordinate at a time.
+    Exact for straight segments (Klenin and Langowski, Biopolymers 54, 2000):
+    the pair (p1 p2, p3 p4) adds the signed solid angle of the quadrilateral
+    of directions r13, r23, r24, r14 (rij = pj - pi), here split along r13,
+    r24 into two triangles, each 2 atan2(a.(b x c), |a||b||c| + (a.b)|c| +
+    (a.c)|b| + (b.c)|a|) (Van Oosterom and Strackee). Both triangles have
+    the triple product -r13.(d1 x d2), d the segment vectors. Summed over
+    the segment pairs of two closed polygons it is 4 pi times their linking
+    number. Blocks of outer rows meet the inner segments one coordinate at
+    a time.
     """
     total = 0.0
-    chunk = max(1, PAIR_BLOCK // max(1, mid2.shape[0]))
-    for a in range(0, mid1.shape[0], chunk):
-        m1, s1 = mid1[a:a + chunk], seg1[a:a + chunk]
-        d = [m1[:, k, None] - mid2[:, k] for k in range(3)]
-        c = [s1[:, i, None] * seg2[:, j] - s1[:, j, None] * seg2[:, i]
-             for i, j in ((1, 2), (2, 0), (0, 1))]
-        # the summation orders of einsum("ijk,ijk->ij") and of np.sum over a
-        # length-3 axis: bit for bit the (block, M, 3) broadcast formula
-        num = (d[0] * c[0] + d[2] * c[2]) + d[1] * c[1]
-        den = (d[0] * d[0] + d[1] * d[1]) + d[2] * d[2]
-        total += float(np.sum(num / den ** 1.5))
-    return total / (4.0 * np.pi)
+    d1, d2 = end1 - start1, end2 - start2
+    chunk = max(1, PAIR_BLOCK // max(1, start2.shape[0]))
+    for a in range(0, start1.shape[0], chunk):
+        p1, p2, e = start1[a:a + chunk], end1[a:a + chunk], d1[a:a + chunk]
+        r13 = [start2[:, k] - p1[:, k, None] for k in range(3)]
+        r24 = [end2[:, k] - p2[:, k, None] for k in range(3)]
+        triple = sum(r13[i] * (e[:, j, None] * d2[:, k] - e[:, k, None] * d2[:, j])
+                     for i, j, k in ((0, 1, 2), (1, 2, 0), (2, 0, 1)))
+        n13, n24 = _norm(r13), _norm(r24)
+        dot1324 = _dot(r13, r24)
+        # the triangle r13, r23, r24, then r13, r24, r14
+        for q, p in ((start2, p2), (end2, p1)):
+            r = [q[:, k] - p[:, k, None] for k in range(3)]
+            nr = _norm(r)
+            den = (n13 * nr * n24 + _dot(r13, r) * n24 + dot1324 * nr
+                   + _dot(r, r24) * n13)
+            total += float(np.sum(np.arctan2(triple, den)))
+    return -total / (2.0 * np.pi)
+
+
+def _norm(v):
+    return np.sqrt((v[0] * v[0] + v[1] * v[1]) + v[2] * v[2])
+
+
+def _dot(u, v):
+    return (u[0] * v[0] + u[1] * v[1]) + u[2] * v[2]
 
 
 # ---------------------------------------------------------------------------
@@ -95,15 +116,44 @@ def _cross4(x, u, v):
 
 
 # ---------------------------------------------------------------------------
-# Minimum pairwise distance between two point clouds
+# Least distance between two sets of segments
 # ---------------------------------------------------------------------------
 
-def min_pairwise_distance(a, b):
-    """Smallest Euclidean distance between rows of a and rows of b, built
-    up over blocks of rows of a one column at a time."""
+def min_pairwise_distance(start1, end1, start2, end2):
+    """Least Euclidean distance between a segment [start1, end1] and a
+    segment [start2, end2] over all pairs of rows; a row with start = end is
+    a point. Blocks of outer rows meet the inner segments one coordinate at
+    a time.
+
+    A pair's least distance lies at an endpoint of one segment and its
+    nearest point on the other, or at the interior points where the common
+    normal meets both; every candidate is a distance between two points of
+    the segments, so the least one is the pair's distance.
+    """
     best = np.inf
-    chunk = max(1, PAIR_BLOCK // max(1, b.shape[0]))
-    for i in range(0, a.shape[0], chunk):
-        d2 = sum((a[i:i + chunk, k, None] - b[:, k]) ** 2 for k in range(a.shape[1]))
-        best = min(best, float(np.sqrt(d2.min())))
+    d1, d2 = end1 - start1, end2 - start2
+    n1, n2 = np.sum(d1 * d1, axis=1), np.sum(d2 * d2, axis=1)
+    safe1, safe2 = np.maximum(n1, 1e-300), np.maximum(n2, 1e-300)
+    chunk = max(1, PAIR_BLOCK // max(1, start2.shape[0]))
+    dim = start1.shape[1]
+    for a in range(0, start1.shape[0], chunk):
+        u, nu = d1[a:a + chunk], safe1[a:a + chunk, None]
+        w = [start1[a:a + chunk, k, None] - start2[:, k] for k in range(dim)]
+        uw = sum(u[:, k, None] * w[k] for k in range(dim))
+        vw = sum(d2[:, k] * w[k] for k in range(dim))
+        uv = sum(u[:, k, None] * d2[:, k] for k in range(dim))
+        # distance(s, t) = |w + s d1 - t d2| over s, t in [0, 1]
+        cands = [(0.0, np.clip(vw / safe2, 0.0, 1.0)),
+                 (1.0, np.clip((vw + uv) / safe2, 0.0, 1.0)),
+                 (np.clip(-uw / nu, 0.0, 1.0), 0.0),
+                 (np.clip((uv - uw) / nu, 0.0, 1.0), 1.0)]
+        den = n1[a:a + chunk, None] * n2 - uv * uv
+        s = (uv * vw - n2 * uw) / np.maximum(den, 1e-300)
+        t = (n1[a:a + chunk, None] * vw - uv * uw) / np.maximum(den, 1e-300)
+        inside = (den > 0) & (s >= 0) & (s <= 1) & (t >= 0) & (t <= 1)
+        cands.append((np.where(inside, s, 0.0), np.where(inside, t, 0.0)))
+        for s, t in cands:
+            d2sq = sum((w[k] + s * u[:, k, None] - t * d2[:, k]) ** 2
+                       for k in range(dim))
+            best = min(best, float(np.sqrt(d2sq.min())))
     return best

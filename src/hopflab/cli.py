@@ -140,7 +140,10 @@ def _build_parser() -> argparse.ArgumentParser:
     q = sub.add_parser("hopf", help="Hopf invariant by fiber linking")
     q.add_argument("--descriptor", required=True,
                    help="JSON map descriptor file")
-    q.add_argument("--step", type=float, default=None)
+    q.add_argument("--step", type=float, default=None,
+                   help="initial fiber arc step, also the predictor tolerance "
+                        "scale and the closing radius (default 2e-3); steps "
+                        "adapt up to 0.1 rad")
     q.add_argument("--seed", type=int, default=None)
     q.set_defaults(func=cmd_hopf)
 

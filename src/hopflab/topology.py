@@ -3,8 +3,9 @@
 Degrees of S^m -> S^m maps come from integrating the signed Jacobian
 determinant over the domain (support-aware when the map is constant off
 known balls). Hopf invariants of S^3 -> S^2 maps come from tracing the
-fibers over two regular values and summing Gauss linking numbers of the
-traced curves - the classical linking characterization, used here instead
+fibers over two regular values with adaptive steps and summing the exact
+linking numbers of the traced polygons - the classical linking
+characterization, used here instead
 of the Whitehead integral because it is direct and self-validating against
 structural bookkeeping.
 """
@@ -36,7 +37,7 @@ from .geometry import (
 from .maps import SphereMap, map_from_descriptor
 
 # Handedness of the fixed linking recipe (rotate pole to north, project
-# stereographically, evaluate the Gauss sum in R^3) relative to the S^3
+# stereographically, sum exact solid angles in R^3) relative to the S^3
 # orientation in which tangent frames are built. Calibrated once so the
 # Hopf map's fibers link to +1; every other sign (composition squares,
 # patching adds, reflection negates) is then forced and cross-checked
@@ -46,7 +47,8 @@ PROJECTION_SIGN = 1.0
 _FD_DELTA = 1e-5
 _FD_BLOCK = 1024  # base points per stencil evaluation
 FIBER_SIGMA_MIN = 1e-3  # least second singular value along a traced fiber
-FIBER_MAX_STEPS = 200_000  # steps before a fiber counts as not closing
+FIBER_MAX_STEPS = 200_000  # rounds before a fiber counts as not closing
+FIBER_MAX_STEP = 0.1  # largest arc step (rad) of a traced fiber curve
 HOPF_MAX_TRIES = 20  # target pairs hopf_invariant draws before it gives up
 LATTICE_SEEDS = 4096  # fiber seeds of a map without a seed rule
 
@@ -207,19 +209,32 @@ def trace_fiber(f: SphereMap, target, seeds, step: float = 1e-3):
 
     One batched Gauss-Newton (_correct) moves the seeds onto the fiber and
     drops those that do not converge. Each start opens a curve; all curves
-    advance in lockstep, one tangential_jacobian call per step: a predictor
-    along the kernel, oriented as induced from f, then the corrector. A
-    curve closes after more than 10 steps back within 2 steps of its start,
-    and is dropped once a live lower-index curve passes within 3 steps of
-    its start, so each component is traced once, from its first seed. A
-    sigma2 below FIBER_SIGMA_MIN, a failed corrector or a curve open after
-    FIBER_MAX_STEPS raises a non-regular-value error.
+    advance in lockstep, one tangential_jacobian call per corrector
+    iteration: a predictor along the kernel, oriented as induced from f,
+    then the corrector. Each curve carries its own arc step h, starting at
+    step. A step is accepted when the corrector converges within
+    step / 4 of the predicted point; h then doubles, up to FIBER_MAX_STEP,
+    if it landed within step / 16. A rejected step halves h and retries
+    from the last point; h below step / 64 raises a non-regular-value
+    error. So step is the initial arc step, the scale of the predictor
+    tolerance and the closing and duplicate radius, not the node spacing.
+
+    A curve closes once its segment just travelled, begun more than
+    10 * step along it, passes within 2 * step of its start. A start within
+    3 * step of a segment travelled by a lower-index curve of its fiber, or
+    of that curve's closed polygon, is dropped, so each component is traced
+    once, from its first seed. A sigma2 below FIBER_SIGMA_MIN or a curve
+    open after FIBER_MAX_STEPS rounds raises a non-regular-value error.
     """
     return _trace_fibers(f, [target], [seeds], step)[0]
 
 
 def _trace_fibers(f: SphereMap, targets, seed_sets, step: float):
-    """trace_fiber's curves for each target, all traced in one lockstep batch."""
+    """trace_fiber's curves for each target, all traced in one lockstep batch.
+
+    Every decision is taken per curve, so a curve's nodes do not depend on
+    the other curves of the batch.
+    """
     if f.domain_dim != 3 or f.codomain_dim != 2:
         raise ParameterError("fiber tracing needs a map S^3 -> S^2")
     X = [np.reshape([getattr(s, "coords", s) for s in seeds], (-1, 4))
@@ -229,25 +244,21 @@ def _trace_fibers(f: SphereMap, targets, seed_sets, step: float):
     X = np.concatenate(X)
     ok, starts, D, E = _correct(f, X / np.linalg.norm(X, axis=1)[:, None], Z)
     starts, D, E, Z, fib = starts[ok], D[ok], E[ok], Z[ok], fib[ok]
-    x, live, dropped = starts, np.arange(len(starts)), np.zeros(len(starts), bool)
-    trails, closing, travelled = [[s] for s in starts], False, 0.0
+    n = len(starts)
+    x, live = starts, np.arange(n)
+    dropped, closed = np.zeros(n, bool), np.zeros(n, bool)
+    h, travelled = np.full(n, float(step)), np.zeros(n)
+    trails = [[p] for p in starts]
+    _drop_passed(starts, fib, dropped, live, starts, starts, 3.0 * step)
     for nstep in range(FIBER_MAX_STEPS + 1):
-        # drop the starts a live lower-index curve of their fiber passes
-        cand = np.flatnonzero(~dropped)
-        chunk = max(1, _kernels.PAIR_BLOCK // max(1, cand.size))
-        for a in range(0, live.size, chunk):
-            i = live[a:a + chunk, None]
-            j = cand[cand > i[0, 0]]
-            d2 = sum((x[a:a + chunk, k, None] - starts[j, k]) ** 2 for k in range(4))
-            hit = (np.sqrt(d2) < 3.0 * step) & (i < j) & (fib[i] == fib[j])
-            dropped[j[np.any(hit, axis=0)]] = True
-        keep = ~(dropped[live] | closing)
+        keep = ~(dropped[live] | closed[live])
         live, x, D, E = live[keep], x[keep], D[keep], E[keep]
         if live.size == 0:
             break
         if nstep == FIBER_MAX_STEPS:
-            raise NonRegularValueError(f"fiber did not close within {FIBER_MAX_STEPS}"
-                                       f" steps (length {travelled:.2f})")
+            raise NonRegularValueError(
+                f"fiber did not close within {FIBER_MAX_STEPS} rounds (length "
+                f"{np.max(travelled[live]):.2f})")
         # the kernel a1 x a2 has det[v, a1, a2] > 0: the induced orientation
         _, _, c, _, sigma2 = _row_cross(D)
         if np.min(sigma2) < FIBER_SIGMA_MIN:
@@ -255,19 +266,74 @@ def _trace_fibers(f: SphereMap, targets, seed_sets, step: float):
                 f"differential nearly singular along fiber (sigma2 = "
                 f"{np.min(sigma2):.2e}); retry with a different target")
         v = c / np.linalg.norm(c, axis=1)[:, None]
-        x = np.cos(step) * x + np.sin(step) * (E @ v[:, :, None])[:, :, 0]
-        ok, x, D, E = _correct(f, x / np.linalg.norm(x, axis=1)[:, None], Z[live])
-        if not np.all(ok):
-            raise NonRegularValueError("corrector failed to return to the fiber")
-        travelled += step
-        for j, p in zip(live, x):
-            trails[j].append(p)
-        closing = (travelled > 10.0 * step) & (
-            np.linalg.norm(x - starts[live], axis=1) < 2.0 * step)
+        hl = h[live, None]
+        pred = np.cos(hl) * x + np.sin(hl) * (E @ v[:, :, None])[:, :, 0]
+        pred /= np.linalg.norm(pred, axis=1)[:, None]
+        ok, xc, Dc, Ec = _correct(f, pred, Z[live])
+        delta = np.linalg.norm(xc - pred, axis=1)
+        acc = ok & (delta <= 0.25 * step)
+        h[live[~acc]] *= 0.5
+        if np.any(h[live[~acc]] < step / 64.0):
+            k = np.flatnonzero(~acc)[np.argmin(h[live[~acc]])]
+            raise NonRegularValueError(
+                f"fiber step h = {h[live[k]]:.2e} fell below step/64 = "
+                f"{step / 64.0:.2e} (corrector displacement delta = "
+                f"{delta[k]:.2e}, converged: {bool(ok[k])})")
+        ids, prev, new = live[acc], x[acc], xc[acc]
+        x[acc], D[acc], E[acc] = new, Dc[acc], Ec[acc]
+        arc = travelled[ids]
+        travelled[ids] += h[ids]
+        h[ids] = np.where(delta[acc] <= step / 16.0,
+                          np.minimum(2.0 * h[ids], FIBER_MAX_STEP), h[ids])
+        _drop_passed(starts, fib, dropped, ids, prev, new, 3.0 * step)
+        # a curve closes when the segment just travelled passes its start;
+        # a start short of the segment's end closes it from the segment's
+        # first point, so the polygon never doubles back
+        dist, t = _point_segment(starts[ids], prev, new)
+        closed[ids] = (arc > 10.0 * step) & (dist < 2.0 * step)
+        for j, p, past in zip(ids, new, t < 1.0):
+            if not (closed[j] and past):
+                trails[j].append(p)
+    # once more over each closed polygon, its closing segment included, so
+    # that no kept start lies within 3 step of a lower-index polygon
+    for i in range(n):
+        if not dropped[i]:
+            poly = np.array(trails[i])
+            _drop_passed(starts, fib, dropped, np.full(len(poly), i), poly,
+                         np.roll(poly, -1, axis=0), 3.0 * step)
     curves = [[] for _ in targets]
     for j in np.flatnonzero(~dropped):
-        curves[fib[j]].append(ClosedCurve(np.array(trails[j]), 2.0 * step))
+        curves[fib[j]].append(
+            ClosedCurve(np.array(trails[j]), FIBER_MAX_STEP + step))
     return curves
+
+
+def _point_segment(p, a, b):
+    """Distance from each row of p to the segment [a, b] of its row, and the
+    parameter in [0, 1] of the nearest point."""
+    u, w = b - a, p - a
+    t = np.clip(np.sum(w * u, axis=-1)
+                / np.maximum(np.sum(u * u, axis=-1), 1e-300), 0.0, 1.0)
+    return np.linalg.norm(w - t[..., None] * u, axis=-1), t
+
+
+def _drop_passed(starts, fib, dropped, ids, a, b, radius):
+    """Drop every start j of a fiber within radius of the segment [a, b] of a
+    curve i < j of that fiber; ids holds i for each row of a and b. Blocks
+    of segments meet the starts one coordinate at a time."""
+    cand = np.flatnonzero(~dropped)
+    u = b - a
+    uu = np.maximum(np.sum(u * u, axis=1), 1e-300)
+    chunk = max(1, _kernels.PAIR_BLOCK // max(1, cand.size))
+    for lo in range(0, ids.size, chunk):
+        i, al, ul = ids[lo:lo + chunk, None], a[lo:lo + chunk], u[lo:lo + chunk]
+        j = cand[cand > np.min(i)]
+        w = [starts[j, k] - al[:, k, None] for k in range(4)]
+        t = np.clip(sum(w[k] * ul[:, k, None] for k in range(4))
+                    / uu[lo:lo + chunk, None], 0.0, 1.0)
+        d2 = sum((w[k] - t * ul[:, k, None]) ** 2 for k in range(4))
+        hit = (d2 < radius * radius) & (i < j) & (fib[i] == fib[j])
+        dropped[j[np.any(hit, axis=0)]] = True
 
 
 def _correct(f: SphereMap, X, Z, tol: float = 1e-8, iters: int = 60,
@@ -333,16 +399,15 @@ def gauss_linking(c1: ClosedCurve, c2: ClosedCurve) -> DegreeReport:
     """Linking number of two disjoint closed curves on S^3.
 
     Projects stereographically from the sphere point farthest from both
-    curves and evaluates the discrete Gauss double sum over segment pairs.
-    The operands are ordered canonically first, so the result is exactly
-    symmetric in its arguments.
+    curves and sums the exact solid angles of all segment pairs of the two
+    polygons (Klenin and Langowski), so the raw value is an integer up to
+    rounding for any polygons, however coarse. It is the curves' linking
+    number when each polygon stays near its curve: the least distance
+    between segments of the two projected polygons must exceed 5 times the
+    sum of their chord deviation bounds (_deviation_bound), or an
+    ill-conditioned-linking error is raised. The operands are ordered
+    canonically first, so the result is exactly symmetric in its arguments.
     """
-    sep = _kernels.min_pairwise_distance(c1.points, c2.points)
-    if sep <= 5.0 * max(c1.tolerance, c2.tolerance):
-        raise IllConditionedLinkingError(
-            f"curves only {sep:.3e} apart at tolerance "
-            f"{max(c1.tolerance, c2.tolerance):.3e}"
-        )
     a, b = c1, c2
     if b.points[0].tobytes() < a.points[0].tobytes():
         a, b = b, a
@@ -354,15 +419,28 @@ def gauss_linking(c1: ClosedCurve, c2: ClosedCurve) -> DegreeReport:
     rot = rotation_taking(sphere_point(pole), sphere_point([0.0, 0.0, 0.0, 1.0]))
     p1 = stereographic_many(rot.apply(a.points))
     p2 = stereographic_many(rot.apply(b.points))
-    m1, s1 = _midpoints_segments(p1)
-    m2, s2 = _midpoints_segments(p2)
-    raw = PROJECTION_SIGN * _kernels.gauss_linking_sum(m1, s1, m2, s2)
+    q1, q2 = np.roll(p1, -1, axis=0), np.roll(p2, -1, axis=0)
+    sep = _kernels.min_pairwise_distance(p1, q1, p2, q2)
+    bound = _deviation_bound(p1) + _deviation_bound(p2)
+    if sep <= 5.0 * bound:
+        raise IllConditionedLinkingError(
+            f"projected polygons only {sep:.3e} apart at chord deviation "
+            f"bound {bound:.3e}")
+    raw = PROJECTION_SIGN * _kernels.gauss_linking_sum(p1, q1, p2, q2)
     return _report(raw, "linking")
 
 
-def _midpoints_segments(pts):
-    nxt = np.roll(pts, -1, axis=0)
-    return (pts + nxt) / 2.0, nxt - pts
+def _deviation_bound(pts):
+    """How far a closed polygon in R^3 may lie from the smooth curve it
+    samples: the largest l * theta / 4 over its segments, l the segment's
+    length and theta the larger turning angle at its two ends. An arc of
+    constant curvature lies within l * theta / 8 of its chord."""
+    seg = np.roll(pts, -1, axis=0) - pts
+    before = np.roll(seg, 1, axis=0)
+    turn = np.arctan2(np.linalg.norm(_kernels.cross3(before, seg), axis=1),
+                      np.sum(before * seg, axis=1))
+    length = np.linalg.norm(seg, axis=1)
+    return float(np.max(length * np.maximum(turn, np.roll(turn, -1)))) / 4.0
 
 
 # ---------------------------------------------------------------------------
@@ -374,11 +452,15 @@ def hopf_invariant(f: SphereMap, step: float = 1e-3,
     """Hopf invariant of f: S^3 -> S^2 by fiber tracing and linking.
 
     Traces the fibers over two regular values in one lockstep batch and
-    sums the Gauss linking numbers over all pairs of components, one from
-    each fiber. The map's fiber_seeds rule seeds the tracing; a map without
-    one is seeded from a LATTICE_SEEDS-point lattice of S^3. Targets are
-    drawn away from the map's constant value and re-drawn, up to
-    HOPF_MAX_TRIES pairs, if tracing finds a non-regular point.
+    sums the exact polygonal linking numbers (gauss_linking) over all pairs
+    of components, one from each fiber, so the raw value is an integer up to
+    rounding. step is the fibers' initial arc step, the scale of the
+    predictor tolerance and the closing and duplicate radius (trace_fiber);
+    the curves' steps adapt from it up to FIBER_MAX_STEP. The map's
+    fiber_seeds rule seeds the tracing; a map without one is seeded from a
+    LATTICE_SEEDS-point lattice of S^3. Targets are drawn away from the
+    map's constant value and re-drawn, up to HOPF_MAX_TRIES pairs, if
+    tracing finds a non-regular point or the linking guard trips.
     """
     if f.domain_dim != 3 or f.codomain_dim != 2:
         raise ParameterError("the Hopf invariant needs a map S^3 -> S^2")

@@ -8,9 +8,10 @@ import pytest
 
 from hopflab import geometry as geo
 from hopflab import maps, topology
-from hopflab.errors import ParameterError, SupportError
+from hopflab.errors import (IllConditionedLinkingError, ParameterError,
+                            SupportError)
 
-TRACE_STEP = 2e-3  # coarse enough to keep the suite quick, residuals ~1e-4
+TRACE_STEP = 2e-3  # initial arc step; exact linking leaves rounding-level residuals
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +109,7 @@ def test_gauss_linking_hopf_fibers_is_one():
     c1, c2 = _hopf_circles()
     rep = topology.gauss_linking(c1, c2)
     assert rep.value == 1
-    assert rep.residual < 0.05
+    assert rep.residual < 1e-9
 
 
 def test_gauss_linking_symmetry_is_exact():
@@ -124,6 +125,21 @@ def test_gauss_linking_reversal_negates():
     b = topology.gauss_linking(
         topology.ClosedCurve(c1.points[::-1].copy(), c1.tolerance), c2)
     assert np.isclose(a.raw, -b.raw, rtol=1e-12, atol=1e-12)
+
+
+def test_gauss_linking_guard_rejects_coarse_close_polygons():
+    # 16-gons on the Hopf fibers over targets 0.2 apart: the polygons come
+    # within 0.09 of each other, inside 5x their chord deviation bounds
+    # (about 0.09 together), so their exact sum need not be the curves'
+    # linking number; 400-gons of the same fibers pass and read 1
+    z1 = geo.sphere_point([0.0, 0.0, 1.0])
+    z2 = geo.sphere_point([np.sin(0.2), 0.0, np.cos(0.2)])
+    coarse = [topology.ClosedCurve(maps.fiber_circle(z, 16), 1.0) for z in (z1, z2)]
+    with pytest.raises(IllConditionedLinkingError, match="deviation bound"):
+        topology.gauss_linking(*coarse)
+    fine = [topology.ClosedCurve(maps.fiber_circle(z, 400), 0.1) for z in (z1, z2)]
+    rep = topology.gauss_linking(*fine)
+    assert rep.value == 1 and rep.residual < 1e-9
 
 
 def test_gauss_linking_unlinked_circles():
@@ -159,8 +175,9 @@ def test_trace_fiber_recovers_hopf_circle():
 
 def test_trace_fiber_reuses_the_corrector_jacobian(monkeypatch):
     # Hopf fibers are great circles, so each predictor step lands on the
-    # fiber and the corrector's one Jacobian there also serves the next
-    # predictor step: about one Jacobian per traced point
+    # fiber: no step is rejected, the arc step doubles up to FIBER_MAX_STEP,
+    # and the corrector's one Jacobian there also serves the next predictor
+    # step: about one Jacobian per traced point
     calls = []
     jacobian = topology.tangential_jacobian
 
@@ -174,7 +191,9 @@ def test_trace_fiber_reuses_the_corrector_jacobian(monkeypatch):
     seeds = maps.fiber_circle(z, 8)
     curves = topology.trace_fiber(h, z, seeds, step=TRACE_STEP)
     n_points = sum(c.points.shape[0] for c in curves)
-    assert n_points > 1000
+    doublings = int(np.ceil(np.log2(topology.FIBER_MAX_STEP / TRACE_STEP)))
+    assert 2 * np.pi / topology.FIBER_MAX_STEP < n_points
+    assert n_points <= 2 * np.pi / topology.FIBER_MAX_STEP + doublings + 1
     assert len(calls) <= n_points + 2 * len(seeds)
 
 
@@ -196,6 +215,29 @@ def test_trace_fiber_traces_each_component_once_from_its_first_seed():
     for k, c in enumerate(curves):
         x0 = seeds[first[k]] / np.linalg.norm(seeds[first[k]])
         assert np.max(np.abs(c.points[0] - x0)) < 1e-9
+
+
+def test_trace_fiber_keeps_distinct_components_apart():
+    # 20 bubbles o h: each fiber is 20 Hopf circles, one seed each, some
+    # under 0.3 apart; a drop radius that grew with the arc step (3 h, up
+    # to 0.3) merged such circles on most of these seeds
+    u = maps.composed_with_hopf(maps.multi_bubble(20))
+    for seed in range(10):
+        z1, z2 = topology._pick_targets(u, np.random.default_rng(seed))
+        both = topology._trace_fibers(u, (z1, z2), (u.fiber_seeds(z1),
+                                                    u.fiber_seeds(z2)), 4e-3)
+        assert [len(c) for c in both] == [20, 20], seed
+
+
+def test_hopf_bump_fibers_are_traced_once():
+    # 64 ball-grid seeds all correct onto the one fiber component of a Hopf
+    # bump, and every duplicate start of it is dropped
+    u = maps.hopf_bump(geo.sphere_point([0.0, 0.0, 0.0, 1.0]), 0.3)
+    for seed in range(10):
+        z1, z2 = topology._pick_targets(u, np.random.default_rng(seed))
+        both = topology._trace_fibers(u, (z1, z2), (u.fiber_seeds(z1),
+                                                    u.fiber_seeds(z2)), 4e-3)
+        assert [len(c) for c in both] == [1, 1], seed
 
 
 @pytest.mark.parametrize("u", [
@@ -225,13 +267,13 @@ def test_hopf_invariant_of_a_map_without_seed_rule():
     assert u.fiber_seeds is None
     rep = topology.hopf_invariant(u, step=4e-3)
     assert rep.value == 1
-    assert rep.residual < 0.05
+    assert rep.residual < 1e-9
 
 
 def test_hopf_invariant_of_hopf_map():
     rep = topology.hopf_invariant(maps.hopf_map(), step=TRACE_STEP)
     assert rep.value == 1
-    assert rep.residual < 0.05
+    assert rep.residual < 1e-9
 
 
 def test_hopf_invariant_rotation_invariance():
@@ -243,7 +285,7 @@ def test_hopf_invariant_rotation_invariance():
     u = maps.precompose_rotation(maps.hopf_map(), rot)
     rep = topology.hopf_invariant(u, step=TRACE_STEP)
     assert rep.value == 1
-    assert rep.residual < 0.05
+    assert rep.residual < 1e-9
 
 
 def test_hopf_invariant_composition_squares():
@@ -251,21 +293,28 @@ def test_hopf_invariant_composition_squares():
     u = maps.composed_with_hopf(maps.multi_bubble(2))
     rep = topology.hopf_invariant(u, step=TRACE_STEP)
     assert rep.value == 4
-    assert rep.residual < 0.05
+    assert rep.residual < 1e-9
 
 
 def test_hopf_invariant_flip_negates():
     u = maps.precompose_flip(maps.hopf_map())
     rep = topology.hopf_invariant(u, step=TRACE_STEP)
     assert rep.value == -1
-    assert rep.residual < 0.05
+    assert rep.residual < 1e-9
+
+
+def test_hopf_invariant_of_degree_one_hundred():
+    # 10 bubbles o h: two fibers of 10 Hopf circles each, linked pairwise
+    rep = topology.hopf_invariant(maps.prescribed_hopf_map(100))
+    assert rep.value == 100
+    assert rep.residual < 1e-9
 
 
 def test_hopf_invariant_patched_adds():
     rep = topology.hopf_invariant(maps.prescribed_hopf_map(2),
                                   step=TRACE_STEP)
     assert rep.value == 2
-    assert rep.residual < 0.05
+    assert rep.residual < 1e-9
 
 
 @pytest.mark.parametrize("v", [
@@ -281,7 +330,7 @@ def test_hopf_invariant_identity_composed_with_hopf(v):
     u = maps.composed_with_hopf(v)
     rep = topology.hopf_invariant(u, step=4e-3)
     assert rep.value == 1
-    assert rep.residual < 0.05
+    assert rep.residual < 1e-9
 
 
 def test_hopf_invariant_collapse_composed_with_hopf_cancels():
@@ -290,7 +339,7 @@ def test_hopf_invariant_collapse_composed_with_hopf_cancels():
     u = maps.composed_with_hopf(maps.equator_collapse(2))
     rep = topology.hopf_invariant(u, step=4e-3)
     assert rep.value == u.degree == 0
-    assert rep.residual < 0.05
+    assert rep.residual < 1e-9
 
 
 def test_hopf_invariant_rejects_wrong_dims():
