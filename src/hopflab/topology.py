@@ -78,16 +78,24 @@ def _report(raw: float, method: str) -> DegreeReport:
 
 @dataclass(frozen=True)
 class ClosedCurve:
-    """Closed polyline on S^3: (N, 4) unit rows with bounded node gaps."""
+    """Closed polyline on S^3: (N, 4) unit rows.
+
+    tolerance, when given, is an input check on a hand-built curve: a node
+    gap above it raises a parameter error. Nothing downstream reads it;
+    gauss_linking's guard measures the polygons themselves. Traced curves
+    carry none.
+    """
 
     points: np.ndarray
-    tolerance: float
+    tolerance: float | None = None
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64)
         object.__setattr__(self, "points", pts)
         if pts.ndim != 2 or pts.shape[0] < 3 or pts.shape[1] != 4:
             raise ParameterError(f"closed curve needs (N>=3, 4) points, got {pts.shape}")
+        if self.tolerance is None:
+            return
         gaps = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
         if float(np.max(gaps)) > self.tolerance:
             raise ParameterError(
@@ -221,10 +229,12 @@ def trace_fiber(f: SphereMap, target, seeds, step: float = 1e-3):
 
     A curve closes once its segment just travelled, begun more than
     10 * step along it, passes within 2 * step of its start. A start within
-    3 * step of a segment travelled by a lower-index curve of its fiber, or
-    of that curve's closed polygon, is dropped, so each component is traced
-    once, from its first seed. A sigma2 below FIBER_SIGMA_MIN or a curve
-    open after FIBER_MAX_STEPS rounds raises a non-regular-value error.
+    3 * step of a segment travelled by a lower-index curve of its fiber is
+    dropped, so each component is traced once, from its first seed. Both
+    radii grow by the segment's sagitta (_sagitta): a 0.1 rad chord lies
+    1.25e-3 from its arc, more than 2 * step for step below 6.3e-4. A sigma2
+    below FIBER_SIGMA_MIN or a curve open after FIBER_MAX_STEPS rounds
+    raises a non-regular-value error.
     """
     return _trace_fibers(f, [target], [seeds], step)[0]
 
@@ -290,22 +300,23 @@ def _trace_fibers(f: SphereMap, targets, seed_sets, step: float):
         # a start short of the segment's end closes it from the segment's
         # first point, so the polygon never doubles back
         dist, t = _point_segment(starts[ids], prev, new)
-        closed[ids] = (arc > 10.0 * step) & (dist < 2.0 * step)
+        sag = _sagitta(np.sum((new - prev) ** 2, axis=1))
+        closed[ids] = (arc > 10.0 * step) & (dist < 2.0 * step + sag)
         for j, p, past in zip(ids, new, t < 1.0):
             if not (closed[j] and past):
                 trails[j].append(p)
-    # once more over each closed polygon, its closing segment included, so
-    # that no kept start lies within 3 step of a lower-index polygon
-    for i in range(n):
-        if not dropped[i]:
-            poly = np.array(trails[i])
-            _drop_passed(starts, fib, dropped, np.full(len(poly), i), poly,
-                         np.roll(poly, -1, axis=0), 3.0 * step)
     curves = [[] for _ in targets]
     for j in np.flatnonzero(~dropped):
-        curves[fib[j]].append(
-            ClosedCurve(np.array(trails[j]), FIBER_MAX_STEP + step))
+        curves[fib[j]].append(ClosedCurve(np.array(trails[j])))
     return curves
+
+
+def _sagitta(ll):
+    """How far a great-circle arc of S^3 bows from its chord, ll the chord's
+    squared length: 1 - sqrt(1 - ll / 4), about ll / 8. A fiber's geodesic
+    curvature bows it by about a quarter of the corrector displacement
+    more, under step / 16, which the radii's multiples of step absorb."""
+    return 0.25 * ll / (1.0 + np.sqrt(np.maximum(1.0 - 0.25 * ll, 0.0)))
 
 
 def _point_segment(p, a, b):
@@ -318,12 +329,14 @@ def _point_segment(p, a, b):
 
 
 def _drop_passed(starts, fib, dropped, ids, a, b, radius):
-    """Drop every start j of a fiber within radius of the segment [a, b] of a
-    curve i < j of that fiber; ids holds i for each row of a and b. Blocks
-    of segments meet the starts one coordinate at a time."""
+    """Drop every start j of a fiber within radius plus the sagitta of the
+    segment [a, b] of a curve i < j of that fiber; ids holds i for each row
+    of a and b. Blocks of segments meet the starts one coordinate at a
+    time."""
     cand = np.flatnonzero(~dropped)
     u = b - a
     uu = np.maximum(np.sum(u * u, axis=1), 1e-300)
+    r2 = (radius + _sagitta(uu)) ** 2
     chunk = max(1, _kernels.PAIR_BLOCK // max(1, cand.size))
     for lo in range(0, ids.size, chunk):
         i, al, ul = ids[lo:lo + chunk, None], a[lo:lo + chunk], u[lo:lo + chunk]
@@ -332,7 +345,7 @@ def _drop_passed(starts, fib, dropped, ids, a, b, radius):
         t = np.clip(sum(w[k] * ul[:, k, None] for k in range(4))
                     / uu[lo:lo + chunk, None], 0.0, 1.0)
         d2 = sum((w[k] - t * ul[:, k, None]) ** 2 for k in range(4))
-        hit = (d2 < radius * radius) & (i < j) & (fib[i] == fib[j])
+        hit = (d2 < r2[lo:lo + chunk, None]) & (i < j) & (fib[i] == fib[j])
         dropped[j[np.any(hit, axis=0)]] = True
 
 

@@ -197,6 +197,29 @@ def test_trace_fiber_reuses_the_corrector_jacobian(monkeypatch):
     assert len(calls) <= n_points + 2 * len(seeds)
 
 
+@pytest.mark.parametrize("step", [5e-4, 2e-4])
+def test_tracing_below_the_chord_sagitta_goes_round_once(step):
+    # a 0.1 rad chord of a great circle lies 1.25e-3 from its arc, farther
+    # than 2 step and 3 step here; closing and drop radii without that
+    # sagitta let curves run extra laps before closing (the Hopf map read 9)
+    # and kept duplicate lattice starts (16 to 64)
+    h = maps.hopf_map()
+    bare = maps.SphereMap(3, 2, maps.hopf_eval_many,
+                          {"variant": "bare", "params": {}, "children": []},
+                          jacobian_many=h.jacobian_many)
+    seeds = geo.kronecker_lattice_s3(256)
+    doublings = int(np.ceil(np.log2(topology.FIBER_MAX_STEP / step)))
+    for seed in range(3):
+        rep = topology.hopf_invariant(h, step=step, seed=seed)
+        assert rep.value == 1 and rep.residual < 1e-9, seed
+        z1, z2 = topology._pick_targets(bare, np.random.default_rng(seed))
+        both = topology._trace_fibers(bare, (z1, z2), (seeds, seeds), step)
+        assert [len(c) for c in both] == [1, 1], seed
+        for (c,) in both:
+            n = c.points.shape[0]
+            assert n <= 2 * np.pi / topology.FIBER_MAX_STEP + doublings + 1
+
+
 def test_trace_fiber_traces_each_component_once_from_its_first_seed():
     # v o h with two bubbles: the fiber over z is two Hopf circles, and the
     # map's own rule seeds each of them with several points
@@ -231,13 +254,14 @@ def test_trace_fiber_keeps_distinct_components_apart():
 
 def test_hopf_bump_fibers_are_traced_once():
     # 64 ball-grid seeds all correct onto the one fiber component of a Hopf
-    # bump, and every duplicate start of it is dropped
+    # bump, and every duplicate start of it is dropped, also at a step below
+    # the sagitta of a 0.1 rad chord
     u = maps.hopf_bump(geo.sphere_point([0.0, 0.0, 0.0, 1.0]), 0.3)
-    for seed in range(10):
+    for seed, step in [(s, 4e-3) for s in range(10)] + [(0, 3e-4)]:
         z1, z2 = topology._pick_targets(u, np.random.default_rng(seed))
         both = topology._trace_fibers(u, (z1, z2), (u.fiber_seeds(z1),
-                                                    u.fiber_seeds(z2)), 4e-3)
-        assert [len(c) for c in both] == [1, 1], seed
+                                                    u.fiber_seeds(z2)), step)
+        assert [len(c) for c in both] == [1, 1], (seed, step)
 
 
 @pytest.mark.parametrize("u", [
