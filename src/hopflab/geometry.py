@@ -30,6 +30,19 @@ GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
 _SIN_TAIL = tuple((-1) ** k / math.factorial(2 * k + 3) for k in range(10))
 _F3_SERIES_MAX = np.pi / 4
 
+# t / s as a polynomial in s^2, s = (1.5 F(t))^(1/3), lowest power first:
+# the least-squares fit on 200 equally spaced t in (0, pi/2]. t / s is
+# analytic in s^2 there (F(t) ~ 2 t^3 / 3 near 0; the nearest singularity,
+# t = pi, lies beyond), and degree 12 keeps the relative error of t below
+# 1e-9 (tests/test_geometry.py checks it)
+_F3_START = (
+    1.000000000107854, 0.06666664694374178, 0.011429181955234367,
+    0.0025322712572247545, 0.0006846967096984065, 2.87790812291062e-07,
+    0.000453174141685385, -0.0006131815383244564, 0.0006568179941635888,
+    -0.00045011590847244724, 0.00020061079329614437, -5.1766771709190364e-05,
+    6.123489446018986e-06,
+)
+
 # plastic constant: real root of t^3 = t + 1, drives the R3 Kronecker
 # lattice used for near-uniform S^3 node sets
 _PLASTIC = 1.3247179572447460260
@@ -143,17 +156,17 @@ def tangent_directions(points, rng):
     """One uniform unit tangent vector at each row of points."""
     pts = np.asarray(points, dtype=np.float64)
     v = rng.standard_normal(pts.shape)
-    v -= np.sum(v * pts, axis=1, keepdims=True) * pts
-    n = np.linalg.norm(v, axis=1, keepdims=True)
+    v -= np.einsum("ij,ij->i", v, pts)[:, None] * pts
+    n = np.sqrt(np.einsum("ij,ij->i", v, v))
     # a zero projection has probability zero; resample defensively anyway
-    bad = (n[:, 0] < 1e-12)
+    bad = n < 1e-12
     while np.any(bad):
         w = rng.standard_normal((int(bad.sum()), pts.shape[1]))
-        w -= np.sum(w * pts[bad], axis=1, keepdims=True) * pts[bad]
+        w -= np.einsum("ij,ij->i", w, pts[bad])[:, None] * pts[bad]
         v[bad] = w
-        n = np.linalg.norm(v, axis=1, keepdims=True)
-        bad = (n[:, 0] < 1e-12)
-    return v / n
+        n = np.sqrt(np.einsum("ij,ij->i", v, v))
+        bad = n < 1e-12
+    return v / n[:, None]
 
 
 def geodesic_step(points, directions, angles):
@@ -283,45 +296,34 @@ def sample_shell_radii(m: int, t0: float, t1: float, n: int, rng):
     if t0 >= 0.5 * np.pi:
         e0, e1 = np.pi - t1, np.pi - t0
         g0, g1 = _f3(e0), _f3(e1)
-        e = _f3_inverse(g0 + (1.0 - u) * (g1 - g0), e0, e1)
+        e = _f3_inverse(g0 + (1.0 - u) * (g1 - g0))
         return np.clip(np.pi - e, t0, t1)
     f0, f1 = _f3(t0), _f3(t1)
-    return np.clip(_f3_inverse(f0 + u * (f1 - f0), t0, t1), t0, t1)
+    return np.clip(_f3_inverse(f0 + u * (f1 - f0)), t0, t1)
 
 
-def _f3_inverse(target, t0, t1):
-    """Solve F(t) = target on [t0, t1] for F(t) = t - sin t cos t.
+def _f3_inverse(target):
+    """Solve F(t) = target on [0, pi] for F(t) = t - sin t cos t.
 
-    Thin shells near zero invert the series' leading terms by a fixed
-    point. Other shells start from that same series inverse, taken about
-    the nearer end of [0, pi] since F(pi - t) = pi - F(t), clipped to
-    [t0, t1]. Bracketed Newton follows: an iterate outside the bracket (or
-    at a vanishing derivative) is replaced by the bracket midpoint, and the
-    loop stops once the largest step falls below 1e-13 rad.
+    A target above pi/2 is solved on its mirror image, since
+    F(pi - t) = pi - F(t). On [0, pi/2] the start is t = s P(s^2) with
+    s = (1.5 F)^(1/3) and P the polynomial _F3_START, within 1e-9 relative
+    on the whole range, thin shells near zero included. One Newton step
+    follows: its error is about t cot t times the square of the start's,
+    below rounding, on thick and thin shells alike.
     """
-    if t1 <= 5e-3:
-        return _f3_series_inverse(target)
-    g = _f3_series_inverse(np.minimum(target, np.pi - target))
-    t = np.clip(np.where(target > 0.5 * np.pi, np.pi - g, g), t0, t1)
-    lo = np.full(t.shape, t0)
-    hi = np.full(t.shape, t1)
-    for _ in range(60):
-        resid = _f3(t) - target
-        high = resid > 0.0
-        hi = np.where(high, t, hi)
-        lo = np.where(high, lo, t)
-        df = 2.0 * np.sin(t) ** 2
-        step = np.where(df > 1e-14, resid / np.maximum(df, 1e-14), 0.0)
-        tn = t - step
-        # fall back to bisection when Newton leaves the bracket; a step
-        # landing on the end just moved there is converged, not outside
-        bad = (tn < lo) | (tn > hi) | (df <= 1e-14)
-        tn = np.where(bad, 0.5 * (lo + hi), tn)
-        moved = np.max(np.abs(tn - t))
-        t = tn
-        if moved < 1e-13:
-            break
-    return t
+    mirror = target > 0.5 * np.pi
+    f = np.where(mirror, np.pi - target, target)
+    s = np.cbrt(1.5 * f)
+    x = s * s
+    acc = np.full(x.shape, _F3_START[-1])
+    for c in _F3_START[-2::-1]:
+        acc *= x
+        acc += c
+    t = s * acc
+    # F(0) = 0 is met by t = 0, where the derivative 2 sin^2 t vanishes
+    t -= (_f3(t) - f) / np.maximum(2.0 * np.sin(t) ** 2, np.finfo(np.float64).tiny)
+    return np.where(mirror, np.pi - t, t)
 
 
 def _f3(t):
@@ -348,18 +350,111 @@ def _f3_series(t):
     return acc
 
 
-def _f3_series_inverse(f):
-    """Invert the leading terms of _f3_series, (2/3)t^3(1 - t^2/5 + 2t^4/105),
-    by the fixed point t = (1.5 f / (1 - t^2/5 + 2t^4/105))^(1/3).
+# ---------------------------------------------------------------------------
+# x sources: regions and unions of balls
+# ---------------------------------------------------------------------------
 
-    The omitted terms are below 2e-17 relative for t <= 5e-3. The
-    denominator stays positive for every real t, and the iteration
-    converges in a few steps on thin shells near zero.
+@dataclass(frozen=True)
+class Region:
+    """Integration region on S^dim: the points at geodesic distance in
+    [lo, hi] from center, or the whole sphere when center is None.
+
+    A ball B(c, r) is [0, r], its complement [r, pi], and a concentric
+    difference B(c, r) minus B(c, r') is [r', r]. Regions are x sources
+    of the energy estimators: sample draws uniform points, measure is
+    their total measure, contains tests membership, and moved(M) is the
+    region carried by x -> M^T x.
     """
-    t = np.cbrt(1.5 * f)
-    for _ in range(4):
-        t = np.cbrt(1.5 * f / (1.0 - t * t / 5.0 + 2.0 * t ** 4 / 105.0))
-    return t
+
+    dim: int
+    center: SpherePoint | None = None
+    lo: float = 0.0
+    hi: float = math.pi
+
+    def __post_init__(self):
+        if self.center is not None:
+            if self.center.dim != self.dim:
+                raise ParameterError("region center does not live on S^dim")
+            if not (0.0 <= self.lo < self.hi <= math.pi):
+                raise ParameterError(
+                    f"region needs 0 <= lo < hi <= pi, got [{self.lo}, {self.hi}]")
+        if self.measure() <= 0.0:
+            raise ParameterError("region has no measure")
+
+    def measure(self) -> float:
+        if self.center is None:
+            return sphere_area(self.dim)
+        if self.hi == math.pi:
+            return sphere_area(self.dim) - cap_area(self.dim, self.lo)
+        return cap_area(self.dim, self.hi) - cap_area(self.dim, self.lo)
+
+    def sample(self, n: int, rng):
+        """n points uniform in the region, shape (n, dim+1)."""
+        if self.center is None:
+            return sample_uniform_many(self.dim, n, rng)
+        c = self.center.coords
+        return shell_step(np.broadcast_to(c, (n, c.shape[0])), self.lo, self.hi, rng)[0]
+
+    def contains(self, pts):
+        if self.center is None:
+            return np.ones(pts.shape[0], dtype=bool)
+        d = geodesic_distances(pts, self.center.coords)
+        return (d >= self.lo) & (d <= self.hi)
+
+    def moved(self, mat):
+        if self.center is None:
+            return self
+        return Region(self.dim, sphere_point(mat.T @ self.center.coords),
+                      self.lo, self.hi)
+
+    def to_dict(self):
+        """The region's JSON: variant whole, ball, complement or difference,
+        with its outer (and inner) ball."""
+        if self.center is None:
+            return {"variant": "whole", "dim": self.dim}
+        c = self.center.coords.tolist()
+        if self.lo == 0.0:
+            return {"variant": "ball", "dim": self.dim,
+                    "outer": {"center": c, "radius": self.hi}}
+        if self.hi == math.pi:
+            return {"variant": "complement", "dim": self.dim,
+                    "outer": {"center": c, "radius": self.lo}}
+        return {"variant": "difference", "dim": self.dim,
+                "outer": {"center": c, "radius": self.hi},
+                "inner": {"center": c, "radius": self.lo}}
+
+
+class BallUnion:
+    """Pairwise disjoint closed geodesic balls of one sphere, as one x source.
+
+    x falls in each ball in proportion to its measure and is then uniform
+    in it; contains compares one dot product per ball with cos r.
+    """
+
+    def __init__(self, balls):
+        self.balls = list(balls)
+        self.parts = [Region(b.center.dim, b.center, 0.0, b.radius)
+                      for b in self.balls]
+        self.centers = np.array([b.center.coords for b in self.balls])
+        self.cos_r = np.cos([b.radius for b in self.balls])
+        sizes = np.array([p.measure() for p in self.parts])
+        self._total = float(np.sum(sizes))
+        self._shares = sizes / self._total
+
+    def measure(self) -> float:
+        return self._total
+
+    def sample(self, n: int, rng):
+        counts = rng.multinomial(n, self._shares)
+        return np.concatenate([p.sample(k, rng)
+                               for p, k in zip(self.parts, counts) if k])
+
+    def contains(self, pts):
+        return np.any(self.centers @ pts.T >= self.cos_r[:, None], axis=0)
+
+    def moved(self, mat):
+        return BallUnion([GeodesicBall(sphere_point(mat.T @ b.center.coords), b.radius)
+                          for b in self.balls])
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ values, so constructions can be persisted and rebuilt bit-identically.
 Each constructor also sets the exact degree it bookkeeps from the pieces,
 for maps S^3 -> S^2 a rule that seeds the fiber over a target, and, for
 maps equal to a basepoint off a known set, a rule bounding the distance to
-that set from below (the support gap).
+that set from below (the support gap) and the pieces of that set as x
+sources of the energy estimators (balls, Hopf tubes, unions of balls).
 Evaluation is vectorized over (N, dim+1) coordinate arrays.
 """
 
@@ -28,7 +29,9 @@ from .errors import (
     SupportError,
 )
 from .geometry import (
+    BallUnion,
     GeodesicBall,
+    Region,
     Rotation,
     SpherePoint,
     ball_grid,
@@ -65,9 +68,16 @@ class SphereMap:
     basepoint: positive only where the map equals basepoint exactly. A map
     declaring supports and a basepoint gets min_i d(x, c_i) - r_i over its
     balls unless its constructor passes a rule; combinators derive theirs
-    from their children's. Hand-built maps leave degree, fiber_seeds and
-    (without supports and basepoint) support_gap None, and None propagates
-    through the combinators.
+    from their children's. sources, when not None, lists pairwise disjoint
+    x sources (objects with sample, measure, contains and moved, such as
+    geometry.Region) whose union W holds every point where the map differs
+    from basepoint; both energy estimators integrate x over W only. A map
+    declaring supports and a basepoint gets one ball Region per support
+    unless its constructor passes a list: v o h passes one HopfTubes, a
+    patched map its background's sources plus one BallUnion of its balls,
+    u o M its child's sources moved by M. Hand-built maps leave degree,
+    fiber_seeds and (without supports and basepoint) support_gap and
+    sources None, and None propagates through the combinators.
     """
 
     def __init__(
@@ -83,6 +93,7 @@ class SphereMap:
         degree=None,
         fiber_seeds=None,
         support_gap=None,
+        sources=None,
     ):
         self.domain_dim = int(domain_dim)
         self.codomain_dim = int(codomain_dim)
@@ -94,9 +105,14 @@ class SphereMap:
         self.basepoint = None if basepoint is None else np.asarray(basepoint, float)
         self.degree = degree
         self.fiber_seeds = fiber_seeds
-        if support_gap is None and supports is not None and self.basepoint is not None:
-            support_gap = _ball_gap(supports)
+        if supports is not None and self.basepoint is not None:
+            if support_gap is None:
+                support_gap = _ball_gap(supports)
+            if sources is None:
+                sources = [Region(b.center.dim, b.center, 0.0, b.radius)
+                           for b in supports]
         self.support_gap = support_gap
+        self.sources = sources
 
     def eval_many(self, points):
         pts = np.asarray(points, dtype=np.float64)
@@ -231,6 +247,101 @@ def hopf_lift_many(z):
     return out
 
 
+def _su2(q):
+    """The real 4x4 form of the SU(2) matrix [[w, -conj z], [z, conj w]]
+    acting on (w, z) = (x1 + i x2, x3 + i x4); its first column is q."""
+    a, b, c, d = q
+    return np.array([[a, -b, -c, -d],
+                     [b, a, d, -c],
+                     [c, -d, a, b],
+                     [d, c, -b, a]])
+
+
+class HopfTubes:
+    """The Hopf tubes h^-1(B_i) over pairwise disjoint closed balls B_i of
+    S^2, as one x source: the set where v o h can differ from v's basepoint.
+
+    h pushes the round measure of S^3 forward to |S^3|/|S^2| = pi/2 times
+    that of S^2, so the tube over a ball of radius r has measure
+    pi^2 (1 - cos r). Over the pole (1, 0, 0), where h_1 = 2|w|^2 - 1, the
+    tube is |w|^2 >= (1 + cos r)/2: a uniform point of it has
+    |z|^2 = 1 - |w|^2 uniform on [0, sin^2(r/2)] and both phases uniform.
+    sample draws them from a standard normal g of C^2 = R^4, whose two
+    phases are uniform and independent of q = |g_z|^2/|g|^2, itself
+    uniform on [0, 1]; |z|^2 = q sin^2(r/2). The SU(2) matrix U_i whose
+    first column lifts c_i (hopf_lift_many) carries the tube over the pole
+    onto the one over c_i, since h(U x) = R h(x) for a rotation R with
+    R(pole) = c_i; U_i is built once, here. contains tests
+    h(x).c_i >= cos r_i, with one h(x) for all tubes. frame F, an
+    orthogonal matrix of R^4, gives the tubes carried by x -> F^T x (see
+    moved).
+    """
+
+    def __init__(self, balls, frame=None):
+        self.balls = list(balls)
+        self.frame = frame
+        self.centers = np.array([b.center.coords for b in self.balls])
+        self.radii = np.array([b.radius for b in self.balls])
+        self.cos_r = np.cos(self.radii)
+        self._z2 = np.sin(0.5 * self.radii) ** 2
+        sizes = 2.0 * np.pi ** 2 * self._z2
+        self._total = float(np.sum(sizes))
+        self._shares = sizes / self._total
+        self.lifts = np.array([_su2(q) for q in hopf_lift_many(self.centers)])
+        # x -> F^T U_i x on row vectors
+        self._rows = [U.T if frame is None else U.T @ frame for U in self.lifts]
+
+    def measure(self) -> float:
+        return self._total
+
+    def sample(self, n: int, rng):
+        counts = rng.multinomial(n, self._shares)
+        g = rng.standard_normal((n, 2, 2))
+        sq = np.einsum("nij,nij->ni", g, g)
+        z2 = sq[:, 1] / (sq[:, 0] + sq[:, 1]) * np.repeat(self._z2, counts)
+        sq[:, 0] = (1.0 - z2) / sq[:, 0]
+        sq[:, 1] = z2 / sq[:, 1]
+        g *= np.sqrt(sq)[:, :, None]
+        return self._carry(g.reshape(n, 4), counts)
+
+    def contains(self, pts):
+        if self.frame is not None:
+            pts = pts @ self.frame.T
+        dots = self.centers @ hopf_eval_many(pts).T  # one row per tube
+        return np.any(dots >= self.cos_r[:, None], axis=0)
+
+    def moved(self, mat):
+        return HopfTubes(self.balls, mat if self.frame is None else self.frame @ mat)
+
+    def nodes(self, n_r: int, n_a: int):
+        """A product rule on the tubes: per tube, n_r Gauss-Legendre radii
+        rho on [0, r] of weight sin rho times n_a equal angles psi about c_i
+        on S^2, each lifted to one point of its fiber. Returns the (N, 4)
+        nodes and their (N,) weights, which sum to the measure."""
+        g, gw = np.polynomial.legendre.leggauss(n_r)
+        k = len(self.balls)
+        rho = 0.5 * self.radii[:, None] * (g + 1.0)  # (k, n_r)
+        weights = 0.5 * self.radii[:, None] * gw * np.sin(rho)
+        half = np.repeat(0.5 * rho.ravel(), n_a)
+        psi = np.tile(2.0 * np.pi * (np.arange(n_a) + 0.5) / n_a, k * n_r)
+        # w = cos(rho/2), z = sin(rho/2) e^(i psi): h = (cos rho, sin rho e^(-i psi))
+        x0 = np.column_stack([np.cos(half), np.zeros(half.shape[0]),
+                              np.sin(half) * np.cos(psi), np.sin(half) * np.sin(psi)])
+        # pi/2 carries the S^2 polar weights up to S^3
+        return (self._carry(x0, [n_r * n_a] * k),
+                (0.5 * np.pi * 2.0 * np.pi / n_a) * np.repeat(weights.ravel(), n_a))
+
+    def _carry(self, x0, counts):
+        """Points of the tube over the pole, the first counts[0] carried
+        onto tube 0, the next counts[1] onto tube 1, and so on."""
+        out = np.empty_like(x0)
+        start = 0
+        for rows, k in zip(self._rows, counts):
+            np.matmul(x0[start:start + k], rows, out=out[start:start + k])
+            start += k
+        return out
+
+
 def equator_collapse(m: int) -> SphereMap:
     """The collapse g(x) = (-2 x1 x_{m+1}, ..., -2 x_m x_{m+1}, 1 - 2 x_{m+1}^2).
 
@@ -270,19 +381,13 @@ def bump_deg1(x0, r: float, b) -> SphereMap:
     (-4 r z q_<m / D, 1 - 2 z^2). 1 + q_m is taken as |q_<m|^2 / (1 - q_m),
     which keeps its relative precision near x0.
     """
-    if not (0.0 < r < 1.0):
-        raise ParameterError(f"bump stereographic radius must lie in (0,1), got {r}")
     c0 = _unit(x0)
     bc = _unit(b)
     m = c0.shape[0] - 1
     if bc.shape[0] != c0.shape[0]:
         raise DimensionMismatchError("bump basepoint must lie on the codomain sphere S^m")
+    kernel = _bump_kernel(c0, r, bc)
     rho = support_radius(r)
-    south = np.zeros(m + 1)
-    south[-1] = -1.0
-    north = -south
-    rot_dom = rotation_taking(sphere_point(c0), sphere_point(south)).matrix
-    rot_cod = rotation_taking(sphere_point(north), sphere_point(bc)).matrix
 
     def ev(pts):
         out = np.broadcast_to(bc, pts.shape).copy()
@@ -291,15 +396,7 @@ def bump_deg1(x0, r: float, b) -> SphereMap:
             return out
         if np.all(inside):
             inside = slice(None)  # a basic index: no copies
-        q = rot_dom @ pts[inside].T  # one row per coordinate
-        head, below = q[:-1], 1.0 - q[-1]
-        up = np.einsum("ik,ik->k", head, head) / below
-        down = below * (r * r)
-        denom = up + down
-        z = (up - down) / denom
-        head *= (-4.0 * r) * z / denom
-        q[-1] = 1.0 - 2.0 * z * z
-        out[inside] = (rot_cod @ q).T
+        out[inside] = kernel(pts[inside])
         return out
 
     desc = _desc("bump_deg1", {
@@ -312,6 +409,31 @@ def bump_deg1(x0, r: float, b) -> SphereMap:
     ball = GeodesicBall(sphere_point(c0), rho)
     return SphereMap(m, m, ev, desc, lipschitz_hint=2.0 / r,
                      supports=[ball], basepoint=bc, degree=1)
+
+
+def _bump_kernel(c0, r, bc):
+    """bump_deg1's closed form, for points known to lie in its ball."""
+    if not (0.0 < r < 1.0):
+        raise ParameterError(f"bump stereographic radius must lie in (0,1), got {r}")
+    m = c0.shape[0] - 1
+    south = np.zeros(m + 1)
+    south[-1] = -1.0
+    north = -south
+    rot_dom = rotation_taking(sphere_point(c0), sphere_point(south)).matrix
+    rot_cod = rotation_taking(sphere_point(north), sphere_point(bc)).matrix
+
+    def kernel(pts):
+        q = rot_dom @ pts.T  # one row per coordinate
+        head, below = q[:-1], 1.0 - q[-1]
+        up = np.einsum("ik,ik->k", head, head) / below
+        down = below * (r * r)
+        denom = up + down
+        z = (up - down) / denom
+        head *= (-4.0 * r) * z / denom
+        q[-1] = 1.0 - 2.0 * z * z
+        return (rot_cod @ q).T
+
+    return kernel
 
 
 def multi_bubble(k: int, b=None, safety: float = 0.9) -> SphereMap:
@@ -331,8 +453,8 @@ def multi_bubble(k: int, b=None, safety: float = 0.9) -> SphereMap:
 
 def _bubble_assembly(balls, bc, k, safety):
     r_bump = math.tan(balls[0].radius / 2.0)
-    bumps = [bump_deg1(ball.center, r_bump, bc) for ball in balls]
     centers = np.array([ball.center.coords for ball in balls])
+    kernels = [_bump_kernel(c, r_bump, bc) for c in centers]
     radius = balls[0].radius
     # d(x, c) = arccos(x.c) < radius needs x.c > cos(radius) - 1e-12: cos
     # and arccos round by a few ulp, i.e. moves of x.c below 1e-15
@@ -340,13 +462,13 @@ def _bubble_assembly(balls, bc, k, safety):
 
     def ev(pts):
         out = np.broadcast_to(bc, pts.shape).copy()
-        for c, bump in zip(centers, bumps):
+        for c, kernel in zip(centers, kernels):
             dot = pts @ c
             near = np.flatnonzero(dot > cos_near)
             # the exact test of geodesic_distances, on the few points near c
             near = near[np.arccos(np.clip(dot[near], -1.0, 1.0)) < radius]
             if near.size:
-                out[near] = bump.eval_many(pts[near])
+                out[near] = kernel(pts[near])
         return out
 
     desc = _desc("multi_bubble", {
@@ -367,7 +489,11 @@ def _bubble_assembly(balls, bc, k, safety):
 # ---------------------------------------------------------------------------
 
 def composed_with_hopf(v: SphereMap) -> SphereMap:
-    """v o h for v: S^2 -> S^2; the Hopf degree bookkeeps to (deg v)^2."""
+    """v o h for v: S^2 -> S^2; the Hopf degree bookkeeps to (deg v)^2.
+
+    When v declares support balls and a basepoint, v o h equals the
+    basepoint off the Hopf tubes over those balls, its one x source.
+    """
     if v.domain_dim != 2 or v.codomain_dim != 2:
         raise DimensionMismatchError("composed_with_hopf needs v: S^2 -> S^2")
 
@@ -388,10 +514,14 @@ def composed_with_hopf(v: SphereMap) -> SphereMap:
 
     hint = None if v.lipschitz_hint is None else 2.0 * v.lipschitz_hint
     degree = None if v.degree is None else v.degree ** 2
+    sources = None
+    if v.supports is not None and v.basepoint is not None:
+        sources = [HopfTubes(v.supports)] if v.supports else []
     desc = _desc("compose_hopf", {}, children=[v.descriptor])
     return SphereMap(3, 2, ev, desc, lipschitz_hint=hint, basepoint=v.basepoint,
                      degree=degree, fiber_seeds=seeds,
-                     support_gap=None if v.support_gap is None else gap)
+                     support_gap=None if v.support_gap is None else gap,
+                     sources=sources)
 
 
 def hopf_bump(x0, r: float, b=None) -> SphereMap:
@@ -406,15 +536,14 @@ def hopf_bump(x0, r: float, b=None) -> SphereMap:
     c0 = _unit(x0)
     if c0.shape[0] != 4:
         raise DimensionMismatchError("hopf_bump center must lie on S^3")
-    b_pre = hopf_fiber_point(bc, 0.0)
-    inner = bump_deg1(c0, r, b_pre)
-    radius = inner.supports[0].radius
+    kernel = _bump_kernel(c0, r, hopf_fiber_point(bc, 0.0).coords)
+    radius = support_radius(r)
 
     def ev(pts):
         out = np.broadcast_to(bc, (pts.shape[0], 3)).copy()
         inside = geodesic_distances(pts, c0) < radius
         if np.any(inside):
-            out[inside] = hopf_eval_many(inner.eval_many(pts[inside]))
+            out[inside] = hopf_eval_many(kernel(pts[inside]))
         return out
 
     desc = _desc("hopf_bump", {
@@ -423,8 +552,9 @@ def hopf_bump(x0, r: float, b=None) -> SphereMap:
         "support_radius": radius,
         "basepoint": bc.tolist(),
     })
-    return SphereMap(3, 2, ev, desc, lipschitz_hint=2.0 * inner.lipschitz_hint,
-                     supports=list(inner.supports), basepoint=bc, degree=1,
+    return SphereMap(3, 2, ev, desc, lipschitz_hint=4.0 / r,
+                     supports=[GeodesicBall(sphere_point(c0), radius)],
+                     basepoint=bc, degree=1,
                      fiber_seeds=lambda target: ball_grid(c0, radius, _BALL_SEEDS))
 
 
@@ -447,8 +577,10 @@ def _patched(background: SphereMap, pieces, bc) -> SphereMap:
     result is continuous and Hopf degrees add. The fiber seeds are the
     background's plus each piece's own, or a grid over its ball for a
     piece without a rule; the support gap is the smaller of the
-    background's and the support balls'. A background without a seed or
-    gap rule leaves the result without that rule.
+    background's and the support balls'; the x sources are the
+    background's plus one BallUnion of the support balls. A background
+    without a seed rule, gap rule or sources leaves the result without
+    them.
     """
     dom = background.domain_dim
     cod = background.codomain_dim
@@ -507,10 +639,14 @@ def _patched(background: SphereMap, pieces, bc) -> SphereMap:
     def gap(pts):
         return np.minimum(background.support_gap(pts), ball_gap(pts))
 
+    sources = None
+    if background.sources is not None:
+        sources = list(background.sources) + ([BallUnion(balls)] if balls else [])
     return SphereMap(dom, cod, ev, desc, lipschitz_hint=hint,
                      supports=supports, basepoint=bc, degree=degree,
                      fiber_seeds=None if background.fiber_seeds is None else seeds,
-                     support_gap=None if background.support_gap is None else gap)
+                     support_gap=None if background.support_gap is None else gap,
+                     sources=sources)
 
 
 def _check_constant_off_ball(u, ball, bc, rng, idx, n=256):
@@ -557,8 +693,9 @@ def precompose_flip(u: SphereMap) -> SphereMap:
 def _precompose(u: SphereMap, mat, variant, params) -> SphereMap:
     """u o M for an orthogonal matrix M of the domain.
 
-    Supports and fiber seeds move by M^-1 = M^T, and the support gap is
-    read at M x; an orientation-reversing M negates the bookkept degree.
+    Supports, x sources and fiber seeds move by M^-1 = M^T, and the
+    support gap is read at M x; an orientation-reversing M negates the
+    bookkept degree.
     """
 
     def ev(pts):
@@ -582,7 +719,9 @@ def _precompose(u: SphereMap, mat, variant, params) -> SphereMap:
                      lipschitz_hint=u.lipschitz_hint, supports=supports,
                      basepoint=u.basepoint, degree=degree,
                      fiber_seeds=None if u.fiber_seeds is None else seeds,
-                     support_gap=None if u.support_gap is None else gap)
+                     support_gap=None if u.support_gap is None else gap,
+                     sources=None if u.sources is None
+                     else [src.moved(mat) for src in u.sources])
 
 
 # ---------------------------------------------------------------------------

@@ -182,20 +182,42 @@ def test_energy_mc_se_scales_as_sqrt_n():
 
 
 def test_split_and_plain_estimators_agree():
-    # the split path engages automatically for declared supports
-    u = maps.hopf_bump(CENTER_S3, 0.6)
-    plain = maps.SphereMap(u.domain_dim, u.codomain_dim, u.eval_many,
-                           u.descriptor, lipschitz_hint=u.lipschitz_hint)
-    a = energy.energy_mc(u, PARAMS_S3, WHOLE_S3, 200_000, 3)
-    b = energy.energy_mc(plain, PARAMS_S3, WHOLE_S3, 200_000, 4)
-    z = abs(a.value - b.value) / np.hypot(a.std_error, b.std_error)
-    assert z < 4.0
-    # the split estimator is the tighter one
-    assert a.std_error < b.std_error
+    # the split path engages automatically for maps with x sources: a ball,
+    # the Hopf tubes of v o h, and tubes plus a ball for a patched map
+    for u in (maps.hopf_bump(CENTER_S3, 0.6), maps.prescribed_hopf_map(4),
+              maps.prescribed_hopf_map(5)):
+        plain = maps.SphereMap(u.domain_dim, u.codomain_dim, u.eval_many,
+                               u.descriptor, lipschitz_hint=u.lipschitz_hint)
+        assert plain.sources is None
+        a = energy.energy_mc(u, PARAMS_S3, WHOLE_S3, 200_000, 3)
+        b = energy.energy_mc(plain, PARAMS_S3, WHOLE_S3, 200_000, 4)
+        assert {r.get("source") for r in a.strata_profile} == set(range(len(u.sources)))
+        z = abs(a.value - b.value) / np.hypot(a.std_error, b.std_error)
+        assert z < 4.0
+        # the split estimator is the tighter one
+        assert a.std_error < b.std_error
+
+
+@pytest.mark.parametrize("s", [0.5, 0.8])
+def test_energy_mc_agrees_with_the_tube_rule(s):
+    # pooled over 8 seeds, the tube strata of v o h against the quadrature
+    # that integrates over the same tubes; at s = 0.8 the unsampled inner
+    # ball (tail_bound) stays far below one SE
+    params = energy.EnergyParams(s, 3.0 / s, 3, critical=True)
+    for d in (4, 25):
+        u = maps.prescribed_hopf_map(d)
+        q = energy.energy_quadrature(u, params, 1_000)
+        ests = [energy.energy_mc(u, params, WHOLE_S3, 100_000, 200 + k)
+                for k in range(8)]
+        mean = np.mean([e.value for e in ests])
+        se = np.sqrt(sum(e.std_error ** 2 for e in ests)) / len(ests)
+        assert abs(mean - q) <= 3.0 * se, (d, mean, q, se)
+        assert all(e.tail_bound < 0.1 * e.std_error for e in ests)
 
 
 def test_energy_mc_allocation_spends_n_and_reproduces():
-    for u in (maps.hopf_map(), maps.hopf_bump(CENTER_S3, 0.6)):
+    for u in (maps.hopf_map(), maps.hopf_bump(CENTER_S3, 0.6),
+              maps.prescribed_hopf_map(5)):
         a = energy.energy_mc(u, PARAMS_S3, WHOLE_S3, 20_000, 8)
         rows = a.strata_profile
         assert sum(r["n"] + r["pilot"] for r in rows) == 20_000
@@ -305,18 +327,28 @@ def test_quadrature_hopf_one_node_matches_the_general_path():
     assert abs(general - exact) <= 2e-3 * exact
 
 
-def test_quadrature_compose_hopf_converges_in_the_s2_nodes():
+def test_quadrature_tube_rule_converges():
+    # v o h integrates x over its Hopf tubes only, 5 radii x 8 angles per
+    # tube at resolution 1000, with weights that sum to the tubes' measure
     u = maps.composed_with_hopf(maps.multi_bubble(2))
-    assert energy._quad_outer_nodes(u, 3, 1_000)[0].shape == (173, 4)
-    X, w = energy._quad_outer_nodes(u, 3, 20_000)
-    k = X.shape[0]
-    assert k == 1268 and w == geo.sphere_area(3) / k
-    assert np.allclose(maps.hopf_eval_many(X), geo.sphere_lattice(2, k),
-                       rtol=0, atol=1e-12)
-    q = energy.energy_quadrature(u, PARAMS_S3, 20_000)
-    X4 = maps.hopf_lift_many(geo.sphere_lattice(2, 4 * k))
-    q4 = energy._quad_rule(u, PARAMS_S3, X4, geo.sphere_area(3) / (4 * k), 141)
-    assert abs(q - q4) <= 2e-3 * q4
+    X, w = energy._quad_outer_nodes(u, 3, 1_000)
+    assert X.shape == (80, 4) and np.all(u.sources[0].contains(X))
+    assert abs(np.sum(w) - u.sources[0].measure()) <= 1e-12 * np.sum(w)
+    assert energy._quad_outer_nodes(u, 3, 8_000)[0].shape == (320, 4)
+    # the flipped map keeps the rule, on the moved tubes
+    flipped = maps.precompose_flip(u)
+    Xf, _ = energy._quad_outer_nodes(flipped, 3, 1_000)
+    assert np.all(flipped.sources[0].contains(Xf))
+    # within 0.3% of 12 x 24 nodes per tube, with the same inner rule
+    for d in (4, 25):
+        u = maps.prescribed_hopf_map(d)
+        tubes = u.sources[0]
+        for s in (0.5, 0.8):
+            params = energy.EnergyParams(s, 3.0 / s, 3, critical=True)
+            q = energy.energy_quadrature(u, params, 1_000)
+            ref = energy._quad_rule(u, params, *tubes.nodes(12, 24), 48,
+                                    energy._pair_weight(u.sources))
+            assert abs(q - ref) <= 3e-3 * ref, (d, s, q, ref)
 
 
 def test_quadrature_does_not_depend_on_the_block_size(monkeypatch):

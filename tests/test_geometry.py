@@ -168,6 +168,14 @@ def test_sample_shell_radii_m3_match_a_longdouble_inverse():
         assert err <= 1e-15, f"shell {j}: relative error {err:.1e}"
 
 
+def test_f3_start_is_within_1e9_of_the_inverse():
+    # the polynomial start of _f3_inverse, before its one Newton step
+    t = np.linspace(0.0, 0.5 * np.pi, 100_001)[1:]
+    s = np.cbrt(1.5 * geo._f3(t))
+    start = s * np.polynomial.polynomial.polyval(s * s, geo._F3_START)
+    assert np.max(np.abs(start - t) / t) < 1e-9
+
+
 def test_sample_uniform_many_is_centered():
     pts = geo.sample_uniform_many(3, 40_000, np.random.default_rng(6))
     assert np.allclose(np.linalg.norm(pts, axis=1), 1.0, rtol=0, atol=1e-12)

@@ -256,6 +256,73 @@ def test_composed_with_hopf_rejects_wrong_dims():
         maps.composed_with_hopf(maps.identity_map(3))
 
 
+# ---------------------------------------------------------------------------
+# x sources
+# ---------------------------------------------------------------------------
+
+def test_hopf_tubes_are_uniform_over_their_balls():
+    v = maps.multi_bubble(3)
+    tubes = maps.composed_with_hopf(v).sources[0]
+    r = v.supports[0].radius
+    # h pushes |S^3| / |S^2| = pi/2 times the round measure forward
+    assert tubes.measure() == pytest.approx(
+        3 * 0.5 * np.pi * geo.cap_area(2, r), rel=1e-14, abs=0)
+    rng = np.random.default_rng(50)
+    every = geo.sample_uniform_many(3, 200_000, rng)
+    want = tubes.measure() / geo.sphere_area(3)
+    sd = math.sqrt(want * (1.0 - want) / every.shape[0])
+    assert abs(np.mean(tubes.contains(every)) - want) < 4.0 * sd
+    x = tubes.sample(30_000, rng)
+    assert np.allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-14)
+    assert np.all(tubes.contains(x))
+    # cos d(h(x), c_i) is uniform on [cos r, 1] over each tube, and the
+    # tubes (of equal measure) share the samples evenly
+    cos_d = maps.hopf_eval_many(x) @ tubes.centers.T
+    tube = np.argmax(cos_d, axis=1)
+    for i in range(3):
+        u = np.sort((cos_d[tube == i, i] - math.cos(r)) / (1.0 - math.cos(r)))
+        m = u.shape[0]
+        assert abs(m - 10_000) < 4.0 * math.sqrt(30_000 * 2.0 / 9.0)
+        ks = max(np.max(np.arange(1, m + 1) / m - u), np.max(u - np.arange(m) / m))
+        assert ks < 1.63 / math.sqrt(m)  # Kolmogorov-Smirnov at the 1% level
+    # h(U x) = R h(x) for a rotation R taking the pole to c_i
+    y = geo.sample_uniform_many(3, 50, rng)
+    hy = maps.hopf_eval_many(y)
+    for U, c in zip(tubes.lifts, tubes.centers):
+        hUy = maps.hopf_eval_many(y @ U.T)
+        R = np.linalg.lstsq(hy, hUy, rcond=None)[0].T
+        assert np.allclose(R @ R.T, np.eye(3), rtol=0, atol=1e-12)
+        assert np.linalg.det(R) == pytest.approx(1.0, abs=1e-12)
+        assert np.allclose(R[:, 0], c, rtol=0, atol=1e-12)
+        assert np.allclose(hUy, hy @ R.T, rtol=0, atol=1e-12)
+
+
+def test_sources_cover_where_the_map_leaves_its_basepoint():
+    assert maps.hopf_map().sources is None
+    assert maps.constant_map(3, [1.0, 0.0, 0.0]).sources == []
+    v = maps.multi_bubble(2)
+    # supports with a basepoint default to one ball region each
+    assert [(s.center, s.lo, s.hi) for s in v.sources] == [
+        (b.center, 0.0, b.radius) for b in v.supports]
+    u = maps.prescribed_hopf_map(5)
+    tubes, balls = u.sources
+    assert isinstance(tubes, maps.HopfTubes) and isinstance(balls, geo.BallUnion)
+    flip = np.diag([-1.0, 1.0, 1.0, 1.0])
+    flipped = maps.precompose_flip(u)
+    rng = np.random.default_rng(51)
+    pts = geo.sample_uniform_many(3, 100_000, rng)
+    for w in (u, flipped):
+        off = ~np.any([src.contains(pts) for src in w.sources], axis=0)
+        assert 0 < off.sum() < pts.shape[0]
+        assert np.all(w.eval_many(pts[off]) == w.basepoint)
+    for src, moved in zip(u.sources, flipped.sources):
+        assert moved.measure() == src.measure()
+        x = moved.sample(5_000, rng)
+        assert np.all(moved.contains(x)) and np.all(src.contains(x @ flip.T))
+    # the patched balls lie off the tubes: the sources are disjoint
+    assert not np.any(tubes.contains(balls.sample(5_000, rng)))
+
+
 def test_hopf_bump_constant_outside():
     x0 = geo.sphere_point([0.0, 0.0, 0.0, 1.0])
     u = maps.hopf_bump(x0, 0.4)
