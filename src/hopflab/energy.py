@@ -24,7 +24,7 @@ sphere E(u) = integral over x in W, y anywhere, of K (2 - 1_W(y)).
   for maps whose sources are all tubes (v o h); other maps run a
   near-uniform lattice. Its bands stop once the certified remainder is
   negligible, and skip the outer nodes whose pairs are exact zeros off
-  the map's support (its support gap, SphereMap.support_gap).
+  W (the sources' gap, SphereMap.support_gap).
 
 Determinism: estimates are bit-identical given (map, params, region, n,
 seed); every stratum draws from its own counter-based substream and the
@@ -386,16 +386,12 @@ def energy_quadrature(u: SphereMap, params: EnergyParams, resolution: int) -> fl
     angular points x 4 x QUAD_MIN_BAND_EXP, whichever outer rule runs.
 
     Pairs that are exactly zero are skipped, which leaves the rule as it
-    is. The map's support gap (SphereMap.support_gap) bounds from below the
-    distance from x to the set where u differs from its basepoint. An outer
-    node with gap(x) >= hi, and every inner point of the band below hi, lie
-    off that set, so the band evaluates only nodes with gap < hi. The rule
-    is min_i (d(x, c_i) - r_i) for maps with support balls B(c_i, r_i) and
-    a basepoint (bumps, multi-bubbles, Hopf bumps); half of v's gap at h(x)
-    for v o h, since d_S2(h(x), h(y)) <= 2 d_S3(x, y); the smaller of the
-    background's and the balls' for patched maps, which prunes the patched
-    headline rows; and the gap at M x for u o M. The Hopf map, the identity
-    and maps without a rule run every node.
+    is. The map's support gap (SphereMap.support_gap, the least of its
+    sources' gaps) bounds from below the distance from x to W, where u
+    differs from its basepoint. An outer node with gap(x) >= hi, and every
+    inner point of the band below hi, lie off W, so the band evaluates only
+    nodes with gap < hi. Maps without sources (the Hopf map, the identity)
+    run every node.
     """
     if u.domain_dim != params.n:
         raise ParameterError("map domain does not match params.n")
@@ -426,8 +422,7 @@ def _quad_rule(u: SphereMap, params: EnergyParams, X, outer_w, n_ang: int,
     step = max(1, QUAD_BLOCK // (_QUAD_GAUSS * n_ang))
     # in the band below hi a node with gap >= hi adds only exact zeros
     # (see energy_quadrature)
-    gap = (np.full(X.shape[0], -np.inf) if u.support_gap is None
-           else u.support_gap(X))
+    gap = u.support_gap(X)
     total = 0.0
     for band in range(QUAD_MIN_BAND_EXP):
         hi = np.pi * 2.0 ** (-band)

@@ -146,6 +146,17 @@ def geodesic_distances(points, x):
     return np.arccos(np.clip(pts @ cx, -1.0, 1.0))
 
 
+def ball_gap(points, balls):
+    """min_i d(x, c_i) - r_i over geodesic balls B(c_i, r_i) (+inf for
+    none) at each row x of points: a lower bound on the geodesic distance
+    from x to their union, <= 0 exactly on the closed balls."""
+    out = np.full(points.shape[0], np.inf)
+    for ball in balls:
+        out = np.minimum(out, geodesic_distances(points, ball.center.coords)
+                         - ball.radius)
+    return out
+
+
 def sample_uniform_many(m: int, n: int, rng):
     """(n, m+1) array of independent uniform draws on S^m."""
     v = rng.standard_normal((n, m + 1))
@@ -362,8 +373,9 @@ class Region:
     A ball B(c, r) is [0, r], its complement [r, pi], and a concentric
     difference B(c, r) minus B(c, r') is [r', r]. Regions are x sources
     of the energy estimators: sample draws uniform points, measure is
-    their total measure, contains tests membership, and moved(M) is the
-    region carried by x -> M^T x.
+    their total measure, contains tests membership, gap bounds each
+    point's geodesic distance to the region from below (<= 0 inside), and
+    moved(M) is the region carried by x -> M^T x.
     """
 
     dim: int
@@ -401,6 +413,12 @@ class Region:
         d = geodesic_distances(pts, self.center.coords)
         return (d >= self.lo) & (d <= self.hi)
 
+    def gap(self, pts):
+        if self.center is None:
+            return np.zeros(pts.shape[0])
+        d = geodesic_distances(pts, self.center.coords)
+        return np.maximum(self.lo - d, d - self.hi)
+
     def moved(self, mat):
         if self.center is None:
             return self
@@ -428,7 +446,8 @@ class BallUnion:
     """Pairwise disjoint closed geodesic balls of one sphere, as one x source.
 
     x falls in each ball in proportion to its measure and is then uniform
-    in it; contains compares one dot product per ball with cos r.
+    in it; contains compares one dot product per ball with cos r, and gap
+    is min_i d(x, c_i) - r_i.
     """
 
     def __init__(self, balls):
@@ -451,6 +470,9 @@ class BallUnion:
 
     def contains(self, pts):
         return np.any(self.centers @ pts.T >= self.cos_r[:, None], axis=0)
+
+    def gap(self, pts):
+        return ball_gap(pts, self.balls)
 
     def moved(self, mat):
         return BallUnion([GeodesicBall(sphere_point(mat.T @ b.center.coords), b.radius)

@@ -9,10 +9,10 @@ Every map carries a serializable descriptor that fully determines its
 values, so constructions can be persisted and rebuilt bit-identically.
 Each constructor also sets the exact degree it bookkeeps from the pieces,
 for maps S^3 -> S^2 a rule that seeds the fiber over a target, and, for
-maps equal to a basepoint off a known set, a rule bounding the distance to
-that set from below (the support gap) and the pieces of that set as x
+maps equal to a basepoint off a known set, the pieces of that set as x
 sources of the energy estimators (balls, Hopf tubes, unions of balls).
-Evaluation is vectorized over (N, dim+1) coordinate arrays.
+Evaluation is vectorized over (N, dim+1) coordinate arrays; maps equal to
+a fill off disjoint balls share one masked evaluator (_BallMasked).
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from .geometry import (
     Region,
     Rotation,
     SpherePoint,
+    ball_gap,
     ball_grid,
     fibonacci_lattice_s2,
     geodesic_distance,
@@ -63,21 +64,16 @@ class SphereMap:
     the Hopf invariant of S^3 -> S^2 maps. fiber_seeds, when not None,
     maps a target z on S^2 to domain points near every component of the
     fiber over z; fiber tracing corrects and deduplicates them.
-    support_gap, when not None, maps an (N, domain_dim+1) array to a lower
-    bound on each point's geodesic distance to where the map differs from
-    basepoint: positive only where the map equals basepoint exactly. A map
-    declaring supports and a basepoint gets min_i d(x, c_i) - r_i over its
-    balls unless its constructor passes a rule; combinators derive theirs
-    from their children's. sources, when not None, lists pairwise disjoint
-    x sources (objects with sample, measure, contains and moved, such as
-    geometry.Region) whose union W holds every point where the map differs
-    from basepoint; both energy estimators integrate x over W only. A map
-    declaring supports and a basepoint gets one ball Region per support
-    unless its constructor passes a list: v o h passes one HopfTubes, a
-    patched map its background's sources plus one BallUnion of its balls,
-    u o M its child's sources moved by M. Hand-built maps leave degree,
-    fiber_seeds and (without supports and basepoint) support_gap and
-    sources None, and None propagates through the combinators.
+    sources, when not None, lists pairwise disjoint x sources (objects with
+    sample, measure, contains, gap and moved, such as geometry.Region)
+    whose union W holds every point where the map differs from basepoint;
+    both energy estimators integrate x over W only, and support_gap reads
+    the distance to W from them. A map declaring supports and a basepoint
+    gets one ball Region per support unless its constructor passes a list:
+    v o h passes one HopfTubes, a patched map its background's sources
+    plus one BallUnion of its balls, u o M its child's sources moved by M.
+    Hand-built maps leave degree, fiber_seeds and (without supports and
+    basepoint) sources None, and None propagates through the combinators.
     """
 
     def __init__(
@@ -92,7 +88,6 @@ class SphereMap:
         basepoint=None,
         degree=None,
         fiber_seeds=None,
-        support_gap=None,
         sources=None,
     ):
         self.domain_dim = int(domain_dim)
@@ -105,13 +100,9 @@ class SphereMap:
         self.basepoint = None if basepoint is None else np.asarray(basepoint, float)
         self.degree = degree
         self.fiber_seeds = fiber_seeds
-        if supports is not None and self.basepoint is not None:
-            if support_gap is None:
-                support_gap = _ball_gap(supports)
-            if sources is None:
-                sources = [Region(b.center.dim, b.center, 0.0, b.radius)
-                           for b in supports]
-        self.support_gap = support_gap
+        if sources is None and supports is not None and self.basepoint is not None:
+            sources = [Region(b.center.dim, b.center, 0.0, b.radius)
+                       for b in supports]
         self.sources = sources
 
     def eval_many(self, points):
@@ -130,19 +121,64 @@ class SphereMap:
         out = self.eval_many(x.coords[None, :])[0]
         return sphere_point(out)
 
-
-def _ball_gap(balls):
-    """The support-gap rule min_i d(x, c_i) - r_i of geodesic balls (+inf
-    for none); a point is in a closed ball exactly when its gap is <= 0."""
-
-    def gap(pts):
-        out = np.full(pts.shape[0], np.inf)
-        for ball in balls:
-            out = np.minimum(out, geodesic_distances(pts, ball.center.coords)
-                             - ball.radius)
+    def support_gap(self, points):
+        """A lower bound on each row's geodesic distance to W, the union of
+        the sources, so positive only where the map equals its basepoint
+        exactly: the least of the sources' gaps, +inf with no sources and
+        -inf for a map without sources (None)."""
+        if self.sources is None:
+            return np.full(points.shape[0], -np.inf)
+        out = np.full(points.shape[0], np.inf)
+        for src in self.sources:
+            out = np.minimum(out, src.gap(points))
         return out
 
-    return gap
+
+class _BallMasked:
+    """The evaluator of a map equal to kernels[i] on the open geodesic ball
+    B(centers[i], radii[i]) and to fill everywhere else, for pairwise
+    disjoint balls: fill is the map's basepoint, or a background SphereMap.
+
+    Kernel i is called only with the points at geodesic distance < radii[i]
+    from centers[i] (the test of geodesic_distances), and with pts itself,
+    which copies nothing, when every point is one. Only the points with
+    x.c > cos(r) - 1e-12 are tested, since cos and arccos round by a few
+    ulp, i.e. moves of x.c below 1e-15; when all pass, all are tested in
+    place. A background's eval_many is looked up per call, so that a
+    wrapper installed on the class after the map was built (a profiler's)
+    sees it.
+    """
+
+    __slots__ = ("centers", "radii", "cos_near", "kernels", "fill")
+
+    def __init__(self, centers, radii, kernels, fill):
+        self.centers = np.array(centers, dtype=np.float64)
+        self.radii = [float(r) for r in radii]  # floats compare faster than numpy scalars
+        self.cos_near = [math.cos(r) - 1e-12 for r in self.radii]
+        self.kernels = kernels
+        self.fill = fill
+
+    def __call__(self, pts):
+        if isinstance(self.fill, SphereMap):
+            out = self.fill.eval_many(pts)
+        else:
+            out = np.broadcast_to(self.fill, (pts.shape[0], self.fill.shape[0])).copy()
+        for c, r, cos_near, kernel in zip(self.centers, self.radii, self.cos_near,
+                                          self.kernels):
+            dot = pts @ c
+            near = dot > cos_near
+            if near.all():
+                inside = np.arccos(np.clip(dot, -1.0, 1.0)) < r
+                if inside.all():
+                    out[:] = kernel(pts)
+                    continue
+                near = np.flatnonzero(inside)
+            else:
+                near = np.flatnonzero(near)
+                near = near[np.arccos(np.clip(dot[near], -1.0, 1.0)) < r]
+            if near.size:
+                out[near] = kernel(pts[near])
+        return out
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +188,9 @@ def _ball_gap(balls):
 def constant_map(domain_dim: int, b) -> SphereMap:
     """Map sending all of S^domain_dim to the point b."""
     bc = _unit(b)
-    cod = bc.shape[0] - 1
-
-    def ev(pts):
-        return np.broadcast_to(bc, (pts.shape[0], cod + 1)).copy()
-
     desc = _desc("constant", {"domain_dim": domain_dim, "basepoint": bc.tolist()})
-    return SphereMap(domain_dim, cod, ev, desc, lipschitz_hint=0.0,
-                     supports=[], basepoint=bc, degree=0,
+    return SphereMap(domain_dim, bc.shape[0] - 1, _BallMasked([], [], [], bc), desc,
+                     lipschitz_hint=0.0, supports=[], basepoint=bc, degree=0,
                      fiber_seeds=lambda target: [])
 
 
@@ -271,10 +302,11 @@ class HopfTubes:
     uniform on [0, 1]; |z|^2 = q sin^2(r/2). The SU(2) matrix U_i whose
     first column lifts c_i (hopf_lift_many) carries the tube over the pole
     onto the one over c_i, since h(U x) = R h(x) for a rotation R with
-    R(pole) = c_i; U_i is built once, here. contains tests
-    h(x).c_i >= cos r_i, with one h(x) for all tubes. frame F, an
-    orthogonal matrix of R^4, gives the tubes carried by x -> F^T x (see
-    moved).
+    R(pole) = c_i; U_i is built once, here. contains and gap read the
+    balls B_i at one h(x) for all tubes: h(x) is in B_i when
+    h(x).c_i >= cos r_i, and the gap is half of min_i d(h(x), c_i) - r_i,
+    since d_S2(h(x), h(y)) <= 2 d_S3(x, y). frame F, an orthogonal matrix
+    of R^4, gives the tubes carried by x -> F^T x (see moved).
     """
 
     def __init__(self, balls, frame=None):
@@ -305,10 +337,15 @@ class HopfTubes:
         return self._carry(g.reshape(n, 4), counts)
 
     def contains(self, pts):
-        if self.frame is not None:
-            pts = pts @ self.frame.T
-        dots = self.centers @ hopf_eval_many(pts).T  # one row per tube
+        dots = self.centers @ self._images(pts).T  # one row per tube
         return np.any(dots >= self.cos_r[:, None], axis=0)
+
+    def gap(self, pts):
+        return 0.5 * ball_gap(self._images(pts), self.balls)
+
+    def _images(self, pts):
+        """h(F x) at each row x."""
+        return hopf_eval_many(pts if self.frame is None else pts @ self.frame.T)
 
     def moved(self, mat):
         return HopfTubes(self.balls, mat if self.frame is None else self.frame @ mat)
@@ -386,19 +423,8 @@ def bump_deg1(x0, r: float, b) -> SphereMap:
     m = c0.shape[0] - 1
     if bc.shape[0] != c0.shape[0]:
         raise DimensionMismatchError("bump basepoint must lie on the codomain sphere S^m")
-    kernel = _bump_kernel(c0, r, bc)
     rho = support_radius(r)
-
-    def ev(pts):
-        out = np.broadcast_to(bc, pts.shape).copy()
-        inside = geodesic_distances(pts, c0) < rho
-        if not np.any(inside):
-            return out
-        if np.all(inside):
-            inside = slice(None)  # a basic index: no copies
-        out[inside] = kernel(pts[inside])
-        return out
-
+    ev = _BallMasked([c0], [rho], [_bump_kernel(c0, r, bc)], bc)
     desc = _desc("bump_deg1", {
         "dim": m,
         "center": c0.tolist(),
@@ -453,24 +479,9 @@ def multi_bubble(k: int, b=None, safety: float = 0.9) -> SphereMap:
 
 def _bubble_assembly(balls, bc, k, safety):
     r_bump = math.tan(balls[0].radius / 2.0)
-    centers = np.array([ball.center.coords for ball in balls])
-    kernels = [_bump_kernel(c, r_bump, bc) for c in centers]
-    radius = balls[0].radius
-    # d(x, c) = arccos(x.c) < radius needs x.c > cos(radius) - 1e-12: cos
-    # and arccos round by a few ulp, i.e. moves of x.c below 1e-15
-    cos_near = math.cos(radius) - 1e-12
-
-    def ev(pts):
-        out = np.broadcast_to(bc, pts.shape).copy()
-        for c, kernel in zip(centers, kernels):
-            dot = pts @ c
-            near = np.flatnonzero(dot > cos_near)
-            # the exact test of geodesic_distances, on the few points near c
-            near = near[np.arccos(np.clip(dot[near], -1.0, 1.0)) < radius]
-            if near.size:
-                out[near] = kernel(pts[near])
-        return out
-
+    centers = [ball.center.coords for ball in balls]
+    ev = _BallMasked(centers, [ball.radius for ball in balls],
+                     [_bump_kernel(c, r_bump, bc) for c in centers], bc)
     desc = _desc("multi_bubble", {
         "k": k,
         "safety": safety,
@@ -507,11 +518,6 @@ def composed_with_hopf(v: SphereMap) -> SphereMap:
         return [x for pre in _preimages_on_s2(v, _unit(target))
                 for x in fiber_circle(pre, 1)]
 
-    def gap(pts):
-        # d_S2(h(x), h(y)) <= 2 d_S3(x, y), and the distance from x to a tube
-        # h^-1(B) is half the distance from h(x) to B
-        return 0.5 * v.support_gap(hopf_eval_many(pts))
-
     hint = None if v.lipschitz_hint is None else 2.0 * v.lipschitz_hint
     degree = None if v.degree is None else v.degree ** 2
     sources = None
@@ -519,9 +525,7 @@ def composed_with_hopf(v: SphereMap) -> SphereMap:
         sources = [HopfTubes(v.supports)] if v.supports else []
     desc = _desc("compose_hopf", {}, children=[v.descriptor])
     return SphereMap(3, 2, ev, desc, lipschitz_hint=hint, basepoint=v.basepoint,
-                     degree=degree, fiber_seeds=seeds,
-                     support_gap=None if v.support_gap is None else gap,
-                     sources=sources)
+                     degree=degree, fiber_seeds=seeds, sources=sources)
 
 
 def hopf_bump(x0, r: float, b=None) -> SphereMap:
@@ -538,14 +542,7 @@ def hopf_bump(x0, r: float, b=None) -> SphereMap:
         raise DimensionMismatchError("hopf_bump center must lie on S^3")
     kernel = _bump_kernel(c0, r, hopf_fiber_point(bc, 0.0).coords)
     radius = support_radius(r)
-
-    def ev(pts):
-        out = np.broadcast_to(bc, (pts.shape[0], 3)).copy()
-        inside = geodesic_distances(pts, c0) < radius
-        if np.any(inside):
-            out[inside] = hopf_eval_many(kernel(pts[inside]))
-        return out
-
+    ev = _BallMasked([c0], [radius], [lambda pts: hopf_eval_many(kernel(pts))], bc)
     desc = _desc("hopf_bump", {
         "center": c0.tolist(),
         "stereo_radius": r,
@@ -576,11 +573,9 @@ def _patched(background: SphereMap, pieces, bc) -> SphereMap:
     equal bc outside its own ball (both verified on sampled points), so the
     result is continuous and Hopf degrees add. The fiber seeds are the
     background's plus each piece's own, or a grid over its ball for a
-    piece without a rule; the support gap is the smaller of the
-    background's and the support balls'; the x sources are the
-    background's plus one BallUnion of the support balls. A background
-    without a seed rule, gap rule or sources leaves the result without
-    them.
+    piece without a rule; the x sources are the background's plus one
+    BallUnion of the support balls. A background without a seed rule or
+    sources leaves the result without them.
     """
     dom = background.domain_dim
     cod = background.codomain_dim
@@ -602,8 +597,6 @@ def _patched(background: SphereMap, pieces, bc) -> SphereMap:
         _check_constant_off_ball(u, ball, bc, rng, idx)
         _check_constant_on_ball(background, ball, bc, rng, idx)
 
-    centers = np.array([ball.center.coords for ball in balls]).reshape(len(balls), dom + 1)
-    radii = np.array([ball.radius for ball in balls])
     piece_maps = [u for u, _ in pieces]
 
     def seeds(target):
@@ -613,14 +606,10 @@ def _patched(background: SphereMap, pieces, bc) -> SphereMap:
                        if u.fiber_seeds is None else u.fiber_seeds(target))
         return out
 
-    def ev(pts):
-        out = background.eval_many(pts)
-        for i, u in enumerate(piece_maps):
-            inside = geodesic_distances(pts, centers[i]) < radii[i]
-            if np.any(inside):
-                out[inside] = u.eval_many(pts[inside])
-        return out
-
+    # the pieces' eval_many is looked up per call, as the background's is
+    ev = _BallMasked([ball.center.coords for ball in balls],
+                     [ball.radius for ball in balls],
+                     [lambda q, u=u: u.eval_many(q) for u in piece_maps], background)
     desc = _desc("patched", {
         "basepoint": bc.tolist(),
         "supports": [
@@ -634,18 +623,12 @@ def _patched(background: SphereMap, pieces, bc) -> SphereMap:
     degree = None if None in degrees else sum(degrees)
     bg_sup = background.supports
     supports = None if bg_sup is None else list(bg_sup) + list(balls)
-    ball_gap = _ball_gap(balls)
-
-    def gap(pts):
-        return np.minimum(background.support_gap(pts), ball_gap(pts))
-
     sources = None
     if background.sources is not None:
         sources = list(background.sources) + ([BallUnion(balls)] if balls else [])
     return SphereMap(dom, cod, ev, desc, lipschitz_hint=hint,
                      supports=supports, basepoint=bc, degree=degree,
                      fiber_seeds=None if background.fiber_seeds is None else seeds,
-                     support_gap=None if background.support_gap is None else gap,
                      sources=sources)
 
 
@@ -693,9 +676,9 @@ def precompose_flip(u: SphereMap) -> SphereMap:
 def _precompose(u: SphereMap, mat, variant, params) -> SphereMap:
     """u o M for an orthogonal matrix M of the domain.
 
-    Supports, x sources and fiber seeds move by M^-1 = M^T, and the
-    support gap is read at M x; an orientation-reversing M negates the
-    bookkept degree.
+    Supports, x sources (and with them the support gap) and fiber seeds
+    move by M^-1 = M^T; an orientation-reversing M negates the bookkept
+    degree.
     """
 
     def ev(pts):
@@ -703,9 +686,6 @@ def _precompose(u: SphereMap, mat, variant, params) -> SphereMap:
 
     def seeds(target):
         return [mat.T @ x for x in u.fiber_seeds(target)]
-
-    def gap(pts):
-        return u.support_gap(pts @ mat.T)
 
     supports = None
     if u.supports is not None:
@@ -719,7 +699,6 @@ def _precompose(u: SphereMap, mat, variant, params) -> SphereMap:
                      lipschitz_hint=u.lipschitz_hint, supports=supports,
                      basepoint=u.basepoint, degree=degree,
                      fiber_seeds=None if u.fiber_seeds is None else seeds,
-                     support_gap=None if u.support_gap is None else gap,
                      sources=None if u.sources is None
                      else [src.moved(mat) for src in u.sources])
 

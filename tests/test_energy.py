@@ -384,7 +384,7 @@ def test_quadrature_without_lipschitz_hint_runs_every_band():
     assert abs(q_bare - q_hinted) <= 1e-12 * q_bare
 
 
-def _redeclared(u, supports=None, basepoint=None, support_gap=None):
+def _redeclared(u, supports=None, basepoint=None, sources=None):
     """u's values under its own descriptor and hint, with the given support
     declaration; returns the map and a list of its eval_many batch sizes."""
     seen = []
@@ -395,7 +395,7 @@ def _redeclared(u, supports=None, basepoint=None, support_gap=None):
 
     return maps.SphereMap(u.domain_dim, u.codomain_dim, counted, u.descriptor,
                           lipschitz_hint=u.lipschitz_hint, supports=supports,
-                          basepoint=basepoint, support_gap=support_gap), seen
+                          basepoint=basepoint, sources=sources), seen
 
 
 @pytest.mark.parametrize("build, params", [
@@ -414,12 +414,15 @@ def _redeclared(u, supports=None, basepoint=None, support_gap=None):
         "prescribed25", "prescribed5_patched", "prescribed2_patched",
         "flipped_bubbles2_hopf"])
 def test_quadrature_support_pruning_is_exact(build, params):
-    # the pruned pairs are exact zeros, so only the summation order moves
+    # the pruned pairs are exact zeros, so only the summation order moves;
+    # both run energy_quadrature's lattice rule at 300 (48 directions),
+    # since a map with tube sources alone would run the tube rule
     u = build()
-    pruned, seen_pruned = _redeclared(u, u.supports, u.basepoint, u.support_gap)
+    pruned, seen_pruned = _redeclared(u, u.supports, u.basepoint, u.sources)
     full, seen_full = _redeclared(u, basepoint=u.basepoint)
-    q = energy.energy_quadrature(pruned, params, 300)
-    q_full = energy.energy_quadrature(full, params, 300)
+    X, w = geo.sphere_lattice(params.n, 300), geo.sphere_area(params.n) / 300
+    q = energy._quad_rule(pruned, params, X, w, 48)
+    q_full = energy._quad_rule(full, params, X, w, 48)
     assert abs(q - q_full) <= 1e-12 * q_full
     assert sum(seen_pruned) < sum(seen_full)
 

@@ -203,6 +203,70 @@ def test_multi_bubble_matches_the_per_ball_reference(k):
     assert 0 < moved[20_000:].sum() < pts.shape[0] - 20_000  # seams on both sides
 
 
+def _bump_s2():
+    c, b = np.array([0.0, 0.6, 0.8]), np.array([1.0, 0.0, 0.0])
+    u = maps.bump_deg1(c, 0.4, b)
+    return u, [(u.supports[0], maps._bump_kernel(c, 0.4, b))]
+
+
+def _bump_s3():
+    c, b = np.array([0.0, 0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0, 0.0])
+    u = maps.bump_deg1(c, 0.3, b)
+    return u, [(u.supports[0], maps._bump_kernel(c, 0.3, b))]
+
+
+def _hopf_bump():
+    c, b = np.array([0.0, 0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
+    u = maps.hopf_bump(c, 0.3, b)
+    kernel = maps._bump_kernel(c, 0.3, maps.hopf_fiber_point(b, 0.0).coords)
+    return u, [(u.supports[0], lambda q: maps.hopf_eval_many(kernel(q)))]
+
+
+def _two_patches():
+    b = np.array([1.0, 0.0, 0.0])
+    pieces = [maps.bump_deg1(np.array(c), 0.3, b)
+              for c in ([0.0, 0.0, 1.0], [0.0, 0.0, -1.0])]
+    u = maps.patch_maps([(p, p.supports[0]) for p in pieces], b)
+    return u, [(p.supports[0], p.eval_many) for p in pieces]
+
+
+@pytest.mark.parametrize("build", [_bump_s2, _bump_s3, _hopf_bump, _two_patches],
+                         ids=["bump_s2", "bump_s3", "hopf_bump", "two_patches"])
+def test_ball_masked_maps_match_the_reference_at_their_seams(build):
+    # the reference: the basepoint, bitwise, at geodesic distance >= r from
+    # each ball's center, the ball's kernel (or piece) at distance < r;
+    # uniform points, points 1e-12 to 1e-9 on either side of each seam, and
+    # a batch inside one ball
+    u, refs = build()
+    dim = u.domain_dim
+
+    def reference(x):
+        ref = np.broadcast_to(u.basepoint, (x.shape[0], u.codomain_dim + 1)).copy()
+        for ball, kernel in refs:
+            inside = geo.geodesic_distances(x, ball.center.coords) < ball.radius
+            ref[inside] = kernel(x[inside])
+        return ref
+
+    rng = np.random.default_rng(60 + dim)
+    pts = [geo.sample_uniform_many(dim, 5_000, rng)]
+    for ball, _ in refs:
+        c = np.broadcast_to(ball.center.coords, (64, dim + 1)).copy()
+        dirs = geo.tangent_directions(c, rng)
+        for delta in (1e-12, 1e-11, 1e-10, 1e-9):
+            for t in (ball.radius - delta, ball.radius + delta):
+                pts.append(geo.geodesic_step(c, dirs, np.full(64, t)))
+    pts = np.concatenate(pts)
+    ref = reference(pts)
+    assert np.array_equal(u.eval_many(pts), ref)
+    seams = np.any(ref[5_000:] != u.basepoint, axis=1)
+    assert 0 < seams.sum() < seams.shape[0]  # seams on both sides
+    ball = refs[0][0]
+    inner = geo.Region(dim, ball.center, 0.0, 0.99 * ball.radius).sample(500, rng)
+    ref = reference(inner)
+    assert np.all(np.any(ref != u.basepoint, axis=1))
+    assert np.array_equal(u.eval_many(inner), ref)
+
+
 def test_multi_bubble_needs_positive_k():
     with pytest.raises(ParameterError):
         maps.multi_bubble(0)
@@ -321,6 +385,34 @@ def test_sources_cover_where_the_map_leaves_its_basepoint():
         assert np.all(moved.contains(x)) and np.all(src.contains(x @ flip.T))
     # the patched balls lie off the tubes: the sources are disjoint
     assert not np.any(tubes.contains(balls.sample(5_000, rng)))
+
+
+@pytest.mark.parametrize("move", ["built", "flip", "rotation"])
+def test_source_gaps_are_lower_bounds(move):
+    # each source type a constructor builds: a ball Region (hopf_bump), a
+    # HopfTubes and a BallUnion (the patched d = 5)
+    u = maps.prescribed_hopf_map(5)
+    bump = maps.hopf_bump(geo.sphere_point([0.0, 0.0, 0.0, 1.0]), 0.4)
+    if move == "flip":
+        u, bump = maps.precompose_flip(u), maps.precompose_flip(bump)
+    elif move == "rotation":
+        rot = geo.rotation_taking(geo.sphere_point([0.0, 0.0, 0.0, 1.0]),
+                                  geo.sphere_point([0.5, -0.5, 0.5, 0.5]))
+        u, bump = maps.precompose_rotation(u, rot), maps.precompose_rotation(bump, rot)
+    sources = [*bump.sources, *u.sources]
+    assert [type(src) for src in sources] == [geo.Region, maps.HopfTubes, geo.BallUnion]
+    rng = np.random.default_rng(52)
+    x = geo.sample_uniform_many(3, 400, rng)
+    for src in sources:
+        assert np.all(src.gap(src.sample(2_000, rng)) <= 0.0)
+        y = src.sample(20_000, rng)
+        nearest = np.min(np.arccos(np.clip(x @ y.T, -1.0, 1.0)), axis=1)
+        gap = src.gap(x)
+        assert np.all(gap <= nearest + 1e-12)
+        assert np.any(gap > 0.0)
+    assert np.all(u.support_gap(x) == np.minimum(*[src.gap(x) for src in u.sources]))
+    assert np.all(maps.constant_map(3, [1.0, 0.0, 0.0]).support_gap(x) == np.inf)
+    assert np.all(maps.hopf_map().support_gap(x) == -np.inf)
 
 
 def test_hopf_bump_constant_outside():
