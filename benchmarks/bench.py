@@ -13,12 +13,14 @@ full mode runs 5 seeds at --seconds 40, --quick 2 seeds at --seconds 10.
 
 The file holds the machine (nproc, Python, numpy, BLAS threads); per
 workload the median and interquartile range of the four end-to-end metrics
-over the seeds, each seed's values and whether every gate passed; and the
-per-layer metrics and raw unit times (`quad_s:hopf`, ...) of one
-`--trace 1` run at the first seed. With a parent,
-each workload also carries the parent's figures, the change's median
-relative to the parent's, and how many seeds read lower on the change.
-Nothing here changes what perfbench/run.py measures.
+over the seeds, each seed's values and whether every gate passed; the same
+over the seeds for each unit's scaled time (the details line's `unit_s`:
+`degree_s:bump_s3`, `quad_s:hopf`, ...); and the per-layer metrics and raw
+unit times of one `--trace 1` run at the first seed. With a parent, each
+workload also carries the parent's figures, and each end-to-end metric and
+unit time the change's median relative to the parent's and how many seeds
+read lower on the change. Nothing here changes what perfbench/run.py
+measures.
 
 `scaling` also carries the Monte Carlo efficiency 1/(SE^2 * seconds) of
 the headline rows d = 1, 9, 25 (s = 0.5, 2.5e5 samples), from
@@ -104,14 +106,26 @@ def spread(values):
             "values": [float(v) for v in values]}
 
 
-def summarize(results):
-    """Median and IQR of each end-to-end metric over a side's runs."""
+def summarize(runs):
+    """Median and IQR of each end-to-end metric and each unit's scaled time
+    over a side's (details, result) runs."""
+    results = [r for _, r in runs]
     return {
         "metrics": {m: spread([r["metrics"][m]["value"] for r in results])
                     for m in END_TO_END},
+        "unit_s": {u: spread([d["unit_s"][u] for d, _ in runs])
+                   for u in runs[0][0]["unit_s"]},
         "correct": all(r["correct"] for r in results),
         "failed": sum(r["failed"] for r in results),
     }
+
+
+def versus(new, old):
+    """The change's median relative to the parent's, and how many seeds read
+    lower on the change."""
+    new, old = np.array(new["values"]), np.array(old["values"])
+    return {"relative_median": float(np.median(new) / np.median(old) - 1.0),
+            "seeds_lower": int(np.sum(new < old))}
 
 
 def bench_workload(workload, seeds, seconds, parent):
@@ -123,11 +137,11 @@ def bench_workload(workload, seeds, seconds, parent):
         if parent is not None and seed % 2 == 0:
             order.reverse()  # the parent goes first on even seeds
         for side in order:
-            results[side].append(run(sides[side], workload, seed, seconds, 0)[1])
+            results[side].append(run(sides[side], workload, seed, seconds, 0))
             if workload == "scaling":
                 rows[side].append(efficiency(sides[side], seed))
         print(f"{workload} seed {seed}: " + ", ".join(
-            f"{side} stage_s {results[side][-1]['metrics']['stage_s']['value']:.3f}"
+            f"{side} stage_s {results[side][-1][1]['metrics']['stage_s']['value']:.3f}"
             for side in sides), file=sys.stderr)
     out = {}
     for side, checkout in sides.items():
@@ -144,12 +158,13 @@ def bench_workload(workload, seeds, seconds, parent):
                           "seconds": [r[str(d)]["seconds"] for r in rows[side]]}
                 for d in EFFICIENCY_DEGREES}
     if parent is not None:
+        change, base = out["change"], out["parent"]
         for m in END_TO_END:
-            new, old = (np.array(out[s]["metrics"][m]["values"]) for s in ("change", "parent"))
-            out["change"]["metrics"][m]["vs_parent"] = {
-                "relative_median": float(np.median(new) / np.median(old) - 1.0),
-                "seeds_lower": int(np.sum(new < old)),
-            }
+            change["metrics"][m]["vs_parent"] = versus(change["metrics"][m],
+                                                       base["metrics"][m])
+        for u in change["unit_s"].keys() & base["unit_s"].keys():
+            change["unit_s"][u]["vs_parent"] = versus(change["unit_s"][u],
+                                                      base["unit_s"][u])
         for name, eff in out["change"].get("efficiency", {}).items():
             new, old = (np.array(out[s]["efficiency"][name]["values"])
                         for s in ("change", "parent"))

@@ -74,6 +74,13 @@ class SphereMap:
     plus one BallUnion of its balls, u o M its child's sources moved by M.
     Hand-built maps leave degree, fiber_seeds and (without supports and
     basepoint) sources None, and None propagates through the combinators.
+    jacobian_many, when not None, maps (N, domain_dim+1) points to the
+    (N, codomain_dim+1, domain_dim+1) ambient differentials, exact on
+    tangent vectors. The Hopf map, identity, equator collapse, constant
+    maps, bumps and multi-bubbles carry it in closed form, and u o M
+    carries J_u(M x) M; every other map (v o h, Hopf bumps, patched maps)
+    leaves it None and is differentiated on the finite-difference stencil
+    of topology.tangential_jacobian.
     """
 
     def __init__(
@@ -146,7 +153,9 @@ class _BallMasked:
     ulp, i.e. moves of x.c below 1e-15; when all pass, all are tested in
     place. A background's eval_many is looked up per call, so that a
     wrapper installed on the class after the map was built (a profiler's)
-    sees it.
+    sees it. When every kernel has a jacobian method and fill is a point,
+    jacobian is the map's ambient differential: kernel i's on ball i, by the
+    same test, and 0 elsewhere.
     """
 
     __slots__ = ("centers", "radii", "cos_near", "kernels", "fill")
@@ -163,6 +172,26 @@ class _BallMasked:
             out = self.fill.eval_many(pts)
         else:
             out = np.broadcast_to(self.fill, (pts.shape[0], self.fill.shape[0])).copy()
+        for kernel, rows in self._inside(pts):
+            if rows is None:
+                out[:] = kernel(pts)
+            else:
+                out[rows] = kernel(pts[rows])
+        return out
+
+    def jacobian(self, pts):
+        # built as (i, j, N), like the kernels' Jacobians, and returned as a view
+        out = np.zeros((self.fill.shape[0], pts.shape[1], pts.shape[0]))
+        for kernel, rows in self._inside(pts):
+            if rows is None:
+                out[...] = kernel.jacobian(pts).transpose(1, 2, 0)
+            else:
+                out[:, :, rows] = kernel.jacobian(pts[rows]).transpose(1, 2, 0)
+        return out.transpose(2, 0, 1)
+
+    def _inside(self, pts):
+        """(kernel i, the rows of pts in ball i) for each ball holding some;
+        the rows are None when every point is in the ball."""
         for c, r, cos_near, kernel in zip(self.centers, self.radii, self.cos_near,
                                           self.kernels):
             dot = pts @ c
@@ -170,15 +199,14 @@ class _BallMasked:
             if near.all():
                 inside = np.arccos(np.clip(dot, -1.0, 1.0)) < r
                 if inside.all():
-                    out[:] = kernel(pts)
+                    yield kernel, None
                     continue
                 near = np.flatnonzero(inside)
             else:
                 near = np.flatnonzero(near)
                 near = near[np.arccos(np.clip(dot[near], -1.0, 1.0)) < r]
             if near.size:
-                out[near] = kernel(pts[near])
-        return out
+                yield kernel, near
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +217,9 @@ def constant_map(domain_dim: int, b) -> SphereMap:
     """Map sending all of S^domain_dim to the point b."""
     bc = _unit(b)
     desc = _desc("constant", {"domain_dim": domain_dim, "basepoint": bc.tolist()})
-    return SphereMap(domain_dim, bc.shape[0] - 1, _BallMasked([], [], [], bc), desc,
-                     lipschitz_hint=0.0, supports=[], basepoint=bc, degree=0,
+    ev = _BallMasked([], [], [], bc)
+    return SphereMap(domain_dim, bc.shape[0] - 1, ev, desc, lipschitz_hint=0.0,
+                     jacobian_many=ev.jacobian, supports=[], basepoint=bc, degree=0,
                      fiber_seeds=lambda target: [])
 
 
@@ -201,7 +230,12 @@ def identity_map(m: int) -> SphereMap:
         return pts.copy()
 
     return SphereMap(m, m, ev, _desc("identity", {"dim": m}), lipschitz_hint=1.0,
-                     degree=1)
+                     jacobian_many=_identity_jacobian, degree=1)
+
+
+def _identity_jacobian(pts):
+    n, d = pts.shape
+    return np.broadcast_to(np.eye(d), (n, d, d)).copy()
 
 
 def hopf_map() -> SphereMap:
@@ -394,7 +428,21 @@ def equator_collapse(m: int) -> SphereMap:
     # double cover of the sphere by the two hemispheres; the covers agree
     # in orientation exactly when m is odd
     return SphereMap(m, m, ev, _desc("equator_collapse", {"dim": m}),
-                     lipschitz_hint=2.0, degree=1 + (-1) ** (m + 1))
+                     lipschitz_hint=2.0, jacobian_many=_equator_collapse_jacobian,
+                     degree=1 + (-1) ** (m + 1))
+
+
+def _equator_collapse_jacobian(pts):
+    """Ambient differential of g: -2 x_{m+1} I and -2 x_<m+1 in the last
+    column on the first m rows, -4 x_{m+1} in the last corner."""
+    n, d = pts.shape
+    last = pts[:, -1]
+    J = np.zeros((n, d, d))
+    diag = np.arange(d - 1)
+    J[:, diag, diag] = (-2.0 * last)[:, None]
+    J[:, :-1, -1] = -2.0 * pts[:, :-1]
+    J[:, -1, -1] = -4.0 * last
+    return J
 
 
 # ---------------------------------------------------------------------------
@@ -424,7 +472,7 @@ def bump_deg1(x0, r: float, b) -> SphereMap:
     if bc.shape[0] != c0.shape[0]:
         raise DimensionMismatchError("bump basepoint must lie on the codomain sphere S^m")
     rho = support_radius(r)
-    ev = _BallMasked([c0], [rho], [_bump_kernel(c0, r, bc)], bc)
+    ev = _BallMasked([c0], [rho], [_BumpKernel(c0, r, bc)], bc)
     desc = _desc("bump_deg1", {
         "dim": m,
         "center": c0.tolist(),
@@ -433,33 +481,88 @@ def bump_deg1(x0, r: float, b) -> SphereMap:
         "basepoint": bc.tolist(),
     })
     ball = GeodesicBall(sphere_point(c0), rho)
-    return SphereMap(m, m, ev, desc, lipschitz_hint=2.0 / r,
+    return SphereMap(m, m, ev, desc, lipschitz_hint=2.0 / r, jacobian_many=ev.jacobian,
                      supports=[ball], basepoint=bc, degree=1)
 
 
-def _bump_kernel(c0, r, bc):
-    """bump_deg1's closed form, for points known to lie in its ball."""
-    if not (0.0 < r < 1.0):
-        raise ParameterError(f"bump stereographic radius must lie in (0,1), got {r}")
-    m = c0.shape[0] - 1
-    south = np.zeros(m + 1)
-    south[-1] = -1.0
-    north = -south
-    rot_dom = rotation_taking(sphere_point(c0), sphere_point(south)).matrix
-    rot_cod = rotation_taking(sphere_point(north), sphere_point(bc)).matrix
+class _BumpKernel:
+    """bump_deg1's closed form, for points known to lie in its ball, and its
+    ambient differential there.
 
-    def kernel(pts):
-        q = rot_dom @ pts.T  # one row per coordinate
+    With q = R_dom x = (h, q_m), s = 1 - q_m, u = |h|^2 / s, d = s r^2,
+    D = u + d, z = (u - d) / D and a = -4 r z / D, the image is
+    R_cod (a h, 1 - 2 z^2). Differentiating in (h, q_m), with
+    du = 2 h.dh / s + u dq_m / s, dd = -r^2 dq_m and
+    dz = 2 (d du - u dd) / D^2, gives in q-coordinates
+    J_q = [[a I + beta h h^T, c h], [gamma h^T, delta]], a multiple of the
+    identity on the head plus rank-one terms, and J = R_cod J_q R_dom. J is
+    the differential of one extension of the map off the sphere, so only
+    its action on tangent vectors is the map's.
+    """
+
+    __slots__ = ("rot_dom", "rot_cod", "r")
+
+    def __init__(self, c0, r, bc):
+        if not (0.0 < r < 1.0):
+            raise ParameterError(f"bump stereographic radius must lie in (0,1), got {r}")
+        m = c0.shape[0] - 1
+        south = np.zeros(m + 1)
+        south[-1] = -1.0
+        north = -south
+        self.rot_dom = rotation_taking(sphere_point(c0), sphere_point(south)).matrix
+        self.rot_cod = rotation_taking(sphere_point(north), sphere_point(bc)).matrix
+        self.r = r
+
+    def __call__(self, pts):
+        r = self.r
+        q = _product(self.rot_dom, pts.T)  # one row per coordinate
         head, below = q[:-1], 1.0 - q[-1]
-        up = np.einsum("ik,ik->k", head, head) / below
+        # np.einsum would round a one-point batch otherwise
+        up = np.add.reduce(head * head, axis=0) / below
         down = below * (r * r)
         denom = up + down
         z = (up - down) / denom
         head *= (-4.0 * r) * z / denom
         q[-1] = 1.0 - 2.0 * z * z
-        return (rot_cod @ q).T
+        return _product(self.rot_cod, q).T
 
-    return kernel
+    def jacobian(self, pts):
+        r, r2 = self.r, self.r * self.r
+        rot_dom, rot_cod = self.rot_dom, self.rot_cod
+        q = _product(rot_dom, pts.T)
+        h, s = q[:-1], 1.0 - q[-1]
+        u = np.add.reduce(h * h, axis=0) / s
+        d = s * r2
+        D = u + d
+        z = (u - d) / D
+        a = (-4.0 * r) * z / D
+        beta = (-8.0 * r) * (3.0 * d - u) / (s * D ** 3)
+        c = (-4.0 * r) / (D * D) * (4.0 * u * r2 / D - z * (u / s - r2))
+        gamma = -16.0 * z * d / (s * D * D)
+        delta = -16.0 * z * u * r2 / (D * D)
+        # J_q = a I_h + p (beta p + c e)^T + e (gamma p + delta e)^T with
+        # p = (h, 0) and e the last axis; R_dom^T e is rot_dom's last row
+        # and R_dom^T p = x - q_m R_dom^T e. J is built one (i, j) entry
+        # per row, each holding all points, and returned as an (N, i, j) view
+        m = h.shape[0]
+        e_dom, e_cod = rot_dom[m, :, None], rot_cod[:, m, None, None]
+        p_dom = pts.T - q[m] * e_dom
+        J = (rot_cod[:, :m] @ rot_dom[:m])[:, :, None] * a
+        J += _product(rot_cod[:, :m], h)[:, None] * (beta * p_dom + c * e_dom)
+        J += e_cod * (gamma * p_dom + delta * e_dom)
+        return J.transpose(2, 0, 1)
+
+
+def _product(a, b):
+    """a @ b for 2-D arrays, with the bits that gemm gives each row and
+    column in a larger product also when a has one row or b one column:
+    numpy hands those to gemv, which rounds otherwise. So a point's value
+    does not depend on the batch it comes in."""
+    if a.shape[0] == 1:
+        return (np.repeat(a, 2, axis=0) @ b)[:1]
+    if b.shape[1] == 1:
+        return (a @ np.repeat(b, 2, axis=1))[:, :1]
+    return a @ b
 
 
 def multi_bubble(k: int, b=None, safety: float = 0.9) -> SphereMap:
@@ -481,7 +584,7 @@ def _bubble_assembly(balls, bc, k, safety):
     r_bump = math.tan(balls[0].radius / 2.0)
     centers = [ball.center.coords for ball in balls]
     ev = _BallMasked(centers, [ball.radius for ball in balls],
-                     [_bump_kernel(c, r_bump, bc) for c in centers], bc)
+                     [_BumpKernel(c, r_bump, bc) for c in centers], bc)
     desc = _desc("multi_bubble", {
         "k": k,
         "safety": safety,
@@ -492,7 +595,8 @@ def _bubble_assembly(balls, bc, k, safety):
         ],
     })
     return SphereMap(2, 2, ev, desc, lipschitz_hint=2.0 / r_bump,
-                     supports=list(balls), basepoint=bc, degree=k)
+                     jacobian_many=ev.jacobian, supports=list(balls), basepoint=bc,
+                     degree=k)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +644,7 @@ def hopf_bump(x0, r: float, b=None) -> SphereMap:
     c0 = _unit(x0)
     if c0.shape[0] != 4:
         raise DimensionMismatchError("hopf_bump center must lie on S^3")
-    kernel = _bump_kernel(c0, r, hopf_fiber_point(bc, 0.0).coords)
+    kernel = _BumpKernel(c0, r, hopf_fiber_point(bc, 0.0).coords)
     radius = support_radius(r)
     ev = _BallMasked([c0], [radius], [lambda pts: hopf_eval_many(kernel(pts))], bc)
     desc = _desc("hopf_bump", {
@@ -678,11 +782,14 @@ def _precompose(u: SphereMap, mat, variant, params) -> SphereMap:
 
     Supports, x sources (and with them the support gap) and fiber seeds
     move by M^-1 = M^T; an orientation-reversing M negates the bookkept
-    degree.
+    degree. A Jacobian of u gives J_u(M x) M.
     """
 
     def ev(pts):
-        return u.eval_many(pts @ mat.T)
+        return u.eval_many(_product(pts, mat.T))
+
+    def jac(pts):
+        return u.jacobian_many(_product(pts, mat.T)) @ mat
 
     def seeds(target):
         return [mat.T @ x for x in u.fiber_seeds(target)]
@@ -696,7 +803,9 @@ def _precompose(u: SphereMap, mat, variant, params) -> SphereMap:
     degree = None if u.degree is None else u.degree * int(np.sign(np.linalg.det(mat)))
     return SphereMap(u.domain_dim, u.codomain_dim, ev,
                      _desc(variant, params, children=[u.descriptor]),
-                     lipschitz_hint=u.lipschitz_hint, supports=supports,
+                     lipschitz_hint=u.lipschitz_hint,
+                     jacobian_many=None if u.jacobian_many is None else jac,
+                     supports=supports,
                      basepoint=u.basepoint, degree=degree,
                      fiber_seeds=None if u.fiber_seeds is None else seeds,
                      sources=None if u.sources is None

@@ -46,6 +46,7 @@ PROJECTION_SIGN = 1.0
 
 _FD_DELTA = 1e-5
 _FD_BLOCK = 1024  # base points per stencil evaluation
+_DEGREE_BLOCK = 2048  # nodes per evaluation of the degree integral
 FIBER_SIGMA_MIN = 1e-3  # least second singular value along a traced fiber
 FIBER_MAX_STEPS = 200_000  # rounds before a fiber counts as not closing
 FIBER_MAX_STEP = 0.1  # largest arc step (rad) of a traced fiber curve
@@ -112,37 +113,86 @@ def tangential_jacobian(f: SphereMap, pts):
 
     Returns (D, frames_dom, values): D has shape (N, cod_dim, dom_dim) with
     D[n] = W^T (Df) E for orthonormal frames E at pts[n] and W at f(pts[n]),
-    both completing the base point to a positive basis. Analytic ambient
-    Jacobians are used when the map provides them; otherwise central
-    differences along geodesics.
+    both completing the base point to a positive basis. The columns Df E
+    come from _ambient_columns: in closed form for maps with jacobian_many
+    (the Hopf map, identity, equator collapse, constant maps, bumps,
+    multi-bubbles and these precomposed with an orthogonal matrix), by
+    central differences along geodesics for every other map.
     """
     pts = np.asarray(pts, dtype=np.float64)
     E = _kernels.oriented_frames(pts)
-    m_dom, m_cod = f.domain_dim, f.codomain_dim
-    if f.jacobian_many is not None:
-        vals = f.eval_many(pts)
-        cols = np.einsum("nij,njk->nik", f.jacobian_many(pts), E)
-    else:
-        # each block of base points is stacked with its +/- delta geodesic
-        # neighbours along every frame direction and evaluated in one call;
-        # blocks bound the temporaries of large batches
-        d = _FD_DELTA
-        n = pts.shape[0]
-        vals = np.empty((n, m_cod + 1))
-        cols = np.empty((n, m_cod + 1, m_dom))
-        for a in range(0, n, _FD_BLOCK):
-            p = pts[a:a + _FD_BLOCK]
-            base = np.cos(d) * p
-            shift = np.sin(d) * np.moveaxis(E[a:a + _FD_BLOCK], 2, 0)
-            stencil = np.concatenate([p[None], base + shift, base - shift])
-            out = f.eval_many(stencil.reshape(-1, m_dom + 1))
-            out = out.reshape(1 + 2 * m_dom, -1, m_cod + 1)
-            vals[a:a + _FD_BLOCK] = out[0]
-            cols[a:a + _FD_BLOCK] = np.moveaxis(
-                out[1:1 + m_dom] - out[1 + m_dom:], 0, 2) / (2.0 * d)
+    vals, cols = _ambient_columns(f, pts, E)
     W = _kernels.oriented_frames(vals)
     D = np.einsum("nia,nij->naj", W, cols)
     return D, E, vals
+
+
+def _ambient_columns(f: SphereMap, pts, E):
+    """(f(pts), Df E): the values and the ambient columns of the
+    differential along the tangent frames E, shape (N, cod_dim+1, dom_dim).
+
+    A map with jacobian_many gives J E. Otherwise each block of base points
+    is stacked with its +/- delta geodesic neighbours along every frame
+    direction and evaluated in one call; blocks bound the temporaries of
+    large batches.
+    """
+    if f.jacobian_many is not None:
+        return f.eval_many(pts), np.einsum("nij,njk->nik", f.jacobian_many(pts), E)
+    m_dom, m_cod = f.domain_dim, f.codomain_dim
+    d = _FD_DELTA
+    n = pts.shape[0]
+    vals = np.empty((n, m_cod + 1))
+    cols = np.empty((n, m_cod + 1, m_dom))
+    for a in range(0, n, _FD_BLOCK):
+        p = pts[a:a + _FD_BLOCK]
+        base = np.cos(d) * p
+        shift = np.sin(d) * np.moveaxis(E[a:a + _FD_BLOCK], 2, 0)
+        stencil = np.concatenate([p[None], base + shift, base - shift])
+        out = f.eval_many(stencil.reshape(-1, m_dom + 1))
+        out = out.reshape(1 + 2 * m_dom, -1, m_cod + 1)
+        vals[a:a + _FD_BLOCK] = out[0]
+        cols[a:a + _FD_BLOCK] = np.moveaxis(
+            out[1:1 + m_dom] - out[1 + m_dom:], 0, 2) / (2.0 * d)
+    return vals, cols
+
+
+def _jacobian_density(f: SphereMap, x):
+    """det[f(x) | Df E] at each row x, for a positive orthonormal tangent
+    frame E at x: the signed Jacobian of f in any positive orthonormal
+    frames, since [f | W] for such a frame W at f(x) is orthogonal with
+    determinant 1 and [f | W]^T [f | Df E] is block-triangular with
+    W^T Df E in its corner. With a closed-form J it is
+    det(J + (f(x) - J x) x^T), a matrix that takes [x | E] to [f(x) | J E],
+    so no frame is built; otherwise E comes from oriented_frames and Df E
+    from the stencil."""
+    if f.jacobian_many is None:
+        vals, cols = _ambient_columns(f, x, _kernels.oriented_frames(x))
+        return _det(np.concatenate([vals[:, :, None], cols], axis=2).transpose(1, 2, 0))
+    # one (i, j) entry per row, each holding all points
+    J = f.jacobian_many(x).transpose(1, 2, 0)
+    xt = np.ascontiguousarray(x.T)
+    off = f.eval_many(x).T - np.einsum("ijn,jn->in", J, xt)
+    return _det(J + off[:, None] * xt)
+
+
+def _det(M):
+    """Determinants of the (3, 3) or (4, 4) matrices M[:, :, n]: the triple
+    product, or the Laplace expansion in the 2x2 minors of the first two and
+    the last two columns."""
+    a, b, c = M[:, 0], M[:, 1], M[:, 2]
+    if M.shape[0] == 3:
+        return (a[0] * (b[1] * c[2] - b[2] * c[1]) - a[1] * (b[0] * c[2] - b[2] * c[0])
+                + a[2] * (b[0] * c[1] - b[1] * c[0]))
+    d = M[:, 3]
+
+    def ab(i, j):
+        return a[i] * b[j] - a[j] * b[i]
+
+    def cd(i, j):
+        return c[i] * d[j] - c[j] * d[i]
+
+    return (ab(0, 1) * cd(2, 3) - ab(0, 2) * cd(1, 3) + ab(0, 3) * cd(1, 2)
+            + ab(1, 2) * cd(0, 3) - ab(1, 3) * cd(0, 2) + ab(2, 3) * cd(0, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -155,7 +205,11 @@ def mapping_degree(f: SphereMap, grid_size: int = 200_000) -> DegreeReport:
     When the map is constant outside declared support balls the integral
     runs in geodesic polar grids over those balls only (the Jacobian
     vanishes elsewhere); otherwise over an equal-weight lattice of the
-    whole sphere. grid_size is the total evaluation budget.
+    whole sphere. grid_size is the number of integration nodes, split
+    evenly over the balls. A node costs one evaluation and one closed-form
+    Jacobian, or 2m + 1 evaluations on the stencil for a map without
+    jacobian_many. The integrand is _jacobian_density; nodes are generated
+    and evaluated in blocks of at most _DEGREE_BLOCK.
     """
     if f.domain_dim != f.codomain_dim:
         raise ParameterError("mapping degree needs equal domain and codomain dimension")
@@ -172,8 +226,10 @@ def mapping_degree(f: SphereMap, grid_size: int = 200_000) -> DegreeReport:
         raw /= sphere_area(m)
     else:
         pts = sphere_lattice(m, grid_size)
-        D, _, _ = tangential_jacobian(f, pts)
-        raw = float(np.mean(np.linalg.det(D)))
+        total = 0.0
+        for a in range(0, grid_size, _DEGREE_BLOCK):
+            total += float(np.sum(_jacobian_density(f, pts[a:a + _DEGREE_BLOCK])))
+        raw = total / grid_size
     report = _report(raw, "jacobian-integral")
     if report.residual >= 0.5:
         raise UnresolvedDegreeError(
@@ -184,7 +240,9 @@ def mapping_degree(f: SphereMap, grid_size: int = 200_000) -> DegreeReport:
 
 
 def _ball_jacobian_integral(f: SphereMap, ball, budget: int) -> float:
-    """Signed-Jacobian integral of f over one geodesic ball."""
+    """Signed-Jacobian integral of f over one geodesic ball: Gauss radii t
+    times the directions w of polar_directions about the center c, at the
+    nodes cos t c + sin t w; blocks run across rings."""
     m = f.domain_dim
     c = ball.center.coords
     R = ball.radius
@@ -200,12 +258,13 @@ def _ball_jacobian_integral(f: SphereMap, ball, budget: int) -> float:
     t = 0.5 * R * (nodes + 1.0)
     w_r = 0.5 * R * weights * np.sin(t) ** (m - 1)
     dirs = omega @ V.T  # (n_a, m+1) unit tangents at c
+    cos_t, sin_t = np.cos(t), np.sin(t)
     total = 0.0
-    for ti, wi in zip(t, w_r):
-        pts = np.cos(ti) * c[None, :] + np.sin(ti) * dirs
-        D, _, _ = tangential_jacobian(f, pts)
-        total += wi * w_ang * float(np.sum(np.linalg.det(D)))
-    return total
+    for a in range(0, n_r * n_a, _DEGREE_BLOCK):
+        ring, w = np.divmod(np.arange(a, min(a + _DEGREE_BLOCK, n_r * n_a)), n_a)
+        x = cos_t[ring, None] * c + sin_t[ring, None] * dirs[w]
+        total += float(w_r[ring] @ _jacobian_density(f, x))
+    return total * w_ang
 
 
 # ---------------------------------------------------------------------------

@@ -206,19 +206,19 @@ def test_multi_bubble_matches_the_per_ball_reference(k):
 def _bump_s2():
     c, b = np.array([0.0, 0.6, 0.8]), np.array([1.0, 0.0, 0.0])
     u = maps.bump_deg1(c, 0.4, b)
-    return u, [(u.supports[0], maps._bump_kernel(c, 0.4, b))]
+    return u, [(u.supports[0], maps._BumpKernel(c, 0.4, b))]
 
 
 def _bump_s3():
     c, b = np.array([0.0, 0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0, 0.0])
     u = maps.bump_deg1(c, 0.3, b)
-    return u, [(u.supports[0], maps._bump_kernel(c, 0.3, b))]
+    return u, [(u.supports[0], maps._BumpKernel(c, 0.3, b))]
 
 
 def _hopf_bump():
     c, b = np.array([0.0, 0.0, 0.0, 1.0]), np.array([1.0, 0.0, 0.0])
     u = maps.hopf_bump(c, 0.3, b)
-    kernel = maps._bump_kernel(c, 0.3, maps.hopf_fiber_point(b, 0.0).coords)
+    kernel = maps._BumpKernel(c, 0.3, maps.hopf_fiber_point(b, 0.0).coords)
     return u, [(u.supports[0], lambda q: maps.hopf_eval_many(kernel(q)))]
 
 

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,103 @@ def test_finite_difference_jacobian_matches_closed_form(monkeypatch):
     assert np.array_equal(D64, D) and np.array_equal(vals64, vals)
 
 
+def _stencil_twin(f):
+    """f without its closed-form Jacobian: the same values and supports, on
+    the stencil."""
+    return maps.SphereMap(f.domain_dim, f.codomain_dim, f.eval_many, f.descriptor,
+                          supports=f.supports, basepoint=f.basepoint)
+
+
+def _continued(u, i):
+    """Kernel i of a ball-masked map on the whole sphere: its bump continued
+    smoothly past the seam, where the masked map has a kink, so that a
+    stencil straddling the seam still differentiates the inside branch."""
+    return maps.SphereMap(u.domain_dim, u.codomain_dim, u._eval_many.kernels[i],
+                          {"variant": "kernel", "params": {}, "children": []})
+
+
+def _ball_points(ball, n, t_lo, t_hi, rng):
+    """n points at geodesic distances in [t_lo, t_hi] from the ball's center."""
+    c = np.broadcast_to(ball.center.coords, (n, ball.center.coords.size)).copy()
+    return geo.geodesic_step(c, geo.tangent_directions(c, rng), rng.uniform(t_lo, t_hi, n))
+
+
+def _bump_case(m, r):
+    center = [0.0, 0.6, 0.8] if m == 2 else [0.0, 0.0, 0.6, 0.8]
+    b = np.eye(m + 1)[0]
+    u = maps.bump_deg1(np.array(center), r, b)
+    return u, [_continued(u, 0)]
+
+
+def _bubbles_case(k):
+    u = maps.multi_bubble(k)
+    return u, [_continued(u, i) for i in range(k)]
+
+
+def _moved_bubbles_case(move):
+    u = maps.multi_bubble(3)
+    return move(u), [move(_continued(u, i)) for i in range(3)]
+
+
+def _rotate(u):
+    rot = geo.rotation_taking(geo.sphere_point([0.0, 0.0, 1.0]),
+                              geo.sphere_point([0.6, 0.0, 0.8]))
+    return maps.precompose_rotation(u, rot)
+
+
+JACOBIAN_CASES = {
+    **{f"bump_s{m}_r{r}": (lambda m=m, r=r: _bump_case(m, r))
+       for m in (2, 3) for r in (0.1, 0.3, 0.7)},
+    **{f"bubbles{k}": (lambda k=k: _bubbles_case(k)) for k in (1, 2, 9)},
+    "rotated_bubbles3": lambda: _moved_bubbles_case(_rotate),
+    "flipped_bubbles3": lambda: _moved_bubbles_case(maps.precompose_flip),
+    **{f"identity_s{m}": (lambda m=m: (maps.identity_map(m), [])) for m in (2, 3)},
+    **{f"collapse_s{m}": (lambda m=m: (maps.equator_collapse(m), [])) for m in (2, 3)},
+}
+
+
+@pytest.mark.parametrize("case", list(JACOBIAN_CASES))
+def test_closed_form_jacobians_match_the_stencil(case):
+    f, continued = JACOBIAN_CASES[case]()
+    assert f.jacobian_many is not None
+    rng = np.random.default_rng(7)
+    # the stencil's truncation error grows with the map's derivatives, to
+    # 1.5e-7 at the r = 0.1 bump's center, where |D| reaches 20 = 2/r
+    tol = 1e-7 * f.lipschitz_hint
+    if f.supports is None:
+        pts = geo.sample_uniform_many(f.domain_dim, 400, rng)
+    else:  # interior points, out of the stencil's reach of the seam
+        pts = np.concatenate([_ball_points(b, 100, 0.0, b.radius - 1e-4, rng)
+                              for b in f.supports])
+    D, E, vals = topology.tangential_jacobian(f, pts)
+    D_fd, E_fd, vals_fd = topology.tangential_jacobian(_stencil_twin(f), pts)
+    assert np.array_equal(E, E_fd) and np.array_equal(vals, vals_fd)
+    assert np.max(np.abs(D - D_fd)) < tol
+    # the degree integrand is det D, without a codomain frame
+    assert np.allclose(topology._jacobian_density(f, pts), np.linalg.det(D),
+                       rtol=1e-12, atol=1e-12)
+    assert np.allclose(topology._jacobian_density(_stencil_twin(f), pts),
+                       np.linalg.det(D_fd), rtol=1e-12, atol=1e-12)
+    for ball, smooth in zip(f.supports or [], continued):
+        seam = _ball_points(ball, 50, ball.radius - 1e-9, ball.radius - 1e-9, rng)
+        D_seam, _, _ = topology.tangential_jacobian(f, seam)
+        D_smooth, _, _ = topology.tangential_jacobian(smooth, seam)
+        assert np.max(np.abs(D_seam - D_smooth)) < tol
+        past = _ball_points(ball, 50, ball.radius + 1e-9, ball.radius + 1e-9, rng)
+        assert not np.any(f.jacobian_many(past))
+    if f.supports is not None:
+        x = geo.sample_uniform_many(f.domain_dim, 2000, rng)
+        off = f.support_gap(x) > 0.0
+        assert 0 < off.sum() and not np.any(f.jacobian_many(x[off]))
+    # rows never mix: each is bitwise the one-point call, and split batches
+    # give the whole batch's bits
+    for i, x in enumerate(pts[:40]):
+        D1, E1, vals1 = topology.tangential_jacobian(f, x[None, :])
+        assert np.array_equal(D1[0], D[i]) and np.array_equal(vals1[0], vals[i])
+    parts = [topology.tangential_jacobian(f, p)[0] for p in np.split(pts, [37, 150])]
+    assert np.array_equal(np.concatenate(parts), D)
+
+
 # ---------------------------------------------------------------------------
 # Mapping degree by Jacobian integration
 # ---------------------------------------------------------------------------
@@ -74,6 +172,46 @@ def test_degree_multi_bubble():
     for k in (1, 2, 5, 9):
         rep = topology.mapping_degree(maps.multi_bubble(k), 100_000)
         assert rep.value == k and rep.residual < 0.05
+
+
+def test_degree_raws_are_exact_to_rounding():
+    # run_verify's fifteen degree cases at the default budget; with
+    # closed-form Jacobians only the quadrature and rounding are left
+    cases = [(maps.bump_deg1(geo.sphere_point(center), r, b), 1)
+             for center, b in (([0.0, 0.0, 1.0], [1.0, 0.0, 0.0]),
+                               ([0.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, 0.0]))
+             for r in (0.1, 0.3, 0.7)]
+    cases += [(maps.multi_bubble(k), k) for k in range(1, 10)]
+    for f, want in cases:
+        rep = topology.mapping_degree(f)
+        assert rep.value == want and rep.residual < 1e-10, (f.descriptor["variant"], rep)
+
+
+def test_degree_on_the_stencil():
+    # maps without jacobian_many: support balls, then the whole-sphere lattice
+    rep = topology.mapping_degree(_stencil_twin(maps.multi_bubble(3)), 50_000)
+    assert rep.value == 3 and rep.residual < 0.05
+    rep = topology.mapping_degree(maps.SphereMap(
+        3, 3, maps.equator_collapse(3).eval_many, {"variant": "collapse_fd"}), 50_000)
+    assert rep.value == 2 and rep.residual < 0.05
+
+
+# tracemalloc peak of the default S^3 bump degree when each ring's nodes
+# were stacked with their stencil neighbours in one array (numpy 2.4)
+STENCIL_DEGREE_PEAK = 8_615_792
+
+
+def test_degree_integral_memory_stays_blocked():
+    f = maps.bump_deg1(geo.sphere_point([0.0, 0.0, 0.0, 1.0]), 0.3,
+                       [1.0, 0.0, 0.0, 0.0])
+    topology.mapping_degree(f, 2_000)  # one-time allocations stay outside
+    tracemalloc.start()
+    try:
+        topology.mapping_degree(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= STENCIL_DEGREE_PEAK
 
 
 def test_degree_doubling_grid_is_stable():
