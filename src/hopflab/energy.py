@@ -165,8 +165,8 @@ def energy_mc(u: SphereMap, params: EnergyParams, region: Region, n: int,
               rng) -> EnergyEstimate:
     """Unbiased stratified MC estimate of E_{s,p}(u, region).
 
-    rng is an integer seed or a numpy Generator (a Generator contributes a
-    seed drawn from its state). A stratum pairs a source region of x with
+    rng is an integer seed in [0, 2^64) or a numpy Generator (a Generator
+    contributes a seed drawn from its state). A stratum pairs a source region of x with
     a dyadic shell of the step length (_strata). A pilot of about
     n / MC_PILOT_SHARE samples on its own Philox keys estimates each
     stratum's standard deviation sigma_j; the rest of n is allocated by
@@ -184,6 +184,8 @@ def energy_mc(u: SphereMap, params: EnergyParams, region: Region, n: int,
     if n < 1_000:
         raise ParameterError("energy_mc needs at least 1000 samples")
     seed = int(rng.integers(2 ** 62)) if hasattr(rng, "integers") else int(rng)
+    if not 0 <= seed < 2 ** 64:  # the first word of every stratum's Philox key
+        raise ParameterError(f"seed must lie in [0, 2^64), got {seed}")
     strata, pair_weight, tail_measure = _strata(u, params.n, region)
     if not strata:  # constant map: the energy vanishes exactly
         return EnergyEstimate(0.0, 0.0, n, params, region, seed, 0.0, [])

@@ -371,11 +371,9 @@ class Region:
     [lo, hi] from center, or the whole sphere when center is None.
 
     A ball B(c, r) is [0, r], its complement [r, pi], and a concentric
-    difference B(c, r) minus B(c, r') is [r', r]. Regions are x sources
-    of the energy estimators: sample draws uniform points, measure is
-    their total measure, contains tests membership, gap bounds each
-    point's geodesic distance to the region from below (<= 0 inside), and
-    moved(M) is the region carried by x -> M^T x.
+    difference B(c, r) minus B(c, r') is [r', r]. energy_mc draws x from
+    its region: sample draws uniform points, measure is their total
+    measure, and contains tests membership.
     """
 
     dim: int
@@ -413,18 +411,6 @@ class Region:
         d = geodesic_distances(pts, self.center.coords)
         return (d >= self.lo) & (d <= self.hi)
 
-    def gap(self, pts):
-        if self.center is None:
-            return np.zeros(pts.shape[0])
-        d = geodesic_distances(pts, self.center.coords)
-        return np.maximum(self.lo - d, d - self.hi)
-
-    def moved(self, mat):
-        if self.center is None:
-            return self
-        return Region(self.dim, sphere_point(mat.T @ self.center.coords),
-                      self.lo, self.hi)
-
     def to_dict(self):
         """The region's JSON: variant whole, ball, complement or difference,
         with its outer (and inner) ball."""
@@ -446,8 +432,10 @@ class BallUnion:
     """Pairwise disjoint closed geodesic balls of one sphere, as one x source.
 
     x falls in each ball in proportion to its measure and is then uniform
-    in it; contains compares one dot product per ball with cos r, and gap
-    is min_i d(x, c_i) - r_i.
+    in it (sample, from one ball Region per ball); contains compares one
+    dot product per ball with cos r, gap is min_i d(x, c_i) - r_i, a lower
+    bound on the geodesic distance to the union (<= 0 on it), and moved(M)
+    is the union carried by x -> M^T x.
     """
 
     def __init__(self, balls):

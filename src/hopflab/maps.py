@@ -10,7 +10,8 @@ values, so constructions can be persisted and rebuilt bit-identically.
 Each constructor also sets the exact degree it bookkeeps from the pieces,
 for maps S^3 -> S^2 a rule that seeds the fiber over a target, and, for
 maps equal to a basepoint off a known set, the pieces of that set as x
-sources of the energy estimators (balls, Hopf tubes, unions of balls).
+sources (unions of balls, Hopf tubes): the one declaration that the energy
+estimators, the degree integral and the preimage solver read.
 Evaluation is vectorized over (N, dim+1) coordinate arrays; maps equal to
 a fill off disjoint balls share one masked evaluator (_BallMasked).
 """
@@ -31,7 +32,6 @@ from .errors import (
 from .geometry import (
     BallUnion,
     GeodesicBall,
-    Region,
     Rotation,
     SpherePoint,
     ball_gap,
@@ -57,23 +57,24 @@ class SphereMap:
     """A map between spheres with vectorized evaluation and a descriptor.
 
     eval_many maps an (N, domain_dim+1) array of unit vectors to an
-    (N, codomain_dim+1) array of unit vectors. supports, when not None,
-    lists geodesic balls outside whose union the map equals basepoint
-    exactly. degree, when not None, is the exact invariant its constructor
-    bookkeeps from its children: the mapping degree of S^m -> S^m maps,
-    the Hopf invariant of S^3 -> S^2 maps. fiber_seeds, when not None,
-    maps a target z on S^2 to domain points near every component of the
-    fiber over z; fiber tracing corrects and deduplicates them.
+    (N, codomain_dim+1) array of unit vectors. degree, when not None, is
+    the exact invariant its constructor bookkeeps from its children: the
+    mapping degree of S^m -> S^m maps, the Hopf invariant of S^3 -> S^2
+    maps. fiber_seeds, when not None, maps a target z on S^2 to domain
+    points near every component of the fiber over z; fiber tracing corrects
+    and deduplicates them.
     sources, when not None, lists pairwise disjoint x sources (objects with
-    sample, measure, contains, gap and moved, such as geometry.Region)
+    sample, measure, contains, gap and moved, such as geometry.BallUnion)
     whose union W holds every point where the map differs from basepoint;
     both energy estimators integrate x over W only, and support_gap reads
-    the distance to W from them. A map declaring supports and a basepoint
-    gets one ball Region per support unless its constructor passes a list:
-    v o h passes one HopfTubes, a patched map its background's sources
-    plus one BallUnion of its balls, u o M its child's sources moved by M.
-    Hand-built maps leave degree, fiber_seeds and (without supports and
-    basepoint) sources None, and None propagates through the combinators.
+    the distance to W from them. It is the map's one declaration of where
+    it leaves its basepoint: a bump or Hopf bump passes one BallUnion of its
+    ball, a multi-bubble one per ball, v o h one HopfTubes, a patched map
+    its background's sources plus one BallUnion of its balls, u o M its
+    child's sources moved by M. supports reads the balls of the sources
+    when every source is a BallUnion. Hand-built maps leave degree,
+    fiber_seeds and sources None, and None propagates through the
+    combinators.
     jacobian_many, when not None, maps (N, domain_dim+1) points to the
     (N, codomain_dim+1, domain_dim+1) ambient differentials, exact on
     tangent vectors. The Hopf map, identity, equator collapse, constant
@@ -91,7 +92,6 @@ class SphereMap:
         descriptor,
         lipschitz_hint=None,
         jacobian_many=None,
-        supports=None,
         basepoint=None,
         degree=None,
         fiber_seeds=None,
@@ -103,14 +103,20 @@ class SphereMap:
         self.descriptor = descriptor
         self.lipschitz_hint = lipschitz_hint
         self.jacobian_many = jacobian_many
-        self.supports = supports
         self.basepoint = None if basepoint is None else np.asarray(basepoint, float)
         self.degree = degree
         self.fiber_seeds = fiber_seeds
-        if sources is None and supports is not None and self.basepoint is not None:
-            sources = [Region(b.center.dim, b.center, 0.0, b.radius)
-                       for b in supports]
         self.sources = sources
+
+    @property
+    def supports(self):
+        """The geodesic balls outside whose union the map equals basepoint:
+        the balls of the sources, in order, when every source is a
+        BallUnion, and None otherwise."""
+        if self.sources is None or not all(isinstance(src, BallUnion)
+                                           for src in self.sources):
+            return None
+        return [ball for src in self.sources for ball in src.balls]
 
     def eval_many(self, points):
         pts = np.asarray(points, dtype=np.float64)
@@ -219,8 +225,8 @@ def constant_map(domain_dim: int, b) -> SphereMap:
     desc = _desc("constant", {"domain_dim": domain_dim, "basepoint": bc.tolist()})
     ev = _BallMasked([], [], [], bc)
     return SphereMap(domain_dim, bc.shape[0] - 1, ev, desc, lipschitz_hint=0.0,
-                     jacobian_many=ev.jacobian, supports=[], basepoint=bc, degree=0,
-                     fiber_seeds=lambda target: [])
+                     jacobian_many=ev.jacobian, basepoint=bc, degree=0,
+                     fiber_seeds=lambda target: [], sources=[])
 
 
 def identity_map(m: int) -> SphereMap:
@@ -482,7 +488,7 @@ def bump_deg1(x0, r: float, b) -> SphereMap:
     })
     ball = GeodesicBall(sphere_point(c0), rho)
     return SphereMap(m, m, ev, desc, lipschitz_hint=2.0 / r, jacobian_many=ev.jacobian,
-                     supports=[ball], basepoint=bc, degree=1)
+                     basepoint=bc, degree=1, sources=[BallUnion([ball])])
 
 
 class _BumpKernel:
@@ -595,8 +601,8 @@ def _bubble_assembly(balls, bc, k, safety):
         ],
     })
     return SphereMap(2, 2, ev, desc, lipschitz_hint=2.0 / r_bump,
-                     jacobian_many=ev.jacobian, supports=list(balls), basepoint=bc,
-                     degree=k)
+                     jacobian_many=ev.jacobian, basepoint=bc, degree=k,
+                     sources=[BallUnion([ball]) for ball in balls])
 
 
 # ---------------------------------------------------------------------------
@@ -606,8 +612,8 @@ def _bubble_assembly(balls, bc, k, safety):
 def composed_with_hopf(v: SphereMap) -> SphereMap:
     """v o h for v: S^2 -> S^2; the Hopf degree bookkeeps to (deg v)^2.
 
-    When v declares support balls and a basepoint, v o h equals the
-    basepoint off the Hopf tubes over those balls, its one x source.
+    When v's sources are balls (v.supports), v o h equals v's basepoint
+    off the Hopf tubes over those balls, its one x source.
     """
     if v.domain_dim != 2 or v.codomain_dim != 2:
         raise DimensionMismatchError("composed_with_hopf needs v: S^2 -> S^2")
@@ -624,9 +630,8 @@ def composed_with_hopf(v: SphereMap) -> SphereMap:
 
     hint = None if v.lipschitz_hint is None else 2.0 * v.lipschitz_hint
     degree = None if v.degree is None else v.degree ** 2
-    sources = None
-    if v.supports is not None and v.basepoint is not None:
-        sources = [HopfTubes(v.supports)] if v.supports else []
+    balls = v.supports
+    sources = None if balls is None else [HopfTubes(balls)] if balls else []
     desc = _desc("compose_hopf", {}, children=[v.descriptor])
     return SphereMap(3, 2, ev, desc, lipschitz_hint=hint, basepoint=v.basepoint,
                      degree=degree, fiber_seeds=seeds, sources=sources)
@@ -653,10 +658,9 @@ def hopf_bump(x0, r: float, b=None) -> SphereMap:
         "support_radius": radius,
         "basepoint": bc.tolist(),
     })
-    return SphereMap(3, 2, ev, desc, lipschitz_hint=4.0 / r,
-                     supports=[GeodesicBall(sphere_point(c0), radius)],
-                     basepoint=bc, degree=1,
-                     fiber_seeds=lambda target: ball_grid(c0, radius, _BALL_SEEDS))
+    return SphereMap(3, 2, ev, desc, lipschitz_hint=4.0 / r, basepoint=bc, degree=1,
+                     fiber_seeds=lambda target: ball_grid(c0, radius, _BALL_SEEDS),
+                     sources=[BallUnion([GeodesicBall(sphere_point(c0), radius)])])
 
 
 def patch_maps(pieces, b) -> SphereMap:
@@ -725,13 +729,10 @@ def _patched(background: SphereMap, pieces, bc) -> SphereMap:
     hint = None if any(h is None for h in hints) else max(hints)
     degrees = [background.degree] + [u.degree for u in piece_maps]
     degree = None if None in degrees else sum(degrees)
-    bg_sup = background.supports
-    supports = None if bg_sup is None else list(bg_sup) + list(balls)
     sources = None
     if background.sources is not None:
         sources = list(background.sources) + ([BallUnion(balls)] if balls else [])
-    return SphereMap(dom, cod, ev, desc, lipschitz_hint=hint,
-                     supports=supports, basepoint=bc, degree=degree,
+    return SphereMap(dom, cod, ev, desc, lipschitz_hint=hint, basepoint=bc, degree=degree,
                      fiber_seeds=None if background.fiber_seeds is None else seeds,
                      sources=sources)
 
@@ -780,8 +781,8 @@ def precompose_flip(u: SphereMap) -> SphereMap:
 def _precompose(u: SphereMap, mat, variant, params) -> SphereMap:
     """u o M for an orthogonal matrix M of the domain.
 
-    Supports, x sources (and with them the support gap) and fiber seeds
-    move by M^-1 = M^T; an orientation-reversing M negates the bookkept
+    x sources (and with them the supports and the support gap) and fiber
+    seeds move by M^-1 = M^T; an orientation-reversing M negates the bookkept
     degree. A Jacobian of u gives J_u(M x) M.
     """
 
@@ -794,18 +795,11 @@ def _precompose(u: SphereMap, mat, variant, params) -> SphereMap:
     def seeds(target):
         return [mat.T @ x for x in u.fiber_seeds(target)]
 
-    supports = None
-    if u.supports is not None:
-        supports = [
-            GeodesicBall(sphere_point(mat.T @ ball.center.coords), ball.radius)
-            for ball in u.supports
-        ]
     degree = None if u.degree is None else u.degree * int(np.sign(np.linalg.det(mat)))
     return SphereMap(u.domain_dim, u.codomain_dim, ev,
                      _desc(variant, params, children=[u.descriptor]),
                      lipschitz_hint=u.lipschitz_hint,
                      jacobian_many=None if u.jacobian_many is None else jac,
-                     supports=supports,
                      basepoint=u.basepoint, degree=degree,
                      fiber_seeds=None if u.fiber_seeds is None else seeds,
                      sources=None if u.sources is None

@@ -293,7 +293,7 @@ def trace_fiber(f: SphereMap, target, seeds, step: float = 1e-3):
     radii grow by the segment's sagitta (_sagitta): a 0.1 rad chord lies
     1.25e-3 from its arc, more than 2 * step for step below 6.3e-4. A sigma2
     below FIBER_SIGMA_MIN or a curve open after FIBER_MAX_STEPS rounds
-    raises a non-regular-value error.
+    raises a non-regular-value error. step must be finite and > 0.
     """
     return _trace_fibers(f, [target], [seeds], step)[0]
 
@@ -306,6 +306,8 @@ def _trace_fibers(f: SphereMap, targets, seed_sets, step: float):
     """
     if f.domain_dim != 3 or f.codomain_dim != 2:
         raise ParameterError("fiber tracing needs a map S^3 -> S^2")
+    if not 0.0 < step < np.inf:  # also false for nan
+        raise ParameterError(f"fiber step must be finite and > 0, got step = {step}")
     X = [np.reshape([getattr(s, "coords", s) for s in seeds], (-1, 4))
          for seeds in seed_sets]
     fib = np.repeat(np.arange(len(X)), [len(x) for x in X])
@@ -531,11 +533,14 @@ def hopf_invariant(f: SphereMap, step: float = 1e-3,
     the curves' steps adapt from it up to FIBER_MAX_STEP. The map's
     fiber_seeds rule seeds the tracing; a map without one is seeded from a
     LATTICE_SEEDS-point lattice of S^3. Targets are drawn away from the
-    map's constant value and re-drawn, up to HOPF_MAX_TRIES pairs, if
-    tracing finds a non-regular point or the linking guard trips.
+    map's constant value, from a generator seeded by seed in [0, 2^64), and
+    re-drawn, up to HOPF_MAX_TRIES pairs, if tracing finds a non-regular
+    point or the linking guard trips. step must be finite and > 0.
     """
     if f.domain_dim != 3 or f.codomain_dim != 2:
         raise ParameterError("the Hopf invariant needs a map S^3 -> S^2")
+    if not 0 <= seed < 2 ** 64:
+        raise ParameterError(f"seed must lie in [0, 2^64), got {seed}")
     seeds = f.fiber_seeds or (lambda target: kronecker_lattice_s3(LATTICE_SEEDS))
     rng = np.random.default_rng(seed)
     last_err = None

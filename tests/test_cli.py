@@ -81,6 +81,17 @@ def test_hopf_certifies_against_bookkeeping(d2_descriptor, capsys):
     assert abs(doc["residual"]) < 0.05
 
 
+@pytest.mark.parametrize("argv", [
+    ["energy", "--s", "0.5", "--samples", "5000", "--seed", "-1"],
+    ["hopf", "--seed", "-1"],
+    ["hopf", "--step", "0"],
+])
+def test_bad_seed_or_step_exits_1_without_traceback(argv, hopf_descriptor, capsys):
+    assert main(argv[:1] + ["--descriptor", hopf_descriptor] + argv[1:]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_scaling_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "run.csv"
     code = main(["scaling", "--s", "0.5", "--degrees", "1,2",

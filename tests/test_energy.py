@@ -147,6 +147,13 @@ def test_energy_mc_seed_matters():
     assert a.value != b.value
 
 
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_energy_mc_rejects_out_of_range_seeds(seed):
+    # the seed is the first word of every stratum's uint64 Philox key
+    with pytest.raises(ParameterError, match="seed"):
+        energy.energy_mc(maps.hopf_map(), PARAMS_S3, WHOLE_S3, 20_000, seed)
+
+
 def test_energy_mc_generator_seed_path():
     u = maps.hopf_map()
     est = energy.energy_mc(u, PARAMS_S3, WHOLE_S3, 20_000,
@@ -384,9 +391,9 @@ def test_quadrature_without_lipschitz_hint_runs_every_band():
     assert abs(q_bare - q_hinted) <= 1e-12 * q_bare
 
 
-def _redeclared(u, supports=None, basepoint=None, sources=None):
-    """u's values under its own descriptor and hint, with the given support
-    declaration; returns the map and a list of its eval_many batch sizes."""
+def _redeclared(u, basepoint=None, sources=None):
+    """u's values under its own descriptor and hint, with the given basepoint
+    and sources; returns the map and a list of its eval_many batch sizes."""
     seen = []
 
     def counted(pts):
@@ -394,8 +401,8 @@ def _redeclared(u, supports=None, basepoint=None, sources=None):
         return u.eval_many(pts)
 
     return maps.SphereMap(u.domain_dim, u.codomain_dim, counted, u.descriptor,
-                          lipschitz_hint=u.lipschitz_hint, supports=supports,
-                          basepoint=basepoint, sources=sources), seen
+                          lipschitz_hint=u.lipschitz_hint, basepoint=basepoint,
+                          sources=sources), seen
 
 
 @pytest.mark.parametrize("build, params", [
@@ -418,7 +425,7 @@ def test_quadrature_support_pruning_is_exact(build, params):
     # both run energy_quadrature's lattice rule at 300 (48 directions),
     # since a map with tube sources alone would run the tube rule
     u = build()
-    pruned, seen_pruned = _redeclared(u, u.supports, u.basepoint, u.sources)
+    pruned, seen_pruned = _redeclared(u, u.basepoint, u.sources)
     full, seen_full = _redeclared(u, basepoint=u.basepoint)
     X, w = geo.sphere_lattice(params.n, 300), geo.sphere_area(params.n) / 300
     q = energy._quad_rule(pruned, params, X, w, 48)
@@ -430,22 +437,11 @@ def test_quadrature_support_pruning_is_exact(build, params):
 def test_quadrature_support_pruning_skips_most_points():
     u = maps.multi_bubble(2)
     params = energy.EnergyParams(s=0.5, p=6.0, n=2)
-    pruned, seen_pruned = _redeclared(u, u.supports, u.basepoint)
+    pruned, seen_pruned = _redeclared(u, u.basepoint, u.sources)
     full, seen_full = _redeclared(u, basepoint=u.basepoint)
     energy.energy_quadrature(pruned, params, 1_000)
     energy.energy_quadrature(full, params, 1_000)
     assert sum(seen_pruned) <= 0.4 * sum(seen_full)
-
-
-def test_quadrature_support_pruning_needs_a_basepoint():
-    # supports without a basepoint do not say what the map is off them
-    u = maps.multi_bubble(2)
-    params = energy.EnergyParams(s=0.5, p=6.0, n=2)
-    no_base, seen_no_base = _redeclared(u, supports=u.supports)
-    full, seen_full = _redeclared(u)
-    q = energy.energy_quadrature(no_base, params, 300)
-    assert q == energy.energy_quadrature(full, params, 300)
-    assert seen_no_base == seen_full
 
 
 # ---------------------------------------------------------------------------

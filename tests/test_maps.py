@@ -365,9 +365,10 @@ def test_sources_cover_where_the_map_leaves_its_basepoint():
     assert maps.hopf_map().sources is None
     assert maps.constant_map(3, [1.0, 0.0, 0.0]).sources == []
     v = maps.multi_bubble(2)
-    # supports with a basepoint default to one ball region each
-    assert [(s.center, s.lo, s.hi) for s in v.sources] == [
-        (b.center, 0.0, b.radius) for b in v.supports]
+    # one ball union per bubble, whose balls supports reads back
+    assert all(isinstance(s, geo.BallUnion) for s in v.sources)
+    assert [b for s in v.sources for b in s.balls] == v.supports
+    assert [len(s.balls) for s in v.sources] == [1, 1]
     u = maps.prescribed_hopf_map(5)
     tubes, balls = u.sources
     assert isinstance(tubes, maps.HopfTubes) and isinstance(balls, geo.BallUnion)
@@ -389,8 +390,8 @@ def test_sources_cover_where_the_map_leaves_its_basepoint():
 
 @pytest.mark.parametrize("move", ["built", "flip", "rotation"])
 def test_source_gaps_are_lower_bounds(move):
-    # each source type a constructor builds: a ball Region (hopf_bump), a
-    # HopfTubes and a BallUnion (the patched d = 5)
+    # each source type a constructor builds: a one-ball BallUnion
+    # (hopf_bump), a HopfTubes and a BallUnion (the patched d = 5)
     u = maps.prescribed_hopf_map(5)
     bump = maps.hopf_bump(geo.sphere_point([0.0, 0.0, 0.0, 1.0]), 0.4)
     if move == "flip":
@@ -400,7 +401,7 @@ def test_source_gaps_are_lower_bounds(move):
                                   geo.sphere_point([0.5, -0.5, 0.5, 0.5]))
         u, bump = maps.precompose_rotation(u, rot), maps.precompose_rotation(bump, rot)
     sources = [*bump.sources, *u.sources]
-    assert [type(src) for src in sources] == [geo.Region, maps.HopfTubes, geo.BallUnion]
+    assert [type(src) for src in sources] == [geo.BallUnion, maps.HopfTubes, geo.BallUnion]
     rng = np.random.default_rng(52)
     x = geo.sample_uniform_many(3, 400, rng)
     for src in sources:

@@ -43,10 +43,10 @@ def test_finite_difference_jacobian_matches_closed_form(monkeypatch):
 
 
 def _stencil_twin(f):
-    """f without its closed-form Jacobian: the same values and supports, on
+    """f without its closed-form Jacobian: the same values and sources, on
     the stencil."""
     return maps.SphereMap(f.domain_dim, f.codomain_dim, f.eval_many, f.descriptor,
-                          supports=f.supports, basepoint=f.basepoint)
+                          basepoint=f.basepoint, sources=f.sources)
 
 
 def _continued(u, i):
@@ -194,6 +194,31 @@ def test_degree_on_the_stencil():
     rep = topology.mapping_degree(maps.SphereMap(
         3, 3, maps.equator_collapse(3).eval_many, {"variant": "collapse_fd"}), 50_000)
     assert rep.value == 2 and rep.residual < 0.05
+
+
+def test_sources_of_balls_alone_declare_the_supports():
+    # a hand-built map that declares only ball sources and a basepoint
+    v = maps.multi_bubble(3)
+    balls = v.supports
+    seen = []
+
+    def counted(pts):
+        seen.append(pts)
+        return v.eval_many(pts)
+
+    u = maps.SphereMap(2, 2, counted, {"variant": "hand_built"},
+                       basepoint=v.basepoint, sources=[geo.BallUnion(balls)])
+    assert u.supports == balls
+    grid = 30_000
+    rep = topology.mapping_degree(u, grid)
+    assert rep.value == 3 and rep.residual < 0.05
+    # the degree integral ran over the balls (and their stencil), not over a
+    # whole-sphere lattice of grid nodes, each evaluated 2m + 1 times
+    pts = np.concatenate(seen)
+    assert pts.shape[0] < 5 * grid
+    assert np.all(u.support_gap(pts) < 1e-4)
+    tubes, = maps.composed_with_hopf(u).sources
+    assert isinstance(tubes, maps.HopfTubes) and tubes.balls == balls
 
 
 # tracemalloc peak of the default S^3 bump degree when each ring's nodes
@@ -507,6 +532,24 @@ def test_hopf_invariant_collapse_composed_with_hopf_cancels():
 def test_hopf_invariant_rejects_wrong_dims():
     with pytest.raises(ParameterError):
         topology.hopf_invariant(maps.identity_map(2))
+
+
+@pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])
+def test_fiber_tracing_rejects_a_bad_step(step):
+    # a zero or nan step never closes a curve and a negative one fails every
+    # target pair, so each is rejected before any tracing
+    h = maps.hopf_map()
+    z = geo.sphere_point([0.0, 0.0, 1.0])
+    with pytest.raises(ParameterError, match="step"):
+        topology.trace_fiber(h, z, maps.fiber_circle(z, 8), step=step)
+    with pytest.raises(ParameterError, match="step"):
+        topology.hopf_invariant(maps.prescribed_hopf_map(2), step=step)
+
+
+@pytest.mark.parametrize("seed", [-1, 2 ** 64])
+def test_hopf_invariant_rejects_out_of_range_seeds(seed):
+    with pytest.raises(ParameterError, match="seed"):
+        topology.hopf_invariant(maps.hopf_map(), seed=seed)
 
 
 # ---------------------------------------------------------------------------
