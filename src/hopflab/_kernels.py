@@ -73,6 +73,13 @@ def oriented_frames(points):
 
     points: (N, d) unit vectors, d in {3, 4}. Returns (N, d, d-1) with
     frame vectors in the last-but-one axis columns.
+
+    Topology builds its S^3 frames as quaternion frames instead
+    (topology._tangent_frames), which cost one gather. This one stays for
+    S^2 frames, for the outer nodes of energy's quadrature, for
+    geometry.ball_grid and for the degree rule's ball centers. The
+    quadrature's inner rule turns with the frame, so another frame there
+    moves the quadrature values.
     """
     pts = np.asarray(points, dtype=np.float64)
     d = pts.shape[1]
@@ -93,9 +100,12 @@ def oriented_frames(points):
     return np.stack([e1, e2, _cross4(pts, e1, e2)], axis=2)
 
 
+_NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
+
+
 def cross3(a, b):
     """Row-wise np.cross of (N, 3) arrays, bit for bit, at less call cost."""
-    return a[:, [1, 2, 0]] * b[:, [2, 0, 1]] - a[:, [2, 0, 1]] * b[:, [1, 2, 0]]
+    return a[:, _NEXT] * b[:, _LAST] - a[:, _LAST] * b[:, _NEXT]
 
 
 def _cross4(x, u, v):

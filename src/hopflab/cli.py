@@ -142,8 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="JSON map descriptor file")
     q.add_argument("--step", type=float, default=None,
                    help="initial fiber arc step, also the predictor tolerance "
-                        "scale and the closing radius (default 2e-3); steps "
-                        "adapt up to 0.1 rad")
+                        "scale and the closing radius (default 2e-3, at least "
+                        "1e-12); steps adapt up to 0.1 rad")
     q.add_argument("--seed", type=int, default=None)
     q.set_defaults(func=cmd_hopf)
 

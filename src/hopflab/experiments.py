@@ -338,7 +338,7 @@ def _check_hopf_gradient(k):
     """Tangential gradient norm of the Hopf map: |grad h|^2 = 8 pointwise."""
     h = hopf_map()
     pts = sample_uniform_many(3, 1000, np.random.default_rng(k["seed"]))
-    D, _, _ = tangential_jacobian(h, pts)
+    D = tangential_jacobian(h, pts)[0]
     worst = float(np.max(np.abs(np.sum(D * D, axis=(1, 2)) - 8.0)))
     return worst <= k["gradient_tol"], {"max_gradient_error": worst}
 

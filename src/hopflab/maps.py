@@ -75,13 +75,14 @@ class SphereMap:
     when every source is a BallUnion. Hand-built maps leave degree,
     fiber_seeds and sources None, and None propagates through the
     combinators.
-    jacobian_many, when not None, maps (N, domain_dim+1) points to the
+    jet_many, when not None, maps (N, domain_dim+1) points to the pair
+    (values, J): the values bit for bit as eval_many gives them, and the
     (N, codomain_dim+1, domain_dim+1) ambient differentials, exact on
-    tangent vectors. The Hopf map, identity, equator collapse, constant
-    maps, bumps and multi-bubbles carry it in closed form, and u o M
-    carries J_u(M x) M; every other map (v o h, Hopf bumps, patched maps)
-    leaves it None and is differentiated on the finite-difference stencil
-    of topology.tangential_jacobian.
+    tangent vectors, from one pass over the points. The Hopf map, identity,
+    equator collapse, constant maps, bumps and multi-bubbles carry it in
+    closed form, and u o M carries (u(M x), J_u(M x) M); every other map
+    (v o h, Hopf bumps, patched maps) leaves it None and is differentiated
+    on the finite-difference stencil of topology.tangential_jacobian.
     """
 
     def __init__(
@@ -91,7 +92,7 @@ class SphereMap:
         eval_many,
         descriptor,
         lipschitz_hint=None,
-        jacobian_many=None,
+        jet_many=None,
         basepoint=None,
         degree=None,
         fiber_seeds=None,
@@ -102,7 +103,7 @@ class SphereMap:
         self._eval_many = eval_many
         self.descriptor = descriptor
         self.lipschitz_hint = lipschitz_hint
-        self.jacobian_many = jacobian_many
+        self.jet_many = jet_many
         self.basepoint = None if basepoint is None else np.asarray(basepoint, float)
         self.degree = degree
         self.fiber_seeds = fiber_seeds
@@ -159,9 +160,9 @@ class _BallMasked:
     ulp, i.e. moves of x.c below 1e-15; when all pass, all are tested in
     place. A background's eval_many is looked up per call, so that a
     wrapper installed on the class after the map was built (a profiler's)
-    sees it. When every kernel has a jacobian method and fill is a point,
-    jacobian is the map's ambient differential: kernel i's on ball i, by the
-    same test, and 0 elsewhere.
+    sees it. When every kernel has a jet method and fill is a point, jet
+    gives the values and the ambient differentials from the same test:
+    kernel i's jet on ball i, and (fill, 0) elsewhere.
     """
 
     __slots__ = ("centers", "radii", "cos_near", "kernels", "fill")
@@ -185,15 +186,16 @@ class _BallMasked:
                 out[rows] = kernel(pts[rows])
         return out
 
-    def jacobian(self, pts):
-        # built as (i, j, N), like the kernels' Jacobians, and returned as a view
-        out = np.zeros((self.fill.shape[0], pts.shape[1], pts.shape[0]))
+    def jet(self, pts):
+        # differentials built as (i, j, N), like the kernels', returned as a view
+        out = np.broadcast_to(self.fill, (pts.shape[0], self.fill.shape[0])).copy()
+        jac = np.zeros((self.fill.shape[0], pts.shape[1], pts.shape[0]))
         for kernel, rows in self._inside(pts):
             if rows is None:
-                out[...] = kernel.jacobian(pts).transpose(1, 2, 0)
+                out[:], jac[...] = kernel.jet(pts)
             else:
-                out[:, :, rows] = kernel.jacobian(pts[rows]).transpose(1, 2, 0)
-        return out.transpose(2, 0, 1)
+                out[rows], jac[:, :, rows] = kernel.jet(pts[rows])
+        return out, jac.transpose(2, 0, 1)
 
     def _inside(self, pts):
         """(kernel i, the rows of pts in ball i) for each ball holding some;
@@ -225,7 +227,7 @@ def constant_map(domain_dim: int, b) -> SphereMap:
     desc = _desc("constant", {"domain_dim": domain_dim, "basepoint": bc.tolist()})
     ev = _BallMasked([], [], [], bc)
     return SphereMap(domain_dim, bc.shape[0] - 1, ev, desc, lipschitz_hint=0.0,
-                     jacobian_many=ev.jacobian, basepoint=bc, degree=0,
+                     jet_many=ev.jet, basepoint=bc, degree=0,
                      fiber_seeds=lambda target: [], sources=[])
 
 
@@ -236,12 +238,12 @@ def identity_map(m: int) -> SphereMap:
         return pts.copy()
 
     return SphereMap(m, m, ev, _desc("identity", {"dim": m}), lipschitz_hint=1.0,
-                     jacobian_many=_identity_jacobian, degree=1)
+                     jet_many=_identity_jet, degree=1)
 
 
-def _identity_jacobian(pts):
+def _identity_jet(pts):
     n, d = pts.shape
-    return np.broadcast_to(np.eye(d), (n, d, d)).copy()
+    return pts.copy(), np.broadcast_to(np.eye(d), (n, d, d)).copy()
 
 
 def hopf_map() -> SphereMap:
@@ -253,7 +255,7 @@ def hopf_map() -> SphereMap:
     """
     return SphereMap(
         3, 2, hopf_eval_many, _desc("hopf", {}),
-        lipschitz_hint=2.0, jacobian_many=hopf_jacobian_many, degree=1,
+        lipschitz_hint=2.0, jet_many=hopf_jet_many, degree=1,
         fiber_seeds=lambda target: fiber_circle(target, 1),
     )
 
@@ -265,6 +267,11 @@ def hopf_eval_many(pts):
     out[:, 1] = 2.0 * (x1 * x3 + x2 * x4)
     out[:, 2] = 2.0 * (x2 * x3 - x1 * x4)
     return out
+
+
+def hopf_jet_many(pts):
+    """The Hopf map's values and ambient differentials at pts."""
+    return hopf_eval_many(pts), hopf_jacobian_many(pts)
 
 
 def hopf_jacobian_many(pts):
@@ -426,21 +433,22 @@ def equator_collapse(m: int) -> SphereMap:
     bijection from the open southern hemisphere onto S^m minus the pole.
     """
 
-    def ev(pts):
-        last = pts[:, -1:]
-        return np.concatenate([-2.0 * pts[:, :-1] * last, 1.0 - 2.0 * last * last],
-                              axis=1)
-
     # double cover of the sphere by the two hemispheres; the covers agree
     # in orientation exactly when m is odd
-    return SphereMap(m, m, ev, _desc("equator_collapse", {"dim": m}),
-                     lipschitz_hint=2.0, jacobian_many=_equator_collapse_jacobian,
+    return SphereMap(m, m, _equator_collapse, _desc("equator_collapse", {"dim": m}),
+                     lipschitz_hint=2.0, jet_many=_equator_collapse_jet,
                      degree=1 + (-1) ** (m + 1))
 
 
-def _equator_collapse_jacobian(pts):
-    """Ambient differential of g: -2 x_{m+1} I and -2 x_<m+1 in the last
-    column on the first m rows, -4 x_{m+1} in the last corner."""
+def _equator_collapse(pts):
+    last = pts[:, -1:]
+    return np.concatenate([-2.0 * pts[:, :-1] * last, 1.0 - 2.0 * last * last],
+                          axis=1)
+
+
+def _equator_collapse_jet(pts):
+    """g and its ambient differential: -2 x_{m+1} I and -2 x_<m+1 in the
+    last column on the first m rows, -4 x_{m+1} in the last corner."""
     n, d = pts.shape
     last = pts[:, -1]
     J = np.zeros((n, d, d))
@@ -448,7 +456,7 @@ def _equator_collapse_jacobian(pts):
     J[:, diag, diag] = (-2.0 * last)[:, None]
     J[:, :-1, -1] = -2.0 * pts[:, :-1]
     J[:, -1, -1] = -4.0 * last
-    return J
+    return _equator_collapse(pts), J
 
 
 # ---------------------------------------------------------------------------
@@ -487,13 +495,14 @@ def bump_deg1(x0, r: float, b) -> SphereMap:
         "basepoint": bc.tolist(),
     })
     ball = GeodesicBall(sphere_point(c0), rho)
-    return SphereMap(m, m, ev, desc, lipschitz_hint=2.0 / r, jacobian_many=ev.jacobian,
+    return SphereMap(m, m, ev, desc, lipschitz_hint=2.0 / r, jet_many=ev.jet,
                      basepoint=bc, degree=1, sources=[BallUnion([ball])])
 
 
 class _BumpKernel:
-    """bump_deg1's closed form, for points known to lie in its ball, and its
-    ambient differential there.
+    """bump_deg1's closed form, for points known to lie in its ball, and (jet)
+    the values with their ambient differentials there, from one set of
+    intermediates.
 
     With q = R_dom x = (h, q_m), s = 1 - q_m, u = |h|^2 / s, d = s r^2,
     D = u + d, z = (u - d) / D and a = -4 r z / D, the image is
@@ -532,7 +541,10 @@ class _BumpKernel:
         q[-1] = 1.0 - 2.0 * z * z
         return _product(self.rot_cod, q).T
 
-    def jacobian(self, pts):
+    def jet(self, pts):
+        """(values, J) at pts: the values bit for bit those of a call, built
+        from J's intermediates, and J one (i, j) entry per row, each holding
+        all points."""
         r, r2 = self.r, self.r * self.r
         rot_dom, rot_cod = self.rot_dom, self.rot_cod
         q = _product(rot_dom, pts.T)
@@ -548,15 +560,17 @@ class _BumpKernel:
         delta = -16.0 * z * u * r2 / (D * D)
         # J_q = a I_h + p (beta p + c e)^T + e (gamma p + delta e)^T with
         # p = (h, 0) and e the last axis; R_dom^T e is rot_dom's last row
-        # and R_dom^T p = x - q_m R_dom^T e. J is built one (i, j) entry
-        # per row, each holding all points, and returned as an (N, i, j) view
+        # and R_dom^T p = x - q_m R_dom^T e
         m = h.shape[0]
         e_dom, e_cod = rot_dom[m, :, None], rot_cod[:, m, None, None]
         p_dom = pts.T - q[m] * e_dom
         J = (rot_cod[:, :m] @ rot_dom[:m])[:, :, None] * a
         J += _product(rot_cod[:, :m], h)[:, None] * (beta * p_dom + c * e_dom)
         J += e_cod * (gamma * p_dom + delta * e_dom)
-        return J.transpose(2, 0, 1)
+        # R_cod (a h, 1 - 2 z^2), in q once J is done with h and q_m
+        h *= a
+        q[m] = 1.0 - 2.0 * z * z
+        return _product(rot_cod, q).T, J
 
 
 def _product(a, b):
@@ -601,7 +615,7 @@ def _bubble_assembly(balls, bc, k, safety):
         ],
     })
     return SphereMap(2, 2, ev, desc, lipschitz_hint=2.0 / r_bump,
-                     jacobian_many=ev.jacobian, basepoint=bc, degree=k,
+                     jet_many=ev.jet, basepoint=bc, degree=k,
                      sources=[BallUnion([ball]) for ball in balls])
 
 
@@ -783,14 +797,15 @@ def _precompose(u: SphereMap, mat, variant, params) -> SphereMap:
 
     x sources (and with them the supports and the support gap) and fiber
     seeds move by M^-1 = M^T; an orientation-reversing M negates the bookkept
-    degree. A Jacobian of u gives J_u(M x) M.
+    degree. A jet of u gives (u(M x), J_u(M x) M).
     """
 
     def ev(pts):
         return u.eval_many(_product(pts, mat.T))
 
-    def jac(pts):
-        return u.jacobian_many(_product(pts, mat.T)) @ mat
+    def jet(pts):
+        vals, J = u.jet_many(_product(pts, mat.T))
+        return vals, J @ mat
 
     def seeds(target):
         return [mat.T @ x for x in u.fiber_seeds(target)]
@@ -799,7 +814,7 @@ def _precompose(u: SphereMap, mat, variant, params) -> SphereMap:
     return SphereMap(u.domain_dim, u.codomain_dim, ev,
                      _desc(variant, params, children=[u.descriptor]),
                      lipschitz_hint=u.lipschitz_hint,
-                     jacobian_many=None if u.jacobian_many is None else jac,
+                     jet_many=None if u.jet_many is None else jet,
                      basepoint=u.basepoint, degree=degree,
                      fiber_seeds=None if u.fiber_seeds is None else seeds,
                      sources=None if u.sources is None

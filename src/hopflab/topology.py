@@ -50,6 +50,7 @@ _DEGREE_BLOCK = 2048  # nodes per evaluation of the degree integral
 FIBER_SIGMA_MIN = 1e-3  # least second singular value along a traced fiber
 FIBER_MAX_STEPS = 200_000  # rounds before a fiber counts as not closing
 FIBER_MAX_STEP = 0.1  # largest arc step (rad) of a traced fiber curve
+FIBER_MIN_STEP = 1e-12  # least initial arc step: the predictor still moves x
 HOPF_MAX_TRIES = 20  # target pairs hopf_invariant draws before it gives up
 LATTICE_SEEDS = 4096  # fiber seeds of a map without a seed rule
 
@@ -111,33 +112,59 @@ class ClosedCurve:
 def tangential_jacobian(f: SphereMap, pts):
     """Differential of f in positively oriented tangent frames.
 
-    Returns (D, frames_dom, values): D has shape (N, cod_dim, dom_dim) with
-    D[n] = W^T (Df) E for orthonormal frames E at pts[n] and W at f(pts[n]),
-    both completing the base point to a positive basis. The columns Df E
-    come from _ambient_columns: in closed form for maps with jacobian_many
-    (the Hopf map, identity, equator collapse, constant maps, bumps,
-    multi-bubbles and these precomposed with an orthogonal matrix), by
-    central differences along geodesics for every other map.
+    Returns (D, frames_dom, values, frames_cod): D has shape
+    (N, cod_dim, dom_dim) with D[n] = W^T (Df) E for orthonormal frames E at
+    pts[n] and W at f(pts[n]), both completing the base point to a positive
+    basis and both from _tangent_frames, so quaternion frames on S^3. W is
+    returned so that the corrector can use it without building it again.
+    The columns Df E come from _ambient_columns: in closed form for maps
+    with jet_many (the Hopf map, identity, equator collapse, constant maps,
+    bumps, multi-bubbles and these precomposed with an orthogonal matrix),
+    by central differences along geodesics for every other map.
     """
     pts = np.asarray(pts, dtype=np.float64)
-    E = _kernels.oriented_frames(pts)
+    E = _tangent_frames(pts)
     vals, cols = _ambient_columns(f, pts, E)
-    W = _kernels.oriented_frames(vals)
+    W = _tangent_frames(vals)
     D = np.einsum("nia,nij->naj", W, cols)
-    return D, E, vals
+    return D, E, vals, W
+
+
+# x -> (x i, x j, x k) for x = x1 + x2 i + x3 j + x4 k: entry (a, j) of the
+# frame is _QUAT_SIGNS[a, j] * x[_QUAT_ROWS[a, j]]
+_QUAT_ROWS = np.array([[1, 2, 3], [0, 3, 2], [3, 0, 1], [2, 1, 0]])
+_QUAT_SIGNS = np.array([[-1.0, -1.0, -1.0], [1.0, -1.0, 1.0],
+                        [1.0, 1.0, -1.0], [-1.0, 1.0, 1.0]])
+
+
+def _tangent_frames(pts):
+    """Positive orthonormal tangent frames at the rows of pts, (N, d, d-1):
+    every frame that topology builds at points of S^3 or S^2 other than the
+    degree rule's ball centers.
+
+    On S^3 the frame is (x i, x j, x k) for x read as a quaternion. Each
+    vector is a signed copy of x's coordinates, so the frame is orthonormal
+    up to the rounding of |x|, and det[x, x i, x j, x k] = |x|^4 = 1, since
+    the matrix is that of q -> x q; one gather and one product build it. On
+    S^2 the frame is _kernels.oriented_frames'.
+    """
+    if pts.shape[1] == 4:
+        return pts[:, _QUAT_ROWS] * _QUAT_SIGNS
+    return _kernels.oriented_frames(pts)
 
 
 def _ambient_columns(f: SphereMap, pts, E):
     """(f(pts), Df E): the values and the ambient columns of the
     differential along the tangent frames E, shape (N, cod_dim+1, dom_dim).
 
-    A map with jacobian_many gives J E. Otherwise each block of base points
-    is stacked with its +/- delta geodesic neighbours along every frame
-    direction and evaluated in one call; blocks bound the temporaries of
-    large batches.
+    A map with jet_many gives its values and J E from one jet. Otherwise
+    each block of base points is stacked with its +/- delta geodesic
+    neighbours along every frame direction and evaluated in one call;
+    blocks bound the temporaries of large batches.
     """
-    if f.jacobian_many is not None:
-        return f.eval_many(pts), np.einsum("nij,njk->nik", f.jacobian_many(pts), E)
+    if f.jet_many is not None:
+        vals, J = f.jet_many(pts)
+        return vals, np.einsum("nij,njk->nik", J, E)
     m_dom, m_cod = f.domain_dim, f.codomain_dim
     d = _FD_DELTA
     n = pts.shape[0]
@@ -146,13 +173,13 @@ def _ambient_columns(f: SphereMap, pts, E):
     for a in range(0, n, _FD_BLOCK):
         p = pts[a:a + _FD_BLOCK]
         base = np.cos(d) * p
-        shift = np.sin(d) * np.moveaxis(E[a:a + _FD_BLOCK], 2, 0)
+        shift = np.sin(d) * E[a:a + _FD_BLOCK].transpose(2, 0, 1)
         stencil = np.concatenate([p[None], base + shift, base - shift])
         out = f.eval_many(stencil.reshape(-1, m_dom + 1))
         out = out.reshape(1 + 2 * m_dom, -1, m_cod + 1)
         vals[a:a + _FD_BLOCK] = out[0]
-        cols[a:a + _FD_BLOCK] = np.moveaxis(
-            out[1:1 + m_dom] - out[1 + m_dom:], 0, 2) / (2.0 * d)
+        cols[a:a + _FD_BLOCK] = (
+            out[1:1 + m_dom] - out[1 + m_dom:]).transpose(1, 2, 0) / (2.0 * d)
     return vals, cols
 
 
@@ -161,17 +188,18 @@ def _jacobian_density(f: SphereMap, x):
     frame E at x: the signed Jacobian of f in any positive orthonormal
     frames, since [f | W] for such a frame W at f(x) is orthogonal with
     determinant 1 and [f | W]^T [f | Df E] is block-triangular with
-    W^T Df E in its corner. With a closed-form J it is
+    W^T Df E in its corner. With a closed-form jet (f(x), J) it is
     det(J + (f(x) - J x) x^T), a matrix that takes [x | E] to [f(x) | J E],
-    so no frame is built; otherwise E comes from oriented_frames and Df E
+    so no frame is built; otherwise E comes from _tangent_frames and Df E
     from the stencil."""
-    if f.jacobian_many is None:
-        vals, cols = _ambient_columns(f, x, _kernels.oriented_frames(x))
+    if f.jet_many is None:
+        vals, cols = _ambient_columns(f, x, _tangent_frames(x))
         return _det(np.concatenate([vals[:, :, None], cols], axis=2).transpose(1, 2, 0))
+    vals, J = f.jet_many(x)
     # one (i, j) entry per row, each holding all points
-    J = f.jacobian_many(x).transpose(1, 2, 0)
+    J = J.transpose(1, 2, 0)
     xt = np.ascontiguousarray(x.T)
-    off = f.eval_many(x).T - np.einsum("ijn,jn->in", J, xt)
+    off = vals.T - np.einsum("ijn,jn->in", J, xt)
     return _det(J + off[:, None] * xt)
 
 
@@ -207,8 +235,8 @@ def mapping_degree(f: SphereMap, grid_size: int = 200_000) -> DegreeReport:
     vanishes elsewhere); otherwise over an equal-weight lattice of the
     whole sphere. grid_size is the number of integration nodes, split
     evenly over the balls. A node costs one evaluation and one closed-form
-    Jacobian, or 2m + 1 evaluations on the stencil for a map without
-    jacobian_many. The integrand is _jacobian_density; nodes are generated
+    Jacobian from one jet, or 2m + 1 evaluations on the stencil for a map
+    without jet_many. The integrand is _jacobian_density; nodes are generated
     and evaluated in blocks of at most _DEGREE_BLOCK.
     """
     if f.domain_dim != f.codomain_dim:
@@ -293,7 +321,9 @@ def trace_fiber(f: SphereMap, target, seeds, step: float = 1e-3):
     radii grow by the segment's sagitta (_sagitta): a 0.1 rad chord lies
     1.25e-3 from its arc, more than 2 * step for step below 6.3e-4. A sigma2
     below FIBER_SIGMA_MIN or a curve open after FIBER_MAX_STEPS rounds
-    raises a non-regular-value error. step must be finite and > 0.
+    raises a non-regular-value error. step must be finite and at least
+    FIBER_MIN_STEP = 1e-12: far below it a predictor move of a unit vector
+    rounds away, so every curve would close at once on its start.
     """
     return _trace_fibers(f, [target], [seeds], step)[0]
 
@@ -306,8 +336,9 @@ def _trace_fibers(f: SphereMap, targets, seed_sets, step: float):
     """
     if f.domain_dim != 3 or f.codomain_dim != 2:
         raise ParameterError("fiber tracing needs a map S^3 -> S^2")
-    if not 0.0 < step < np.inf:  # also false for nan
-        raise ParameterError(f"fiber step must be finite and > 0, got step = {step}")
+    if not FIBER_MIN_STEP <= step < np.inf:  # also false for nan
+        raise ParameterError(f"fiber step must be finite and at least "
+                             f"{FIBER_MIN_STEP:g}, got step = {step}")
     X = [np.reshape([getattr(s, "coords", s) for s in seeds], (-1, 4))
          for seeds in seed_sets]
     fib = np.repeat(np.arange(len(X)), [len(x) for x in X])
@@ -416,22 +447,21 @@ def _correct(f: SphereMap, X, Z, tol: float = 1e-8, iters: int = 60,
     |f(x) - z| < tol, z its row of Z; returns (ok, X, D, E), with D, E from
     tangential_jacobian at each converged x. A row is off the fiber on a flat
     spot, a step below min_step or after iters iterations. A step solves
-    D h = -W^T (f(x) - z) in the frame W at f(x), built once per iteration
-    for the open rows, and is capped at length 0.2.
+    D h = -W^T (f(x) - z) in the frame W at f(x) that tangential_jacobian
+    returns with D, and is capped at length 0.2.
     """
     X, n, m = np.array(X, float), len(X), f.domain_dim
     ok, todo = np.zeros(n, bool), np.arange(n)
     D, E = np.empty((n, f.codomain_dim, m)), np.empty((n, m + 1, m))
     for _ in range(iters if n else 0):
-        Dt, Et, vals = tangential_jacobian(f, X[todo])
+        Dt, Et, vals, W = tangential_jacobian(f, X[todo])
         r = vals - Z[todo]
         done = np.linalg.norm(r, axis=1) < tol
         ok[todo[done]] = True
         D[todo[done]], E[todo[done]] = Dt[done], Et[done]
-        todo, Dt, Et, vals, r = (a[~done] for a in (todo, Dt, Et, vals, r))
+        todo, Dt, Et, W, r = (a[~done] for a in (todo, Dt, Et, W, r))
         if todo.size == 0:
             break
-        W = _kernels.oriented_frames(vals)
         b = -(np.swapaxes(W, 1, 2) @ r[:, :, None])[:, :, 0]
         # min-norm solution of Dt h = b: (b1 a2 x c - b2 a1 x c) / |c|^2 at
         # rank two; Dt^T b / |Dt|^2 at the rank one that np.linalg.lstsq
@@ -535,7 +565,8 @@ def hopf_invariant(f: SphereMap, step: float = 1e-3,
     LATTICE_SEEDS-point lattice of S^3. Targets are drawn away from the
     map's constant value, from a generator seeded by seed in [0, 2^64), and
     re-drawn, up to HOPF_MAX_TRIES pairs, if tracing finds a non-regular
-    point or the linking guard trips. step must be finite and > 0.
+    point or the linking guard trips. step must be finite and at least
+    FIBER_MIN_STEP.
     """
     if f.domain_dim != 3 or f.codomain_dim != 2:
         raise ParameterError("the Hopf invariant needs a map S^3 -> S^2")

@@ -85,6 +85,7 @@ def test_hopf_certifies_against_bookkeeping(d2_descriptor, capsys):
     ["energy", "--s", "0.5", "--samples", "5000", "--seed", "-1"],
     ["hopf", "--seed", "-1"],
     ["hopf", "--step", "0"],
+    ["hopf", "--step", "1e-300"],
 ])
 def test_bad_seed_or_step_exits_1_without_traceback(argv, hopf_descriptor, capsys):
     assert main(argv[:1] + ["--descriptor", hopf_descriptor] + argv[1:]) == 1

@@ -296,6 +296,18 @@ def test_quadrature_identity_anchor():
     assert abs(q - exact) / exact < 1e-6
 
 
+def test_quadrature_oracle_is_pinned():
+    # the inner rule turns with _kernels.oriented_frames at each outer node;
+    # quaternion frames there moved these values by -0.11% to +0.28%
+    s3 = energy.EnergyParams(0.5, 6.0, 3, critical=True)
+    s2 = energy.EnergyParams(0.5, 6.0, 2)
+    cases = [(maps.hopf_map(), s3, 2491.203889533289),
+             (maps.composed_with_hopf(maps.multi_bubble(2)), s3, 28139.874472173222),
+             (maps.multi_bubble(2), s2, 1937.4001417560137)]
+    for u, params, want in cases:
+        assert abs(energy.energy_quadrature(u, params, 1000) / want - 1.0) < 1e-13
+
+
 def test_quadrature_matches_mc_on_hopf():
     q = energy.energy_quadrature(maps.hopf_map(), PARAMS_S3, 4_000)
     est = energy.energy_mc(maps.hopf_map(), PARAMS_S3, WHOLE_S3, 400_000, 17)

@@ -23,22 +23,22 @@ def test_finite_difference_jacobian_matches_closed_form(monkeypatch):
     # the Hopf map without its analytic Jacobian takes the stencil branch
     fd = maps.SphereMap(3, 2, maps.hopf_eval_many,
                         {"variant": "hopf_fd", "params": {}, "children": []})
-    assert fd.jacobian_many is None
+    assert fd.jet_many is None
     pts = geo.sphere_lattice(3, 1000)
-    D, E, vals = topology.tangential_jacobian(fd, pts)
-    D_exact, E_exact, vals_exact = topology.tangential_jacobian(maps.hopf_map(), pts)
+    D, E, vals, _ = topology.tangential_jacobian(fd, pts)
+    D_exact, E_exact, vals_exact, _ = topology.tangential_jacobian(maps.hopf_map(), pts)
     assert np.array_equal(E, E_exact) and np.array_equal(vals, vals_exact)
     assert np.max(np.abs(D - D_exact)) < 1e-8
     # the stacked stencil never mixes rows: each row of the batched call is
     # bitwise the one-point call on that point
     for i, x in enumerate(pts):
-        D1, E1, vals1 = topology.tangential_jacobian(fd, x[None, :])
+        D1, E1, vals1, _ = topology.tangential_jacobian(fd, x[None, :])
         assert np.array_equal(D1[0], D[i])
         assert np.array_equal(E1[0], E[i])
         assert np.array_equal(vals1[0], vals[i])
     # nor does splitting the batch into stencil blocks, the last one partial
     monkeypatch.setattr(topology, "_FD_BLOCK", 64)
-    D64, _, vals64 = topology.tangential_jacobian(fd, pts)
+    D64, _, vals64, _ = topology.tangential_jacobian(fd, pts)
     assert np.array_equal(D64, D) and np.array_equal(vals64, vals)
 
 
@@ -100,7 +100,7 @@ JACOBIAN_CASES = {
 @pytest.mark.parametrize("case", list(JACOBIAN_CASES))
 def test_closed_form_jacobians_match_the_stencil(case):
     f, continued = JACOBIAN_CASES[case]()
-    assert f.jacobian_many is not None
+    assert f.jet_many is not None
     rng = np.random.default_rng(7)
     # the stencil's truncation error grows with the map's derivatives, to
     # 1.5e-7 at the r = 0.1 bump's center, where |D| reaches 20 = 2/r
@@ -110,8 +110,8 @@ def test_closed_form_jacobians_match_the_stencil(case):
     else:  # interior points, out of the stencil's reach of the seam
         pts = np.concatenate([_ball_points(b, 100, 0.0, b.radius - 1e-4, rng)
                               for b in f.supports])
-    D, E, vals = topology.tangential_jacobian(f, pts)
-    D_fd, E_fd, vals_fd = topology.tangential_jacobian(_stencil_twin(f), pts)
+    D, E, vals, _ = topology.tangential_jacobian(f, pts)
+    D_fd, E_fd, vals_fd, _ = topology.tangential_jacobian(_stencil_twin(f), pts)
     assert np.array_equal(E, E_fd) and np.array_equal(vals, vals_fd)
     assert np.max(np.abs(D - D_fd)) < tol
     # the degree integrand is det D, without a codomain frame
@@ -121,22 +121,72 @@ def test_closed_form_jacobians_match_the_stencil(case):
                        np.linalg.det(D_fd), rtol=1e-12, atol=1e-12)
     for ball, smooth in zip(f.supports or [], continued):
         seam = _ball_points(ball, 50, ball.radius - 1e-9, ball.radius - 1e-9, rng)
-        D_seam, _, _ = topology.tangential_jacobian(f, seam)
-        D_smooth, _, _ = topology.tangential_jacobian(smooth, seam)
+        D_seam = topology.tangential_jacobian(f, seam)[0]
+        D_smooth = topology.tangential_jacobian(smooth, seam)[0]
         assert np.max(np.abs(D_seam - D_smooth)) < tol
         past = _ball_points(ball, 50, ball.radius + 1e-9, ball.radius + 1e-9, rng)
-        assert not np.any(f.jacobian_many(past))
+        assert not np.any(f.jet_many(past)[1])
     if f.supports is not None:
         x = geo.sample_uniform_many(f.domain_dim, 2000, rng)
         off = f.support_gap(x) > 0.0
-        assert 0 < off.sum() and not np.any(f.jacobian_many(x[off]))
+        assert 0 < off.sum() and not np.any(f.jet_many(x[off])[1])
     # rows never mix: each is bitwise the one-point call, and split batches
     # give the whole batch's bits
     for i, x in enumerate(pts[:40]):
-        D1, E1, vals1 = topology.tangential_jacobian(f, x[None, :])
+        D1, E1, vals1, _ = topology.tangential_jacobian(f, x[None, :])
         assert np.array_equal(D1[0], D[i]) and np.array_equal(vals1[0], vals[i])
     parts = [topology.tangential_jacobian(f, p)[0] for p in np.split(pts, [37, 150])]
     assert np.array_equal(np.concatenate(parts), D)
+
+
+@pytest.mark.parametrize("case", ["bubbles5", "bump_s3_r0.3"])
+def test_jet_gives_the_values_and_each_kernels_differential(case):
+    # one ball test serves both: the values are eval_many's bits, J is the
+    # kernel's own on its ball, also 1e-9 inside the seam, and 0 just past it
+    f = _bubbles_case(5)[0] if case == "bubbles5" else _bump_case(3, 0.3)[0]
+    rng = np.random.default_rng(3)
+    for ball, kernel in zip(f.supports, f._eval_many.kernels):
+        inside = np.concatenate([
+            _ball_points(ball, 100, 0.0, ball.radius, rng),
+            _ball_points(ball, 50, ball.radius - 1e-9, ball.radius - 1e-9, rng)])
+        vals, J = f.jet_many(inside)
+        kernel_vals, kernel_J = kernel.jet(inside)
+        assert np.array_equal(vals, f.eval_many(inside))
+        assert np.array_equal(kernel_vals, kernel(inside))
+        assert np.array_equal(vals, kernel_vals)
+        assert np.array_equal(J, kernel_J.transpose(2, 0, 1))
+        past = _ball_points(ball, 50, ball.radius + 1e-9, ball.radius + 1e-9, rng)
+        vals, J = f.jet_many(past)
+        assert np.array_equal(vals, f.eval_many(past)) and not np.any(J)
+    x = geo.sample_uniform_many(f.domain_dim, 2000, rng)
+    vals, J = f.jet_many(x)
+    assert np.array_equal(vals, f.eval_many(x))
+    for i in range(40):
+        vals1, J1 = f.jet_many(x[i:i + 1])
+        assert np.array_equal(vals1[0], vals[i]) and np.array_equal(J1[0], J[i])
+
+
+def _quaternion_product(p, q):
+    a1, b1, c1, d1 = p.T
+    a2, b2, c2, d2 = q.T
+    return np.column_stack([a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+                            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+                            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+                            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2])
+
+
+def test_s3_frames_are_positive_orthonormal_quaternion_frames():
+    rng = np.random.default_rng(11)
+    axes = np.concatenate([np.eye(4), -np.eye(4)])
+    for x in (geo.sample_uniform_many(3, 2000, rng), axes):
+        E = topology._tangent_frames(x)
+        for j, unit in enumerate(np.eye(4)[1:]):  # x i, x j, x k
+            want = _quaternion_product(x, np.broadcast_to(unit, x.shape))
+            assert np.max(np.abs(E[:, :, j] - want)) < 1e-15
+        full = np.concatenate([x[:, :, None], E], axis=2)
+        gram = np.einsum("nai,naj->nij", full, full)
+        assert np.max(np.abs(gram - np.eye(4))) < 1e-15
+        assert np.max(np.abs(np.linalg.det(full) - 1.0)) < 1e-15
 
 
 # ---------------------------------------------------------------------------
@@ -187,8 +237,19 @@ def test_degree_raws_are_exact_to_rounding():
         assert rep.value == want and rep.residual < 1e-10, (f.descriptor["variant"], rep)
 
 
+def test_degree_raws_are_pinned():
+    # one jet gives the bits of separate value and Jacobian passes, so the
+    # degree raws of run_verify's bubbles and the benchmark's S^3 bump hold
+    bump = maps.bump_deg1(geo.sphere_point([0.0, 0.0, 0.0, 1.0]), 0.3,
+                          geo.sphere_point([1.0, 0.0, 0.0, 0.0]))
+    for f, raw in ((maps.multi_bubble(9), 8.99999999999998),
+                   (maps.multi_bubble(3), 3.0000000000000075),
+                   (bump, 0.9999999999999989)):
+        assert topology.mapping_degree(f).raw == raw
+
+
 def test_degree_on_the_stencil():
-    # maps without jacobian_many: support balls, then the whole-sphere lattice
+    # maps without jet_many: support balls, then the whole-sphere lattice
     rep = topology.mapping_degree(_stencil_twin(maps.multi_bubble(3)), 50_000)
     assert rep.value == 3 and rep.residual < 0.05
     rep = topology.mapping_degree(maps.SphereMap(
@@ -369,7 +430,7 @@ def test_tracing_below_the_chord_sagitta_goes_round_once(step):
     h = maps.hopf_map()
     bare = maps.SphereMap(3, 2, maps.hopf_eval_many,
                           {"variant": "bare", "params": {}, "children": []},
-                          jacobian_many=h.jacobian_many)
+                          jet_many=h.jet_many)
     seeds = geo.kronecker_lattice_s3(256)
     doublings = int(np.ceil(np.log2(topology.FIBER_MAX_STEP / step)))
     for seed in range(3):
@@ -450,7 +511,7 @@ def test_hopf_invariant_of_a_map_without_seed_rule():
     # from the whole S^3 lattice and corrected in one batch
     u = maps.SphereMap(3, 2, maps.hopf_eval_many,
                        {"variant": "hopf_hand", "params": {}, "children": []},
-                       jacobian_many=maps.hopf_jacobian_many)
+                       jet_many=maps.hopf_jet_many)
     assert u.fiber_seeds is None
     rep = topology.hopf_invariant(u, step=4e-3)
     assert rep.value == 1
@@ -534,16 +595,56 @@ def test_hopf_invariant_rejects_wrong_dims():
         topology.hopf_invariant(maps.identity_map(2))
 
 
-@pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf])
+@pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf, 1e-200, 1e-300])
 def test_fiber_tracing_rejects_a_bad_step(step):
-    # a zero or nan step never closes a curve and a negative one fails every
-    # target pair, so each is rejected before any tracing
+    # a zero or nan step never closes a curve, a negative one fails every
+    # target pair, and below FIBER_MIN_STEP a predictor move rounds away, so
+    # a curve closed on its start (the Hopf map read 0 at 1e-200); each is
+    # rejected before any tracing
     h = maps.hopf_map()
     z = geo.sphere_point([0.0, 0.0, 1.0])
     with pytest.raises(ParameterError, match="step"):
         topology.trace_fiber(h, z, maps.fiber_circle(z, 8), step=step)
     with pytest.raises(ParameterError, match="step"):
         topology.hopf_invariant(maps.prescribed_hopf_map(2), step=step)
+
+
+def test_hopf_map_certifies_just_above_the_step_floor():
+    rep = topology.hopf_invariant(maps.hopf_map(), step=2.0 * topology.FIBER_MIN_STEP)
+    assert rep.value == 1 and rep.residual < 1e-9
+
+
+def test_hopf_invariant_builds_one_frame_per_jacobian(monkeypatch):
+    # S^3 frames are quaternion frames and the corrector reuses the codomain
+    # frames that tangential_jacobian returns, so the S^2 frame W is the one
+    # oriented_frames call per Jacobian left in topology (920 calls for 343
+    # Jacobians before); the ball-grid seed rule builds one more per target
+    counts = {"frames": 0, "seed_frames": 0, "jacobians": 0}
+    frames, jacobian = topology._kernels.oriented_frames, topology.tangential_jacobian
+
+    def counted_frames(pts):
+        counts["frames"] += 1
+        return frames(pts)
+
+    def counted_jacobian(f, pts):
+        counts["jacobians"] += 1
+        return jacobian(f, pts)
+
+    monkeypatch.setattr(topology._kernels, "oriented_frames", counted_frames)
+    monkeypatch.setattr(topology, "tangential_jacobian", counted_jacobian)
+    u = maps.hopf_bump(geo.sphere_point([0.0, 0.0, 0.0, 1.0]), 0.3)
+    seeds = u.fiber_seeds
+
+    def counted_seeds(target):
+        before = counts["frames"]
+        out = seeds(target)
+        counts["seed_frames"] += counts["frames"] - before
+        return out
+
+    u.fiber_seeds = counted_seeds
+    assert topology.hopf_invariant(u, step=4e-3).value == 1
+    assert counts["seed_frames"] == 2
+    assert counts["frames"] - counts["seed_frames"] == counts["jacobians"] > 0
 
 
 @pytest.mark.parametrize("seed", [-1, 2 ** 64])
