@@ -16,6 +16,10 @@ sphere E(u) = integral over x in W, y anywhere, of K (2 - 1_W(y)).
   by Neyman allocation. The innermost ball (geodesic radius pi * 2^-J) is
   never sampled; its contribution is bounded in closed form from the
   map's Lipschitz hint and carried as a certified remainder.
+* fiber_reduced_energy: E(v o h, S^3) at sp = 3 for v: S^2 -> S^2, from
+  energy_mc's driver on S^2 with the kernel that integrates each Hopf
+  fiber in closed form. hopf_energy is the Hopf map's energy in closed
+  form, the reduction with v the identity.
 * energy_quadrature: a deterministic product rule (outer nodes, inner
   geodesic-polar grid with dyadic radial bands accumulating at the
   singularity) used as a cross-checking oracle on the whole sphere. Its
@@ -35,7 +39,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -173,7 +177,9 @@ def energy_mc(u: SphereMap, params: EnergyParams, region: Region, n: int,
     Neyman allocation, n_j ~ weight_j * sigma_j (_neyman_allocation). The
     pilot counts toward n but not toward the estimate, which stays
     unbiased. The unsampled innermost ball contributes only through
-    tail_bound, computed from the map's lipschitz_hint.
+    tail_bound, computed from the map's lipschitz_hint. The driver
+    (_stratified) is the one fiber_reduced_energy runs with its own pair
+    kernel; here the kernel is the chordal |x - y|^-(n + sp).
     """
     if u.domain_dim != params.n:
         raise ParameterError(
@@ -181,8 +187,70 @@ def energy_mc(u: SphereMap, params: EnergyParams, region: Region, n: int,
         )
     if region.dim != params.n:
         raise ParameterError("region dimension does not match params.n")
+    exponent = params.kernel_exponent
+    return _stratified(u, params, region, n, rng,
+                       lambda t: (2.0 * np.sin(0.5 * t)) ** exponent)
+
+
+def fiber_reduced_energy(v: SphereMap, params: EnergyParams, n: int,
+                         rng) -> EnergyEstimate:
+    """Unbiased stratified MC estimate of E_{s,p}(v o h, S^3), from one pass
+    over S^2 x S^2, for v: S^2 -> S^2 and h the Hopf map.
+
+    params are those of the S^3 energy, at sp = 3, where the S^3 kernel is
+    |x - y|^-6 for every s. v o h reads x only through z = h(x). Over a
+    pair (z, w) at angle theta, with a = cos(theta / 2), a point x over z
+    and the points y of the fiber over w have <x, y>_C = a e^(i phi), phi
+    running over the circle, so |x - y|^2 = 2 - 2 a cos(phi), and
+    (1 / 2 pi) int_0^(2 pi) (2 - 2 a cos phi)^-3 dphi
+        = (2 + a^2) / (16 (1 - a^2)^(5/2)).
+    h pushes the measure of S^3 forward to pi/2 times that of S^2, and
+    |z - w|^2 = 4 (1 - a^2), so with c = |z - w|
+    E(v o h) = (pi^2 / 4) int int |v(z) - v(w)|^p (6 - c^2 / 2) / c^5 dz dw
+             = (pi^2 / 4) (6 E_{s,p}(v, S^2) - E_{s/3,p}(v, S^2) / 2).
+    The estimate runs energy_mc's driver on v over the whole S^2 with this
+    pair kernel (_fiber_kernel_inverse): the same strata, streams, pilot and
+    allocation as energy_mc(v, EnergyParams(s, p, 2), whole_sphere(2), n,
+    rng), so both terms come from the same samples. The kernel is at most
+    (pi^2 / 4) 6 / c^5, so tail_bound is 3 pi^2 / 2 times v's
+    lipschitz_tail_bound at the S^2 kernel exponent 2 + sp = 5. The result
+    carries params and the whole S^3 as its region; its strata are v's.
+    """
+    if v.domain_dim != 2 or v.codomain_dim != 2:
+        raise ParameterError("fiber_reduced_energy needs v: S^2 -> S^2")
+    if params.n != 3 or abs(params.s * params.p - 3.0) > 1e-12:
+        raise ParameterError(
+            "the fiber reduction holds for the S^3 energy at s*p = 3, got "
+            f"n = {params.n}, s*p = {params.s * params.p}")
+    est = _stratified(v, EnergyParams(params.s, params.p, 2), whole_sphere(2),
+                      n, rng, _fiber_kernel_inverse, 1.5 * np.pi ** 2)
+    return replace(est, params=params, region=whole_sphere(3))
+
+
+def _fiber_kernel_inverse(t):
+    """1 / K at step t of fiber_reduced_energy's kernel
+    K = (pi^2 / 4) (6 - c^2 / 2) / c^5, c = 2 sin(t / 2) the chord."""
+    c2 = (2.0 * np.sin(0.5 * t)) ** 2
+    return c2 * c2 * np.sqrt(c2) / ((0.25 * np.pi ** 2) * (6.0 - 0.5 * c2))
+
+
+def hopf_energy(s: float) -> float:
+    """E_{s,p}(h, S^3) of the Hopf map at p = 3/s, in closed form:
+    2^(p-1) pi^4 (3 / (p - 3) - 1 / (p - 1)), fiber_reduced_energy's
+    identity with v the identity of S^2 (25.6 pi^4 at s = 1/2)."""
+    if not 0.0 < s < 1.0:
+        raise ParameterError(f"s must lie in (0,1), got {s}")
+    p = 3.0 / s
+    return 2.0 ** (p - 1.0) * np.pi ** 4 * (3.0 / (p - 3.0) - 1.0 / (p - 1.0))
+
+
+def _stratified(u: SphereMap, params: EnergyParams, region: Region, n: int,
+                rng, inv_kernel, tail_scale: float = 1.0) -> EnergyEstimate:
+    """energy_mc's driver with the pair kernel K given by its reciprocal
+    inv_kernel(t) at step t, and a kernel at most tail_scale times the
+    chordal one of params (its tail bound's factor)."""
     if n < 1_000:
-        raise ParameterError("energy_mc needs at least 1000 samples")
+        raise ParameterError(f"the estimate needs at least 1000 samples, got n = {n}")
     seed = int(rng.integers(2 ** 62)) if hasattr(rng, "integers") else int(rng)
     if not 0 <= seed < 2 ** 64:  # the first word of every stratum's Philox key
         raise ParameterError(f"seed must lie in [0, 2^64), got {seed}")
@@ -193,15 +261,16 @@ def energy_mc(u: SphereMap, params: EnergyParams, region: Region, n: int,
     n_main = n - pilot * len(strata)
     if n_main < 2 * len(strata):
         raise ParameterError("too few samples per stratum; raise n")
-    tail = lipschitz_tail_bound(u, params, tail_measure,
-                                strata[-1].label["t_lo"])
+    tail = tail_scale * lipschitz_tail_bound(u, params, tail_measure,
+                                             strata[-1].label["t_lo"])
     weights = np.array([st.weight for st in strata])
+    kernel = (params.p, inv_kernel)
     # the pilot: its own key words (bit 63 set), all strata in one batch
-    _, var = _moments(u, params, pair_weight, [
+    _, var = _moments(u, kernel, pair_weight, [
         (st, pilot, _philox(seed, _PILOT_KEY | st.key)) for st in strata
     ], pilot * len(strata))
     alloc = _neyman_allocation(n_main, weights * np.sqrt(var)).tolist()
-    mean, var = _moments(u, params, pair_weight, [
+    mean, var = _moments(u, kernel, pair_weight, [
         (st, n_j, _philox(seed, st.key)) for st, n_j in zip(strata, alloc)
     ], MC_BLOCK)
     profile = [{**st.label, "n": n_j, "pilot": pilot,
@@ -264,8 +333,10 @@ def _philox(seed: int, key: int):
         np.random.Philox(key=np.array([seed, key], dtype=np.uint64)))
 
 
-def _pair_values(u: SphereMap, params: EnergyParams, x, y, t, pair_weight):
-    """K(x, y) times the pair weight; u is evaluated where the weight is not 0."""
+def _pair_values(u: SphereMap, kernel, x, y, t, pair_weight):
+    """|u(x) - u(y)|^p K(t) times the pair weight, kernel = (p, inv_kernel)
+    with inv_kernel(t) = 1 / K(t) at step t; u is evaluated where the
+    weight is not 0."""
     wgt = pair_weight(y)
     vals = np.zeros(t.shape[0])
     keep = wgt != 0.0
@@ -273,9 +344,9 @@ def _pair_values(u: SphereMap, params: EnergyParams, x, y, t, pair_weight):
         return vals
     if np.all(keep):
         keep = slice(None)  # a basic index: no copies
+    p, inv_kernel = kernel
     du = np.linalg.norm(u.eval_many(x[keep]) - u.eval_many(y[keep]), axis=1)
-    chord = 2.0 * np.sin(0.5 * t[keep])
-    vals[keep] = wgt[keep] * du ** params.p / chord ** params.kernel_exponent
+    vals[keep] = wgt[keep] * du ** p / inv_kernel(t[keep])
     return vals
 
 
@@ -296,7 +367,7 @@ def _neyman_allocation(n_main: int, weighted_sigma):
     return 2 + alloc
 
 
-def _moments(u, params, pair_weight, jobs, block: int):
+def _moments(u, kernel, pair_weight, jobs, block: int):
     """Mean and unbiased variance of the pair values of each job.
 
     A job (stratum, n_j, gen) draws n_j samples of its stratum from gen.
@@ -313,7 +384,7 @@ def _moments(u, params, pair_weight, jobs, block: int):
             xs, ys, ts = [np.concatenate(a) for a in (xs, ys, ts)]
         else:
             xs, ys, ts = xs[0], ys[0], ts[0]
-        vals = _pair_values(u, params, xs, ys, ts, pair_weight)
+        vals = _pair_values(u, kernel, xs, ys, ts, pair_weight)
         for i, piece in zip(idx, np.split(vals, cuts)):
             m, p_mean = piece.shape[0], float(np.mean(piece))
             delta = p_mean - mean[i]

@@ -30,6 +30,7 @@ from .energy import (
     energy_mc,
     energy_quadrature,
     fiber_energy_comparison,
+    fiber_reduced_energy,
     whole_sphere,
 )
 from .errors import HopflabError, ParameterError
@@ -136,6 +137,7 @@ class ScalingResult:
     partial: bool
     failures: list
     config: ExperimentConfig
+    estimators: list = field(default_factory=list)  # each row's estimator name
 
 
 def _fit_loglog(rows):
@@ -163,36 +165,51 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
 
     Each row draws its estimator seed from a stream keyed on
     (config.seed, d), so rows are reproducible independently and no two
-    (seed, degree) pairs share a stream. A construction or estimation
-    failure stops the run; the rows already computed are persisted with
-    partial=True.
+    (seed, degree) pairs share a stream. The map picks the estimator
+    (_estimate_row): at the critical pairing a v o h row (the squares d = k^2)
+    runs fiber_reduced_energy on v, one S^2 pass that integrates the Hopf
+    fibers exactly, and every other row (patched, flipped, constant) runs
+    energy_mc on S^3. The .meta.json sidecar names each row's estimator. A
+    construction or estimation failure stops the run; the rows already
+    computed are persisted with partial=True.
     """
     params = EnergyParams(
         s=config.s, p=config.p, n=3,
         critical=abs(config.s * config.p - 3.0) < 1e-12,
     )
-    region = whole_sphere(3)
-    rows, failures = [], []
+    rows, estimators, failures = [], [], []
     partial = False
     for d in config.degrees:
         try:
             u = prescribed_hopf_map(d)
             # stream keys are non-negative: a negative degree keys on (|d|, 1)
             key = [config.seed, d] if d >= 0 else [config.seed, -d, 1]
-            est = energy_mc(u, params, region, config.samples_per_estimate,
-                            np.random.default_rng(key))
+            name, est = _estimate_row(u, params, config.samples_per_estimate,
+                                      np.random.default_rng(key))
         except HopflabError as err:
             failures.append(f"d={d}: {type(err).__name__}: {err}")
             partial = True
             break
         rows.append((d, est))
+        estimators.append(name)
     slope, stderr, intercept = _fit_loglog(rows)
     result = ScalingResult(rows=rows, slope=slope, slope_stderr=stderr,
                            intercept=intercept, partial=partial,
-                           failures=failures, config=config)
+                           failures=failures, config=config,
+                           estimators=estimators)
     if config.output_path:
         emit_report(result)
     return result
+
+
+def _estimate_row(u, params: EnergyParams, n: int, rng):
+    """(estimator name, estimate) of E(u, S^3): fiber_reduced_energy on v
+    when u is v o h and sp = 3, where the reduction is exact; energy_mc
+    otherwise."""
+    if params.critical and u.descriptor["variant"] == "compose_hopf":
+        v = map_from_descriptor(u.descriptor["children"][0])
+        return "fiber_reduced_energy", fiber_reduced_energy(v, params, n, rng)
+    return "energy_mc", energy_mc(u, params, whole_sphere(3), n, rng)
 
 
 # ---------------------------------------------------------------------------
@@ -221,6 +238,7 @@ def result_metadata(result: ScalingResult) -> dict:
         "intercept": result.intercept,
         "partial": result.partial,
         "failures": list(result.failures),
+        "estimators": list(result.estimators),
     }
 
 
@@ -440,6 +458,19 @@ def _check_fiber_ratio_boundedness(k):
     return ok, {"ratios": [float(r) for r in ratios], "median": med}
 
 
+def _check_fiber_reduction(k):
+    """v o h on S^3 and its fiber reduction to S^2 agree within 3 combined SE."""
+    params = EnergyParams(s=0.5, p=6.0, n=3, critical=True)
+    zs = []
+    for kk in (1, 2, 3, 4):
+        v = multi_bubble(kk)
+        e3 = energy_mc(composed_with_hopf(v), params, whole_sphere(3),
+                       k["samples"], k["seed"] + 20 + kk)
+        e2 = fiber_reduced_energy(v, params, k["samples"], k["seed"] + 30 + kk)
+        zs.append((e3.value - e2.value) / math.hypot(e3.std_error, e2.std_error))
+    return all(abs(z) <= 3.0 for z in zs), {"z": zs}
+
+
 def _check_estimator_consistency(k):
     """MC agrees with deterministic quadrature; SE scales as n^-1/2."""
     params = EnergyParams(s=0.5, p=6.0, n=3, critical=True)
@@ -477,6 +508,7 @@ CHECKS = {
     "gluing_bound": _check_gluing_bound,
     "bump_r_independence": _check_bump_r_independence,
     "fiber_ratio_boundedness": _check_fiber_ratio_boundedness,
+    "fiber_reduction": _check_fiber_reduction,
     "estimator_consistency": _check_estimator_consistency,
 }
 

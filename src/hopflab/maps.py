@@ -69,10 +69,10 @@ class SphereMap:
     both energy estimators integrate x over W only, and support_gap reads
     the distance to W from them. It is the map's one declaration of where
     it leaves its basepoint: a bump or Hopf bump passes one BallUnion of its
-    ball, a multi-bubble one per ball, v o h one HopfTubes, a patched map
-    its background's sources plus one BallUnion of its balls, u o M its
-    child's sources moved by M. supports reads the balls of the sources
-    when every source is a BallUnion. Hand-built maps leave degree,
+    ball, a multi-bubble one of all its balls, v o h one HopfTubes, a
+    patched map its background's sources plus one BallUnion of its balls,
+    u o M its child's sources moved by M. supports reads the balls of the
+    sources when every source is a BallUnion. Hand-built maps leave degree,
     fiber_seeds and sources None, and None propagates through the
     combinators.
     jet_many, when not None, maps (N, domain_dim+1) points to the pair
@@ -616,7 +616,7 @@ def _bubble_assembly(balls, bc, k, safety):
     })
     return SphereMap(2, 2, ev, desc, lipschitz_hint=2.0 / r_bump,
                      jet_many=ev.jet, basepoint=bc, degree=k,
-                     sources=[BallUnion([ball]) for ball in balls])
+                     sources=[BallUnion(balls)])
 
 
 # ---------------------------------------------------------------------------

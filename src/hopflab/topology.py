@@ -51,6 +51,7 @@ FIBER_SIGMA_MIN = 1e-3  # least second singular value along a traced fiber
 FIBER_MAX_STEPS = 200_000  # rounds before a fiber counts as not closing
 FIBER_MAX_STEP = 0.1  # largest arc step (rad) of a traced fiber curve
 FIBER_MIN_STEP = 1e-12  # least initial arc step: the predictor still moves x
+FIBER_TOL = 1e-8  # |f(x) - z| at which the fiber corrector stops
 HOPF_MAX_TRIES = 20  # target pairs hopf_invariant draws before it gives up
 LATTICE_SEEDS = 4096  # fiber seeds of a map without a seed rule
 
@@ -311,8 +312,13 @@ def trace_fiber(f: SphereMap, target, seeds, step: float = 1e-3):
     step / 4 of the predicted point; h then doubles, up to FIBER_MAX_STEP,
     if it landed within step / 16. A rejected step halves h and retries
     from the last point; h below step / 64 raises a non-regular-value
-    error. So step is the initial arc step, the scale of the predictor
-    tolerance and the closing and duplicate radius, not the node spacing.
+    error, or a ParameterError naming step when the corrector converged
+    and its displacement is within the 2 FIBER_TOL / sigma2 that its
+    tolerance allows: then step / 4 is below what the corrector resolves,
+    and no target pair would do better. That needs step / 4 < 2 FIBER_TOL /
+    FIBER_SIGMA_MIN, i.e. step < 8e-5. So step is the initial arc step, the
+    scale of the predictor tolerance and the closing and duplicate radius,
+    not the node spacing.
 
     A curve closes once its segment just travelled, begun more than
     10 * step along it, passes within 2 * step of its start. A start within
@@ -377,6 +383,13 @@ def _trace_fibers(f: SphereMap, targets, seed_sets, step: float):
         h[live[~acc]] *= 0.5
         if np.any(h[live[~acc]] < step / 64.0):
             k = np.flatnonzero(~acc)[np.argmin(h[live[~acc]])]
+            if ok[k] and delta[k] * sigma2[k] <= 2.0 * FIBER_TOL:
+                raise ParameterError(
+                    f"fiber step = {step:.2e} is below the corrector's "
+                    f"resolution: a converged correction moved a point by "
+                    f"delta = {delta[k]:.2e} > step/4, within the "
+                    f"2 tol / sigma2 = {2.0 * FIBER_TOL / sigma2[k]:.2e} that "
+                    f"its tolerance tol = {FIBER_TOL:g} allows; raise step")
             raise NonRegularValueError(
                 f"fiber step h = {h[live[k]]:.2e} fell below step/64 = "
                 f"{step / 64.0:.2e} (corrector displacement delta = "
@@ -441,7 +454,7 @@ def _drop_passed(starts, fib, dropped, ids, a, b, radius):
         dropped[j[np.any(hit, axis=0)]] = True
 
 
-def _correct(f: SphereMap, X, Z, tol: float = 1e-8, iters: int = 60,
+def _correct(f: SphereMap, X, Z, tol: float = FIBER_TOL, iters: int = 60,
              min_step: float = 1e-15):
     """Batched Gauss-Newton: move each row x of X on the domain sphere until
     |f(x) - z| < tol, z its row of Z; returns (ok, X, D, E), with D, E from
@@ -566,7 +579,8 @@ def hopf_invariant(f: SphereMap, step: float = 1e-3,
     map's constant value, from a generator seeded by seed in [0, 2^64), and
     re-drawn, up to HOPF_MAX_TRIES pairs, if tracing finds a non-regular
     point or the linking guard trips. step must be finite and at least
-    FIBER_MIN_STEP.
+    FIBER_MIN_STEP; a step below the corrector's resolution raises a
+    ParameterError at the first target pair (trace_fiber).
     """
     if f.domain_dim != 3 or f.codomain_dim != 2:
         raise ParameterError("the Hopf invariant needs a map S^3 -> S^2")

@@ -1,6 +1,8 @@
 """Fractional energy estimators: MC, quadrature, regions, inequalities."""
 
+import hashlib
 import json
+import math
 
 import numpy as np
 import pytest
@@ -259,6 +261,73 @@ def test_energy_mc_hopf_mean_matches_closed_form():
     mean = np.mean([e.value for e in ests])
     se = np.sqrt(sum(e.std_error ** 2 for e in ests)) / len(ests)
     assert abs(mean - 25.6 * np.pi ** 4) <= 3.0 * se
+
+
+@pytest.mark.parametrize("name, build, digest", [
+    ("hopf", maps.hopf_map,
+     "a6720702c6e21e352799b38f421c657e22648a0fd5c53e0cf466a2c82687c104"),
+    ("bubbles2_hopf", lambda: maps.composed_with_hopf(maps.multi_bubble(2)),
+     "548009dc2cfb0906f50e3ea1ff40df73409121693783e91d644bb7a54eafa059"),
+    ("prescribed5", lambda: maps.prescribed_hopf_map(5),
+     "53eae80b78a9510d4a22c08392f88d06a40dce5604d658be0e14f5fcb584384d"),
+    ("bump_s3", lambda: maps.bump_deg1(CENTER_S3, 0.3, [1.0, 0.0, 0.0, 0.0]),
+     "db43ffa5a0664573505f1dbfba376d4f48afb0911fb081c446e7f10e7a6b80b0"),
+])
+def test_energy_mc_json_is_pinned(name, build, digest):
+    # the S^3 estimates as the chordal kernel wrote them before energy_mc
+    # shared its driver with fiber_reduced_energy: sha256 of to_json
+    est = energy.energy_mc(build(), PARAMS_S3, WHOLE_S3, 20_000, 3)
+    assert hashlib.sha256(est.to_json().encode()).hexdigest() == digest, name
+
+
+def test_hopf_energy_closed_form():
+    assert math.isclose(energy.hopf_energy(0.5), 25.6 * np.pi ** 4, rel_tol=1e-15)
+    # (1 - s) E_s(h) tends to 4 pi^4, the jet limit, as s -> 1
+    assert math.isclose(energy.hopf_energy(0.99), 39196.8, rel_tol=1e-5)
+    assert math.isclose(0.001 * energy.hopf_energy(0.999), 4.0 * np.pi ** 4,
+                        rel_tol=5e-3)
+    with pytest.raises(ParameterError):
+        energy.hopf_energy(1.0)
+
+
+@pytest.mark.parametrize("s", [0.1, 0.3, 0.5, 0.8, 0.9])
+def test_hopf_energy_within_three_se_of_both_estimators(s):
+    # the S^3 estimate of the Hopf map and the fiber reduction of the
+    # identity of S^2 estimate the same closed form
+    params = energy.EnergyParams(s, 3.0 / s, 3, critical=True)
+    want = energy.hopf_energy(s)
+    s3 = energy.energy_mc(maps.hopf_map(), params, WHOLE_S3, 250_000, 0)
+    s2 = energy.fiber_reduced_energy(maps.identity_map(2), params, 250_000, 0)
+    for est in (s3, s2):
+        assert abs(est.value - want) <= 3.0 * est.std_error, (s, est.value, want)
+
+
+def test_fiber_reduced_energy_reports_the_s3_energy():
+    v = maps.multi_bubble(2)
+    est = energy.fiber_reduced_energy(v, PARAMS_S3, 20_000, 3)
+    again = energy.fiber_reduced_energy(v, PARAMS_S3, 20_000, 3)
+    assert est.to_json() == again.to_json()
+    assert est.params == PARAMS_S3 and est.region == WHOLE_S3
+    assert est.n_samples == 20_000 and est.seed == 3
+    # the strata are v's on S^2: one ball union, 40 shells
+    assert [r["source"] for r in est.strata_profile] == [0] * energy.MC_SHELLS
+    # the kernel is at most (pi^2 / 4) 6 / c^5: 3 pi^2 / 2 times the S^2 tail
+    eps = est.strata_profile[-1]["t_lo"]
+    s2 = energy.EnergyParams(0.5, 6.0, 2)
+    tail = energy.lipschitz_tail_bound(v, s2, 2.0 * v.sources[0].measure(), eps)
+    assert est.tail_bound == 1.5 * np.pi ** 2 * tail > 0.0
+
+
+def test_fiber_reduced_energy_validates_inputs():
+    v = maps.multi_bubble(1)
+    with pytest.raises(ParameterError, match="s\\*p = 3"):
+        energy.fiber_reduced_energy(v, energy.EnergyParams(0.5, 5.0, 3), 20_000, 0)
+    with pytest.raises(ParameterError, match="s\\*p = 3"):
+        energy.fiber_reduced_energy(v, energy.EnergyParams(0.5, 6.0, 2), 20_000, 0)
+    with pytest.raises(ParameterError, match="S\\^2"):
+        energy.fiber_reduced_energy(maps.hopf_map(), PARAMS_S3, 20_000, 0)
+    with pytest.raises(ParameterError):
+        energy.fiber_reduced_energy(v, PARAMS_S3, 999, 0)
 
 
 def test_energy_estimate_json_schema():

@@ -199,6 +199,31 @@ def test_run_scaling_keys_row_streams_on_seed_and_degree():
         _cfg(seed=-1)
 
 
+def test_run_scaling_routes_v_o_h_rows_through_the_fiber_reduction(tmp_path):
+    out = tmp_path / "run.csv"
+    cfg = _cfg(degrees=(1, 2, 4), output_path=str(out))
+    res = X.run_scaling(cfg)
+    assert res.estimators == ["fiber_reduced_energy", "energy_mc",
+                              "fiber_reduced_energy"]
+    meta = json.loads((tmp_path / "run.csv.meta.json").read_text())
+    assert meta["estimators"] == res.estimators
+    params = energy.EnergyParams(cfg.s, cfg.p, 3, critical=True)
+    for d, est in res.rows:
+        rng = np.random.default_rng([cfg.seed, d])
+        if d == 2:  # patched: the S^3 estimator, as before
+            want = energy.energy_mc(X.prescribed_hopf_map(d), params,
+                                    energy.whole_sphere(3),
+                                    cfg.samples_per_estimate, rng)
+        else:
+            want = energy.fiber_reduced_energy(X.multi_bubble(math.isqrt(d)),
+                                               params, cfg.samples_per_estimate,
+                                               rng)
+        assert est.to_json() == want.to_json()
+    # off the critical pairing the reduction does not hold: every row is S^3
+    off = X.run_scaling(_cfg(degrees=(1, 2), p=5.0))
+    assert off.estimators == ["energy_mc", "energy_mc"]
+
+
 # ---------------------------------------------------------------------------
 # Verify suite plumbing (full checks live in the acceptance tests)
 # ---------------------------------------------------------------------------
@@ -241,10 +266,16 @@ def test_run_verify_sabotaged_tolerance_fails():
     assert rep.to_table().startswith("FAIL")
 
 
+def test_fiber_reduction_check_passes_at_its_defaults():
+    rep = X.run_verify(checks=["fiber_reduction"])
+    assert rep.passed, rep.to_table()
+    assert len(rep.results[0].measured["z"]) == 4
+
+
 def test_check_registry_is_complete():
     assert list(X.CHECKS) == [
         "hopf_gradient", "degree_certification", "hopf_fiber_linking",
         "bookkeeping_vs_numeric", "patching_bound", "gluing_bound",
         "bump_r_independence", "fiber_ratio_boundedness",
-        "estimator_consistency",
+        "fiber_reduction", "estimator_consistency",
     ]

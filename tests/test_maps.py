@@ -365,10 +365,10 @@ def test_sources_cover_where_the_map_leaves_its_basepoint():
     assert maps.hopf_map().sources is None
     assert maps.constant_map(3, [1.0, 0.0, 0.0]).sources == []
     v = maps.multi_bubble(2)
-    # one ball union per bubble, whose balls supports reads back
+    # one ball union of all the bubbles, whose balls supports reads back
     assert all(isinstance(s, geo.BallUnion) for s in v.sources)
     assert [b for s in v.sources for b in s.balls] == v.supports
-    assert [len(s.balls) for s in v.sources] == [1, 1]
+    assert [len(s.balls) for s in v.sources] == [2]
     u = maps.prescribed_hopf_map(5)
     tubes, balls = u.sources
     assert isinstance(tubes, maps.HopfTubes) and isinstance(balls, geo.BallUnion)

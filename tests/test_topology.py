@@ -609,6 +609,16 @@ def test_fiber_tracing_rejects_a_bad_step(step):
         topology.hopf_invariant(maps.prescribed_hopf_map(2), step=step)
 
 
+@pytest.mark.parametrize("step", [1e-9, 1e-10])
+def test_a_step_below_the_corrector_resolution_names_step(step):
+    # the corrector stops at |f(x) - z| < FIBER_TOL, so a converged point may
+    # move by about FIBER_TOL / sigma2 ~ 5e-10 on a map whose fibers are not
+    # great circles, more than step / 4; that fails at the first target
+    # pair, blaming step and not the targets
+    with pytest.raises(ParameterError, match="step = 1.00e-(09|10) is below"):
+        topology.hopf_invariant(maps.prescribed_hopf_map(2), step=step)
+
+
 def test_hopf_map_certifies_just_above_the_step_floor():
     rep = topology.hopf_invariant(maps.hopf_map(), step=2.0 * topology.FIBER_MIN_STEP)
     assert rep.value == 1 and rep.residual < 1e-9
