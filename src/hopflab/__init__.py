@@ -13,14 +13,10 @@ from .energy import (  # noqa: E402
     EnergyEstimate,
     EnergyParams,
     Region,
-    ball_region,
     check_gluing_bound,
     check_patching_bound,
-    complement_region,
-    difference_region,
     energy_mc,
     energy_quadrature,
-    fiber_energy_comparison,
     fiber_reduced_energy,
     hopf_energy,
     whole_sphere,
@@ -83,22 +79,18 @@ __all__ = [
     "ScalingResult",
     "SphereMap",
     "SpherePoint",
-    "ball_region",
     "bookkept_degree",
     "bump_deg1",
     "check_gluing_bound",
     "check_patching_bound",
-    "complement_region",
     "composed_with_hopf",
     "constant_map",
     "descriptor_from_json",
     "descriptor_to_json",
-    "difference_region",
     "emit_report",
     "energy_mc",
     "energy_quadrature",
     "equator_collapse",
-    "fiber_energy_comparison",
     "fiber_reduced_energy",
     "hopf_energy",
     "gauss_linking",

@@ -45,7 +45,6 @@ import numpy as np
 
 from .errors import ParameterError
 from .geometry import (
-    GeodesicBall,
     Region,
     polar_directions,
     shell_measure,
@@ -101,23 +100,6 @@ class EnergyParams:
 
 def whole_sphere(dim: int) -> Region:
     return Region(dim)
-
-
-def ball_region(ball: GeodesicBall) -> Region:
-    return Region(ball.center.dim, ball.center, 0.0, ball.radius)
-
-
-def complement_region(ball: GeodesicBall) -> Region:
-    return Region(ball.center.dim, ball.center, ball.radius)
-
-
-def difference_region(outer: GeodesicBall, inner: GeodesicBall) -> Region:
-    """outer minus inner; the balls must be concentric, inner the smaller
-    (Region checks lo < hi)."""
-    # chord, not arccos: a centre's dot product with itself can round below 1
-    if np.linalg.norm(inner.center.coords - outer.center.coords) > 1e-12:
-        raise ParameterError("difference region supports concentric balls only")
-    return Region(outer.center.dim, outer.center, inner.radius, outer.radius)
 
 
 @dataclass(frozen=True)
@@ -211,8 +193,10 @@ def fiber_reduced_energy(v: SphereMap, params: EnergyParams, n: int,
     The estimate runs energy_mc's driver on v over the whole S^2 with this
     pair kernel (_fiber_kernel_inverse): the same strata, streams, pilot and
     allocation as energy_mc(v, EnergyParams(s, p, 2), whole_sphere(2), n,
-    rng), so both terms come from the same samples. The kernel is at most
-    (pi^2 / 4) 6 / c^5, so tail_bound is 3 pi^2 / 2 times v's
+    rng), so both terms come from the same samples. As 0 < c <= 2, the
+    kernel lies between pi^2 / c^5 and (3 pi^2 / 2) / c^5, so
+    pi^2 E_{s,p}(v, S^2) <= E(v o h) <= (3 pi^2 / 2) E_{s,p}(v, S^2) for
+    every v, and tail_bound is 3 pi^2 / 2 times v's
     lipschitz_tail_bound at the S^2 kernel exponent 2 + sp = 5. The result
     carries params and the whole S^3 as its region; its strata are v's.
     """
@@ -658,38 +642,3 @@ def check_patching_bound(pieces, patched: SphereMap, params: EnergyParams,
     ratio = lhs.value / rhs if rhs > 0 else np.inf
     return PatchingReport(lhs, float(rhs), rhs_se, float(ratio),
                           bool(lhs.value <= rhs + slack), piece_estimates)
-
-
-@dataclass(frozen=True)
-class FiberRatioReport:
-    """E_{s,p}(v o h, S^3) / E_{s,p}(v, S^2) with uncertainty."""
-
-    ratio: float | None
-    ratio_std_error: float | None
-    e3: EnergyEstimate
-    e2: EnergyEstimate
-    undefined: bool
-
-
-def fiber_energy_comparison(v: SphereMap, s: float, n: int = 200_000,
-                            seed: int = 0) -> FiberRatioReport:
-    """Compare the energy of v o h on S^3 against that of v on S^2.
-
-    Uses p = 3/s on both sides (the critical pairing on S^3; on S^2 the
-    kernel exponent is then 2 + sp = 5). A constant v has both energies
-    zero and the ratio is reported as undefined.
-    """
-    from .maps import composed_with_hopf
-
-    p = 3.0 / s
-    e3 = energy_mc(composed_with_hopf(v), EnergyParams(s, p, 3, critical=True),
-                   whole_sphere(3), n, seed)
-    e2 = energy_mc(v, EnergyParams(s, p, 2), whole_sphere(2), n, seed + 1)
-    if e2.value == 0.0:
-        return FiberRatioReport(None, None, e3, e2, undefined=True)
-    ratio = e3.value / e2.value
-    rel3 = (e3.std_error / e3.value) ** 2 if e3.value > 0 else 0.0
-    rel2 = (e2.std_error / e2.value) ** 2
-    rel = np.sqrt(rel3 + rel2)
-    return FiberRatioReport(float(ratio), float(ratio * rel), e3, e2,
-                            undefined=False)

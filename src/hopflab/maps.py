@@ -597,10 +597,6 @@ def multi_bubble(k: int, b=None, safety: float = 0.9) -> SphereMap:
     if bc.shape[0] != 3:
         raise DimensionMismatchError("multi_bubble basepoint must lie on S^2")
     balls = pack_disjoint_balls(k, safety)
-    return _bubble_assembly(balls, bc, k, safety)
-
-
-def _bubble_assembly(balls, bc, k, safety):
     r_bump = math.tan(balls[0].radius / 2.0)
     centers = [ball.center.coords for ball in balls]
     ev = _BallMasked(centers, [ball.radius for ball in balls],
@@ -929,7 +925,20 @@ def descriptor_from_json(text: str):
 
 
 def map_from_descriptor(desc) -> SphereMap:
-    """Rebuild a SphereMap from its descriptor; inverse of construction."""
+    """Rebuild a SphereMap from its descriptor; inverse of construction.
+
+    The rebuilt map's descriptor must equal desc, bit for bit: a descriptor
+    that no constructor yields (an edited ball of a multi-bubble, say)
+    raises ParameterError instead of rebuilding another map.
+    """
+    u = _from_descriptor(desc)
+    if u.descriptor != desc:
+        raise ParameterError(
+            f"descriptor of variant {desc['variant']!r} does not rebuild to itself")
+    return u
+
+
+def _from_descriptor(desc) -> SphereMap:
     variant = desc["variant"]
     p = desc.get("params", {})
     kids = desc.get("children", [])
@@ -945,11 +954,7 @@ def map_from_descriptor(desc) -> SphereMap:
         return bump_deg1(np.array(p["center"]), p["stereo_radius"],
                          np.array(p["basepoint"]))
     if variant == "multi_bubble":
-        balls = [
-            GeodesicBall(sphere_point(np.array(e["center"])), e["radius"])
-            for e in p["balls"]
-        ]
-        return _bubble_assembly(balls, np.array(p["basepoint"]), p["k"], p["safety"])
+        return multi_bubble(p["k"], np.array(p["basepoint"]), p["safety"])
     if variant == "compose_hopf":
         return composed_with_hopf(map_from_descriptor(kids[0]))
     if variant == "hopf_bump":
@@ -957,9 +962,11 @@ def map_from_descriptor(desc) -> SphereMap:
                          np.array(p["basepoint"]))
     if variant == "patched":
         background = map_from_descriptor(kids[0])
+        # the stored centres keep their bits: sphere_point would renormalize
         pieces = [
             (map_from_descriptor(kid),
-             GeodesicBall(sphere_point(np.array(e["center"])), e["radius"]))
+             GeodesicBall(SpherePoint(len(e["center"]) - 1, np.array(e["center"])),
+                          e["radius"]))
             for kid, e in zip(kids[1:], p["supports"])
         ]
         return _patched(background, pieces, np.array(p["basepoint"]))

@@ -17,7 +17,7 @@ from hopflab import (
     composed_with_hopf,
     energy_mc,
     energy_quadrature,
-    fiber_energy_comparison,
+    fiber_reduced_energy,
     hopf_bump,
     hopf_invariant,
     hopf_map,
@@ -124,16 +124,15 @@ def test_07_bump_energy_independent_of_radius():
         assert diff <= 3.0 * combined, f"diff={diff} 3se={3 * combined}"
 
 
-def test_08_fiber_ratios_within_factor_three_of_median():
+def test_08_fiber_reduction_agrees_with_s3_within_three_se():
     with _Budget(240.0):
-        ratios = []
         for k in (1, 2, 3, 4):
-            rep = fiber_energy_comparison(multi_bubble(k), s=0.5,
-                                          n=200_000, seed=10 + k)
-            assert not rep.undefined
-            ratios.append(rep.ratio)
-        med = float(np.median(ratios))
-        assert all(med / 3.0 <= r <= med * 3.0 for r in ratios), ratios
+            v = multi_bubble(k)
+            e3 = energy_mc(composed_with_hopf(v), CRITICAL_S3, WHOLE_S3,
+                           200_000, 20 + k)
+            e2 = fiber_reduced_energy(v, CRITICAL_S3, 200_000, 30 + k)
+            z = (e3.value - e2.value) / math.hypot(e3.std_error, e2.std_error)
+            assert abs(z) <= 3.0, f"k={k}: s3 {e3.value} vs s2 {e2.value}"
 
 
 def test_09_estimators_agree_and_se_scales():

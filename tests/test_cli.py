@@ -93,6 +93,16 @@ def test_bad_seed_or_step_exits_1_without_traceback(argv, hopf_descriptor, capsy
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("degrees, token", [("kmax:x", "'x'"), ("1,a", "'a'")])
+def test_bad_degrees_exit_1_without_traceback(degrees, token, tmp_path, capsys):
+    code = main(["scaling", "--s", "0.5", "--degrees", degrees,
+                 "--out", str(tmp_path / "run.csv")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and token in err and "Traceback" not in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_scaling_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "run.csv"
     code = main(["scaling", "--s", "0.5", "--degrees", "1,2",

@@ -33,17 +33,12 @@ def test_params_validation():
 
 
 def test_region_measures_tile():
-    ball = geo.GeodesicBall(CENTER_S3, 0.8)
-    b = energy.ball_region(ball).measure()
-    c = energy.complement_region(ball).measure()
+    b = energy.Region(3, CENTER_S3, 0.0, 0.8).measure()
+    c = energy.Region(3, CENTER_S3, 0.8).measure()
     assert np.isclose(b + c, WHOLE_S3.measure(), rtol=1e-14, atol=0)
-    inner = geo.GeodesicBall(CENTER_S3, 0.4)
-    d = energy.difference_region(ball, inner).measure()
-    assert np.isclose(d, b - energy.ball_region(inner).measure(),
+    d = energy.Region(3, CENTER_S3, 0.4, 0.8).measure()
+    assert np.isclose(d, b - energy.Region(3, CENTER_S3, 0.0, 0.4).measure(),
                       rtol=1e-14, atol=0)
-    # the constructors are annuli: the same sets as Region(dim, c, lo, hi)
-    assert d == energy.Region(3, CENTER_S3, 0.4, 0.8).measure()
-    assert c == energy.Region(3, CENTER_S3, 0.8).measure()
     assert energy.Region(3).measure() == WHOLE_S3.measure()
 
 
@@ -53,9 +48,6 @@ def test_region_rejects_bad_bounds():
             energy.Region(3, CENTER_S3, lo, hi)
     with pytest.raises(ParameterError):  # a centre on S^2 for a region of S^3
         energy.Region(3, geo.sphere_point([0.0, 0.0, 1.0]), 0.0, 0.8)
-    with pytest.raises(ParameterError):
-        energy.difference_region(geo.GeodesicBall(CENTER_S3, 0.4),
-                                 geo.GeodesicBall(CENTER_S3, 0.8))
 
 
 def _chord_angle(x, y):
@@ -66,18 +58,17 @@ def _chord_angle(x, y):
 
 def test_region_sampling_respects_bounds():
     gen = np.random.default_rng(3)
-    ball = geo.GeodesicBall(CENTER_S3, 0.8)
-    inner = geo.GeodesicBall(CENTER_S3, 0.4)
     c = CENTER_S3.coords.tolist()
-    for region, lo, hi, doc in (
-        (energy.ball_region(ball), 0.0, 0.8,
+    for lo, hi, doc in (
+        (0.0, 0.8,
          {"variant": "ball", "dim": 3, "outer": {"center": c, "radius": 0.8}}),
-        (energy.complement_region(ball), 0.8, np.pi,
+        (0.8, np.pi,
          {"variant": "complement", "dim": 3, "outer": {"center": c, "radius": 0.8}}),
-        (energy.difference_region(ball, inner), 0.4, 0.8,
+        (0.4, 0.8,
          {"variant": "difference", "dim": 3, "outer": {"center": c, "radius": 0.8},
           "inner": {"center": c, "radius": 0.4}}),
     ):
+        region = energy.Region(3, CENTER_S3, lo, hi)
         pts = region.sample(2000, gen)
         d = geo.geodesic_distances(pts, CENTER_S3.coords)
         assert np.all(d >= lo - 1e-12) and np.all(d <= hi + 1e-12)
@@ -95,21 +86,14 @@ def test_region_sampling_respects_bounds():
     assert np.all(WHOLE_S3.contains(WHOLE_S3.sample(10, gen)))
 
 
-def test_difference_region_must_be_concentric():
-    ball = geo.GeodesicBall(CENTER_S3, 0.8)
-    other = geo.GeodesicBall(geo.sphere_point([1.0, 0.0, 0.0, 0.0]), 0.4)
-    with pytest.raises(ParameterError):
-        energy.difference_region(ball, other)
+def test_gluing_bound_takes_a_centre_concentric_with_itself():
     # a centre whose dot product with itself rounds below 1, where arccos
     # reads a gap of 1.5e-8, is still concentric with itself
     c = geo.SpherePoint(3, np.array([-0.3682164662052865, 0.4380300431627726,
                                      0.43862928307049404, -0.6929290492793436]))
     assert geo.geodesic_distances(c.coords[None, :], c.coords)[0] > 1e-12
-    region = energy.difference_region(geo.GeodesicBall(c, 0.8),
-                                      geo.GeodesicBall(c, 0.4))
-    assert (region.lo, region.hi) == (0.4, 0.8)
     rep = energy.check_gluing_bound(
-        maps.hopf_bump(c, 0.3), energy.ball_region(geo.GeodesicBall(c, 2.0)),
+        maps.hopf_bump(c, 0.3), energy.Region(3, c, 0.0, 2.0),
         eta=0.5, rho=1.0, params=PARAMS_S3, center=c, n=2_000)
     assert rep.annulus_term.region.to_dict()["variant"] == "difference"
 
@@ -174,8 +158,7 @@ def test_energy_mc_validates_inputs():
 
 def test_energy_mc_region_monotone():
     u = maps.hopf_map()
-    ball = geo.GeodesicBall(CENTER_S3, 1.2)
-    e_ball = energy.energy_mc(u, PARAMS_S3, energy.ball_region(ball),
+    e_ball = energy.energy_mc(u, PARAMS_S3, energy.Region(3, CENTER_S3, 0.0, 1.2),
                               100_000, 5)
     e_whole = energy.energy_mc(u, PARAMS_S3, WHOLE_S3, 100_000, 5)
     slack = 3 * (e_ball.std_error + e_whole.std_error)
@@ -316,6 +299,21 @@ def test_fiber_reduced_energy_reports_the_s3_energy():
     s2 = energy.EnergyParams(0.5, 6.0, 2)
     tail = energy.lipschitz_tail_bound(v, s2, 2.0 * v.sources[0].measure(), eps)
     assert est.tail_bound == 1.5 * np.pi ** 2 * tail > 0.0
+
+
+def test_fiber_kernel_lies_in_the_band_pi2_to_three_halves_pi2():
+    # c^5 K(c) = (pi^2 / 4) (6 - c^2 / 2) for the chord c of every step t in
+    # (0, pi], so pi^2 E(v, S^2) <= E(v o h, S^3) <= (3 pi^2 / 2) E(v, S^2);
+    # near t = 0 the rounded value reads one ulp above 3 pi^2 / 2
+    t = np.linspace(0.0, np.pi, 100_001)[1:]
+    t = np.concatenate([np.pi * 2.0 ** -np.arange(1.0, 60.0), t])
+    c = 2.0 * np.sin(0.5 * t)
+    scaled = c ** 5 / energy._fiber_kernel_inverse(t)
+    lo, hi = np.pi ** 2, 1.5 * np.pi ** 2
+    assert np.all(scaled >= lo * (1.0 - 1e-14))
+    assert np.all(scaled <= hi * (1.0 + 1e-14))
+    assert math.isclose(scaled.min(), lo, rel_tol=1e-14)  # t = pi
+    assert math.isclose(scaled.max(), hi, rel_tol=1e-14)  # t -> 0
 
 
 def test_fiber_reduced_energy_validates_inputs():
@@ -572,16 +570,6 @@ def test_patching_bound_rejects_wrong_pieces():
     with pytest.raises(ParameterError):
         energy.check_patching_bound([maps.hopf_map()], u7, PARAMS_S3,
                                     n=10_000)
-
-
-def test_fiber_energy_comparison_finite_and_undefined():
-    rep = energy.fiber_energy_comparison(maps.multi_bubble(1), s=0.5,
-                                         n=60_000, seed=3)
-    assert not rep.undefined
-    assert rep.ratio > 0 and np.isfinite(rep.ratio)
-    const = maps.constant_map(2, [1.0, 0.0, 0.0])
-    rep0 = energy.fiber_energy_comparison(const, s=0.5, n=10_000, seed=3)
-    assert rep0.undefined and rep0.ratio is None
 
 
 def test_bump_energy_r_independent():

@@ -1,5 +1,6 @@
 """Scaling experiment pipeline and the verify suite."""
 
+import hashlib
 import json
 import math
 
@@ -26,6 +27,8 @@ def test_config_defaults_and_normalization():
     cfg = _cfg(degrees=(9, 1, 4))
     assert cfg.p == 6.0  # critical pairing 3/s
     assert cfg.degrees == (1, 4, 9)  # sorted
+    with pytest.raises(TypeError):  # p is 3/s, not a setting
+        _cfg(p=5.0)
 
 
 def test_config_validation():
@@ -59,6 +62,9 @@ def test_parse_degrees_forms():
         X.parse_degrees("")
     with pytest.raises(ParameterError):
         X.parse_degrees("kmax:0")
+    for text, token in (("kmax:x", "'x'"), ("1,a", "'a'"), ("1, 2.5", "'2.5'")):
+        with pytest.raises(ParameterError, match=token):
+            X.parse_degrees(text)
 
 
 # ---------------------------------------------------------------------------
@@ -219,9 +225,20 @@ def test_run_scaling_routes_v_o_h_rows_through_the_fiber_reduction(tmp_path):
                                                params, cfg.samples_per_estimate,
                                                rng)
         assert est.to_json() == want.to_json()
-    # off the critical pairing the reduction does not hold: every row is S^3
-    off = X.run_scaling(_cfg(degrees=(1, 2), p=5.0))
-    assert off.estimators == ["energy_mc", "energy_mc"]
+
+
+def test_run_scaling_artifacts_are_pinned(tmp_path):
+    # written before ExperimentConfig.p became the property 3/s
+    out = tmp_path / "run.csv"
+    cfg = X.ExperimentConfig(s=0.5, degrees=(1, 2, 4), samples_per_estimate=2000,
+                             seed=0, output_path=str(out))
+    X.run_scaling(cfg)
+    assert cfg.config_hash() == "25fd289a231c2e1e"
+    for path, digest in (
+            (out, "98e29fa10babcd99d9e722f214b3124e5ef96273bb128dd99300100a32227a66"),
+            (tmp_path / "run.csv.loglog.csv",
+             "36642331723b19dd8ba9b690f4ada07c7ac8faaacb390dbe0a673f0217f15361")):
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +293,5 @@ def test_check_registry_is_complete():
     assert list(X.CHECKS) == [
         "hopf_gradient", "degree_certification", "hopf_fiber_linking",
         "bookkeeping_vs_numeric", "patching_bound", "gluing_bound",
-        "bump_r_independence", "fiber_ratio_boundedness",
-        "fiber_reduction", "estimator_consistency",
+        "bump_r_independence", "fiber_reduction", "estimator_consistency",
     ]

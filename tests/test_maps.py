@@ -1,5 +1,6 @@
 """Map constructions: Hopf map, bumps, bubbles, patching, descriptors."""
 
+import copy
 import json
 import math
 
@@ -524,6 +525,35 @@ def test_descriptor_round_trip(build):
     pts = S3_PTS[:64] if u.domain_dim == 3 else S2_PTS[:64]
     assert np.array_equal(u.eval_many(pts), rebuilt.eval_many(pts))
     assert maps.descriptor_to_json(rebuilt.descriptor) == text
+
+
+@pytest.mark.parametrize("d", [27, 29, 31, 32, 33, 34, 35, 47, 196, 625])
+def test_prescribed_descriptor_round_trip_is_exact(d):
+    # these degrees rebuilt renormalized centres: other descriptors, and at
+    # d = 196 and 625 other values
+    u = maps.prescribed_hopf_map(d)
+    text = maps.descriptor_to_json(u.descriptor)
+    rebuilt = maps.map_from_descriptor(maps.descriptor_from_json(text))
+    assert maps.descriptor_to_json(rebuilt.descriptor) == text
+    assert np.array_equal(u.eval_many(S3_PTS), rebuilt.eval_many(S3_PTS))
+
+
+def test_edited_multi_bubble_descriptor_is_refused():
+    # each edit used to rebuild another map: k = 5 over one ball bookkept 5
+    # while its degree read 1, and a halved radius read a raw degree of 4.63
+    desc = maps.multi_bubble(5).descriptor
+    one_ball = copy.deepcopy(desc)
+    one_ball["params"]["balls"] = one_ball["params"]["balls"][:1]
+    radius = copy.deepcopy(desc)
+    radius["params"]["balls"][1]["radius"] *= 0.5
+    for edited in (one_ball, radius):
+        with pytest.raises(ParameterError, match="rebuild"):
+            maps.map_from_descriptor(edited)
+    # a nested edit: the bubbles under the Hopf map under a patched map
+    patched = copy.deepcopy(maps.prescribed_hopf_map(5).descriptor)
+    patched["children"][0]["children"][0]["params"]["balls"][1]["radius"] *= 0.5
+    with pytest.raises(ParameterError, match="rebuild"):
+        maps.map_from_descriptor(patched)
 
 
 def test_descriptor_json_is_canonical():
