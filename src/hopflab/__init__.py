@@ -41,8 +41,6 @@ from .maps import (  # noqa: E402
     bump_deg1,
     composed_with_hopf,
     constant_map,
-    descriptor_from_json,
-    descriptor_to_json,
     equator_collapse,
     hopf_bump,
     hopf_map,
@@ -85,8 +83,6 @@ __all__ = [
     "check_patching_bound",
     "composed_with_hopf",
     "constant_map",
-    "descriptor_from_json",
-    "descriptor_to_json",
     "emit_report",
     "energy_mc",
     "energy_quadrature",

@@ -3,20 +3,18 @@
 Subcommands: verify (invariant suite), energy (estimate one map's
 seminorm), hopf (certify a Hopf invariant against bookkeeping), scaling
 (the energy-vs-degree experiment). Exit codes: 0 all checks pass / run
-complete, 1 check failure or runtime error, 2 usage error. The only
-environment hook is HOPFLAB_CONFIG, which points at a JSON file of
-defaults; explicit flags win over it.
+complete, 1 check failure or runtime error, 2 usage error. Every run
+setting comes from a flag or its default here.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .energy import EnergyParams, energy_mc, whole_sphere
-from .errors import HopflabError
+from .errors import HopflabError, ParameterError
 from .experiments import (
     ExperimentConfig,
     parse_degrees,
@@ -27,28 +25,20 @@ from .maps import map_from_descriptor
 from .topology import hopf_invariant
 
 
-def _load_config() -> dict:
-    path = os.environ.get("HOPFLAB_CONFIG")
-    if not path:
-        return {}
-    with open(path) as fh:
-        return json.load(fh)
-
-
 def _load_map(path: str):
     with open(path) as fh:
-        return map_from_descriptor(json.load(fh))
+        try:
+            desc = json.load(fh)
+        except json.JSONDecodeError as err:
+            raise ParameterError(f"descriptor file {path} is not JSON: {err}") from None
+    return map_from_descriptor(desc)
 
 
 def cmd_verify(args) -> int:
-    cfg = _load_config().get("verify", {})
-    if args.checks is None:
-        checks = cfg.get("checks")
-    elif args.checks.strip() == "":
-        checks = []
-    else:
-        checks = [c.strip() for c in args.checks.split(",")]
-    report = run_verify(checks, cfg.get("overrides"))
+    checks = args.checks
+    if checks is not None:  # absent: every check; "": none
+        checks = [c.strip() for c in checks.split(",")] if checks.strip() else []
+    report = run_verify(checks)
     table = report.to_table()
     if table:
         print(table)
@@ -59,28 +49,18 @@ def cmd_verify(args) -> int:
 
 
 def cmd_energy(args) -> int:
-    cfg = _load_config().get("energy", {})
     u = _load_map(args.descriptor)
     n_dim = u.domain_dim
     p = args.p if args.p is not None else 3.0 / args.s
-    params = EnergyParams(
-        s=args.s, p=p, n=n_dim,
-        critical=abs(args.s * p - n_dim) < 1e-12,
-    )
-    samples = args.samples if args.samples is not None else cfg.get(
-        "samples", 200_000)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    est = energy_mc(u, params, whole_sphere(n_dim), int(samples), int(seed))
+    est = energy_mc(u, EnergyParams(s=args.s, p=p, n=n_dim),
+                    whole_sphere(n_dim), args.samples, args.seed)
     print(est.to_json())
     return 0
 
 
 def cmd_hopf(args) -> int:
-    cfg = _load_config().get("hopf", {})
     u = _load_map(args.descriptor)
-    step = args.step if args.step is not None else cfg.get("step", 2e-3)
-    seed = args.seed if args.seed is not None else cfg.get("seed", 0)
-    rep = hopf_invariant(u, step=float(step), seed=int(seed))
+    rep = hopf_invariant(u, step=args.step, seed=args.seed)
     agree = rep.value == u.degree
     print(json.dumps(
         {"hopf_invariant": rep.value, "raw": rep.raw,
@@ -91,17 +71,12 @@ def cmd_hopf(args) -> int:
 
 
 def cmd_scaling(args) -> int:
-    cfg = _load_config().get("scaling", {})
-    degrees = parse_degrees(args.degrees if args.degrees is not None
-                            else cfg.get("degrees", "kmax:5"))
     config = ExperimentConfig(
         s=args.s,
-        degrees=degrees,
-        samples_per_estimate=int(args.samples if args.samples is not None
-                                 else cfg.get("samples", 1_000_000)),
-        seed=int(args.seed if args.seed is not None else cfg.get("seed", 0)),
+        degrees=parse_degrees(args.degrees),
+        samples_per_estimate=args.samples,
+        seed=args.seed,
         output_path=args.out,
-        format=args.format,
     )
     result = run_scaling(config)
     slope = "undefined" if result.slope is None else f"{result.slope:.4f}"
@@ -133,28 +108,28 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("--s", type=float, required=True)
     q.add_argument("--p", type=float, default=None,
                    help="default: the critical 3/s")
-    q.add_argument("--samples", type=int, default=None)
-    q.add_argument("--seed", type=int, default=None)
+    q.add_argument("--samples", type=int, default=200_000)
+    q.add_argument("--seed", type=int, default=0)
     q.set_defaults(func=cmd_energy)
 
     q = sub.add_parser("hopf", help="Hopf invariant by fiber linking")
     q.add_argument("--descriptor", required=True,
                    help="JSON map descriptor file")
-    q.add_argument("--step", type=float, default=None,
+    q.add_argument("--step", type=float, default=2e-3,
                    help="initial fiber arc step, also the predictor tolerance "
                         "scale and the closing radius (default 2e-3, at least "
                         "1e-12); steps adapt up to 0.1 rad")
-    q.add_argument("--seed", type=int, default=None)
+    q.add_argument("--seed", type=int, default=0)
     q.set_defaults(func=cmd_hopf)
 
     q = sub.add_parser("scaling", help="energy-vs-degree scaling experiment")
     q.add_argument("--s", type=float, required=True)
-    q.add_argument("--degrees", default=None,
+    q.add_argument("--degrees", default="kmax:5",
                    help='"1,4,9" or "kmax:N" (default kmax:5)')
-    q.add_argument("--samples", type=int, default=None)
-    q.add_argument("--seed", type=int, default=None)
-    q.add_argument("--out", required=True, help="artifact path")
-    q.add_argument("--format", choices=("csv", "json"), default="csv")
+    q.add_argument("--samples", type=int, default=1_000_000)
+    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--out", required=True,
+                   help="CSV path; .meta.json and .loglog.csv go beside it")
     q.set_defaults(func=cmd_scaling)
 
     return parser

@@ -43,7 +43,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, require_int
 from .geometry import (
     Region,
     polar_directions,
@@ -233,9 +233,11 @@ def _stratified(u: SphereMap, params: EnergyParams, region: Region, n: int,
     """energy_mc's driver with the pair kernel K given by its reciprocal
     inv_kernel(t) at step t, and a kernel at most tail_scale times the
     chordal one of params (its tail bound's factor)."""
+    n = require_int(n, "n")
     if n < 1_000:
         raise ParameterError(f"the estimate needs at least 1000 samples, got n = {n}")
-    seed = int(rng.integers(2 ** 62)) if hasattr(rng, "integers") else int(rng)
+    seed = (int(rng.integers(2 ** 62)) if hasattr(rng, "integers")
+            else require_int(rng, "seed"))
     if not 0 <= seed < 2 ** 64:  # the first word of every stratum's Philox key
         raise ParameterError(f"seed must lie in [0, 2^64), got {seed}")
     strata, pair_weight, tail_measure = _strata(u, params.n, region)

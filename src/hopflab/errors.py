@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+import operator
+
 
 class HopflabError(Exception):
     """Base class for all package-specific errors."""
@@ -15,6 +17,15 @@ class SingularInputError(HopflabError, ValueError):
 
 class ParameterError(HopflabError, ValueError):
     """A parameter is outside its admissible range."""
+
+
+def require_int(value, name: str) -> int:
+    """value as an int, from an int or a numpy integer; ParameterError
+    naming `name` for anything else, 1.5 and 2000.0 included."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
 
 
 class PackingError(HopflabError, RuntimeError):

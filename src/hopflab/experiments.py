@@ -32,7 +32,7 @@ from .energy import (
     fiber_reduced_energy,
     whole_sphere,
 )
-from .errors import HopflabError, ParameterError
+from .errors import HopflabError, ParameterError, require_int
 from .geometry import sample_uniform_many, sphere_point
 from .maps import (
     bump_deg1,
@@ -66,22 +66,20 @@ class ExperimentConfig:
     samples_per_estimate: int
     seed: int
     output_path: str
-    format: str = "csv"
 
     def __post_init__(self):
         if not (0.0 < self.s < 1.0):
             raise ParameterError(f"s must lie in (0,1), got {self.s}")
+        for name in ("samples_per_estimate", "seed"):
+            object.__setattr__(self, name, require_int(getattr(self, name), name))
         if self.samples_per_estimate < 1_000:
             raise ParameterError("samples_per_estimate must be at least 1000")
-        degrees = tuple(int(d) for d in self.degrees)
+        degrees = tuple(require_int(d, "degrees") for d in self.degrees)
         if not degrees:
             raise ParameterError("degrees must be nonempty")
         if len(set(degrees)) != len(degrees):
             raise ParameterError("degrees must be distinct")
         object.__setattr__(self, "degrees", tuple(sorted(degrees)))
-        if self.format not in ("csv", "json"):
-            raise ParameterError(f"format must be csv or json, got {self.format!r}")
-        object.__setattr__(self, "seed", int(self.seed))
         if self.seed < 0:
             raise ParameterError(f"seed must be non-negative, got {self.seed}")
 
@@ -95,14 +93,12 @@ class ExperimentConfig:
             "s": self.s, "p": self.p, "degrees": list(self.degrees),
             "samples_per_estimate": self.samples_per_estimate,
             "seed": self.seed, "output_path": self.output_path,
-            "format": self.format,
         }
 
     def config_hash(self) -> str:
         """Hash of the scientific inputs (not the artifact destination)."""
         core = self.to_dict()
         core.pop("output_path")
-        core.pop("format")
         blob = json.dumps(core, sort_keys=True).encode()
         return hashlib.sha256(blob).hexdigest()[:16]
 
@@ -248,37 +244,28 @@ def result_metadata(result: ScalingResult) -> dict:
 
 
 def emit_report(result: ScalingResult) -> list:
-    """Write the run's artifacts in the config's format; returns the paths.
+    """Write the run's artifacts; returns the paths.
 
-    csv: the data table (exact columns d,energy,std_error,n_samples,s,p,seed)
-    plus a .meta.json sidecar. json: one file with metadata and rows. Both
-    get a .loglog.csv companion holding the plot-ready (log d, log energy)
-    columns.
+    The CSV data table (exact columns d,energy,std_error,n_samples,s,p,seed),
+    a .meta.json sidecar, and a .loglog.csv companion holding the
+    plot-ready (log d, log energy) columns.
     """
     path = result.config.output_path
     if not path:
         raise ParameterError("config has no output_path")
     rows = result_rows(result)
-    meta = result_metadata(result)
-    written = []
-    if result.config.format == "csv":
-        lines = [",".join(CSV_COLUMNS)]
-        lines += [",".join(repr(r[c]) if isinstance(r[c], float) else str(r[c])
-                           for c in CSV_COLUMNS) for r in rows]
-        _write(path, "\n".join(lines) + "\n")
-        _write(path + ".meta.json", json.dumps(meta, sort_keys=True) + "\n")
-        written += [path, path + ".meta.json"]
-    else:
-        _write(path, json.dumps({"metadata": meta, "rows": rows},
-                                sort_keys=True) + "\n")
-        written.append(path)
+    lines = [",".join(CSV_COLUMNS)]
+    lines += [",".join(repr(r[c]) if isinstance(r[c], float) else str(r[c])
+                       for c in CSV_COLUMNS) for r in rows]
+    _write(path, "\n".join(lines) + "\n")
+    _write(path + ".meta.json",
+           json.dumps(result_metadata(result), sort_keys=True) + "\n")
     companion = path + ".loglog.csv"
     lines = ["log_d,log_energy"]
     lines += [f"{math.log(r['d'])!r},{math.log(r['energy'])!r}"
               for r in rows if r["d"] >= 1 and r["energy"] > 0.0]
     _write(companion, "\n".join(lines) + "\n")
-    written.append(companion)
-    return written
+    return [path, path + ".meta.json", companion]
 
 
 def _write(path: str, text: str):
@@ -506,20 +493,15 @@ CHECKS = {
 }
 
 
-def run_verify(checks=None, overrides=None) -> VerifyReport:
+def run_verify(checks=None) -> VerifyReport:
     """Run the named checks (all by default) and collect pass/fail rows.
 
-    Each row records its check's wall time in seconds. Check failures and
-    exceptions are collected, never fatal; an empty
-    selection yields an empty (passing) report. overrides updates the
-    knobs in VERIFY_DEFAULTS, e.g. tightening a tolerance to probe that a
-    check actually bites.
+    Each check reads its seeds, sample sizes and bounds from
+    VERIFY_DEFAULTS, the one place they are set. Each row records its
+    check's wall time in seconds. Check failures and exceptions are
+    collected, never fatal; an empty selection yields an empty (passing)
+    report.
     """
-    knobs = dict(VERIFY_DEFAULTS)
-    for key in overrides or {}:
-        if key not in VERIFY_DEFAULTS:
-            raise ParameterError(f"unknown verify knob {key!r}")
-    knobs.update(overrides or {})
     names = list(CHECKS) if checks is None else list(checks)
     results = []
     for name in names:
@@ -527,7 +509,7 @@ def run_verify(checks=None, overrides=None) -> VerifyReport:
             raise ParameterError(f"unknown check {name!r}")
         t0 = time.perf_counter()
         try:
-            passed, measured = CHECKS[name](knobs)
+            passed, measured = CHECKS[name](VERIFY_DEFAULTS)
             detail = ""
         except HopflabError as err:
             passed, measured = False, {}

@@ -18,7 +18,6 @@ a fill off disjoint balls share one masked evaluator (_BallMasked).
 
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -915,26 +914,29 @@ def _unit(x):
     return c if abs(n - 1.0) <= 1e-12 else c / n
 
 
-def descriptor_to_json(desc) -> str:
-    """Canonical JSON text for a descriptor (sorted keys, fixed separators)."""
-    return json.dumps(desc, sort_keys=True, separators=(",", ":"))
-
-
-def descriptor_from_json(text: str):
-    return json.loads(text)
-
-
 def map_from_descriptor(desc) -> SphereMap:
     """Rebuild a SphereMap from its descriptor; inverse of construction.
 
     The rebuilt map's descriptor must equal desc, bit for bit: a descriptor
     that no constructor yields (an edited ball of a multi-bubble, say)
-    raises ParameterError instead of rebuilding another map.
+    raises ParameterError instead of rebuilding another map, and so does
+    one that is not a JSON object or lacks a key or a child it needs.
     """
-    u = _from_descriptor(desc)
+    if not isinstance(desc, dict):
+        raise ParameterError(
+            f"a descriptor is a JSON object, got {type(desc).__name__}")
+    variant = desc.get("variant")
+    try:
+        u = _from_descriptor(desc)
+    except KeyError as err:
+        raise ParameterError(
+            f"descriptor of variant {variant!r} has no key {err.args[0]!r}") from None
+    except IndexError:
+        raise ParameterError(
+            f"descriptor of variant {variant!r} lacks a child") from None
     if u.descriptor != desc:
         raise ParameterError(
-            f"descriptor of variant {desc['variant']!r} does not rebuild to itself")
+            f"descriptor of variant {variant!r} does not rebuild to itself")
     return u
 
 

@@ -1,11 +1,17 @@
-"""CLI contract: subcommands, exit codes, config-file pickup."""
+"""CLI contract: subcommands, exit codes, flag defaults, the README's examples."""
 
 import json
+import re
+import shlex
+from pathlib import Path
 
 import pytest
 
+import hopflab
 from hopflab import maps
-from hopflab.cli import main
+from hopflab.cli import _build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @pytest.fixture()
@@ -30,7 +36,8 @@ def test_usage_errors_exit_2(capsys):
         main(["energy", "--s", "0.5"])  # missing --descriptor
     assert exc.value.code == 2
     with pytest.raises(SystemExit) as exc:
-        main(["scaling", "--s", "0.5", "--out", "x", "--format", "xml"])
+        # the CSV is the one artifact format: there is no --format
+        main(["scaling", "--s", "0.5", "--out", "x", "--format", "csv"])
     assert exc.value.code == 2
     capsys.readouterr()
 
@@ -103,6 +110,20 @@ def test_bad_degrees_exit_1_without_traceback(degrees, token, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"variant": "multi_bubble", "params": {}}', "'multi_bubble' has no key 'k'"),
+    ("[1, 2]", "JSON object"),
+    ('{"variant": "hopf", "par', "not JSON"),
+], ids=["missing_key", "not_an_object", "truncated"])
+def test_malformed_descriptor_exits_1_without_traceback(text, message, tmp_path,
+                                                        capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    assert main(["energy", "--descriptor", str(path), "--s", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and "Traceback" not in err
+
+
 def test_scaling_writes_artifacts(tmp_path, capsys):
     out = tmp_path / "run.csv"
     code = main(["scaling", "--s", "0.5", "--degrees", "1,2",
@@ -115,17 +136,32 @@ def test_scaling_writes_artifacts(tmp_path, capsys):
     assert (tmp_path / "run.csv.loglog.csv").exists()
 
 
-def test_env_config_supplies_defaults(tmp_path, monkeypatch, capsys,
+def test_hopflab_config_has_no_effect(tmp_path, monkeypatch, capsys,
                                       hopf_descriptor):
+    # no file moves a verify bound or a default unrecorded: the flags and
+    # their defaults are the only settings
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"energy": {"samples": 4000, "seed": 9}}))
+    cfg.write_text(json.dumps({"verify": {"overrides": {"gradient_tol": 1e-20}},
+                               "energy": {"samples": 4000}}))
     monkeypatch.setenv("HOPFLAB_CONFIG", str(cfg))
-    code = main(["energy", "--descriptor", hopf_descriptor, "--s", "0.5"])
-    assert code == 0
+    assert main(["verify", "--checks", "hopf_gradient"]) == 0
+    assert capsys.readouterr().out.startswith("PASS")
+    assert main(["energy", "--descriptor", hopf_descriptor, "--s", "0.5"]) == 0
     doc = json.loads(capsys.readouterr().out)
-    assert doc["n_samples"] == 4000 and doc["seed"] == 9
-    # explicit flags beat the config file
-    code = main(["energy", "--descriptor", hopf_descriptor, "--s", "0.5",
-                 "--samples", "6000"])
-    assert code == 0
-    assert json.loads(capsys.readouterr().out)["n_samples"] == 6000
+    assert doc["n_samples"] == 200_000 and doc["seed"] == 0
+
+
+def test_readme_examples_match_the_package():
+    # a README that shows a deleted name or flag fails here
+    text = README.read_text()
+    names = re.search(r"from hopflab import \((.*?)\)", text, re.S).group(1)
+    names = [n.strip() for n in names.split(",") if n.strip()]
+    assert len(names) >= 5
+    assert [n for n in names if not hasattr(hopflab, n)] == []
+    cli = re.search(r"## Quickstart \(CLI\).*?```sh\n(.*?)```", text, re.S).group(1)
+    lines = [ln for ln in cli.replace("\\\n", " ").splitlines()
+             if ln.startswith("hopflab ")]
+    assert len(lines) >= 4
+    parser = _build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line)[1:])  # a usage error exits 2

@@ -154,6 +154,14 @@ def test_energy_mc_validates_inputs():
     with pytest.raises(ParameterError):
         energy.energy_mc(u, energy.EnergyParams(s=0.5, p=6.0, n=2),
                          WHOLE_S2, 10_000, 0)  # domain mismatch
+    with pytest.raises(ParameterError, match="n must be an integer"):
+        energy.energy_mc(u, PARAMS_S3, WHOLE_S3, 20_000.0, 0)
+    with pytest.raises(ParameterError, match="seed must be an integer"):
+        energy.energy_mc(u, PARAMS_S3, WHOLE_S3, 20_000, 1.5)
+    numpy_ints = energy.energy_mc(u, PARAMS_S3, WHOLE_S3, np.int64(2_000),
+                                  np.uint64(3))
+    assert numpy_ints.to_json() == energy.energy_mc(u, PARAMS_S3, WHOLE_S3,
+                                                    2_000, 3).to_json()
 
 
 def test_energy_mc_region_monotone():

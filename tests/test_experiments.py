@@ -40,13 +40,23 @@ def test_config_validation():
         _cfg(degrees=())
     with pytest.raises(ParameterError):
         _cfg(degrees=(1, 1, 4))
-    with pytest.raises(ParameterError):
-        _cfg(format="xml")
+    # counts are integers: 1.5 used to hash as seed 1, and 20000.5 samples
+    # passed here and crashed the run
+    with pytest.raises(ParameterError, match="seed"):
+        _cfg(seed=1.5)
+    with pytest.raises(ParameterError, match="samples_per_estimate"):
+        _cfg(samples_per_estimate=20_000.5)
+    with pytest.raises(ParameterError, match="degrees"):
+        _cfg(degrees=(1, 4.5))
+    cfg = _cfg(seed=np.int64(1), samples_per_estimate=np.int32(2_000),
+               degrees=(np.int64(4), 1))
+    assert cfg.config_hash() == _cfg(seed=1, degrees=(1, 4)).config_hash()
+    assert type(cfg.seed) is int and type(cfg.samples_per_estimate) is int
 
 
 def test_config_hash_ignores_artifact_destination():
-    a = _cfg(output_path="/tmp/a.csv", format="csv")
-    b = _cfg(output_path="/elsewhere/b.json", format="json")
+    a = _cfg(output_path="/tmp/a.csv")
+    b = _cfg(output_path="/elsewhere/b.csv")
     c = _cfg(output_path="/tmp/a.csv", seed=1)
     assert a.config_hash() == b.config_hash()
     assert a.config_hash() != c.config_hash()
@@ -150,18 +160,6 @@ def test_run_scaling_rerun_is_byte_identical(tmp_path):
             assert files["a"][name] == files["b"][name]
 
 
-def test_run_scaling_json_round_trip(tmp_path):
-    out = tmp_path / "run.json"
-    cfg = _cfg(degrees=(1, 2), output_path=str(out), format="json")
-    res = X.run_scaling(cfg)
-    doc = json.loads(out.read_text())
-    assert doc["metadata"]["config_hash"] == cfg.config_hash()
-    assert [r["d"] for r in doc["rows"]] == [1, 2]
-    assert doc["rows"][0]["energy"] == res.rows[0][1].value
-    # serialization is loss-free for float64 payloads
-    assert json.loads(json.dumps(doc, sort_keys=True)) == doc
-
-
 def test_run_scaling_partial_on_failure(tmp_path, monkeypatch):
     real = X.prescribed_hopf_map
 
@@ -254,8 +252,6 @@ def test_run_verify_empty_selection_passes():
 def test_run_verify_rejects_unknown_names():
     with pytest.raises(ParameterError):
         X.run_verify(checks=["no_such_check"])
-    with pytest.raises(ParameterError):
-        X.run_verify(checks=[], overrides={"no_such_knob": 1})
 
 
 def test_run_verify_single_check_row():
@@ -276,9 +272,9 @@ def test_run_verify_rows_carry_their_seconds():
     assert f"{rep.results[0].seconds:.2f}s" in rep.to_table()
 
 
-def test_run_verify_sabotaged_tolerance_fails():
-    rep = X.run_verify(checks=["hopf_gradient"],
-                       overrides={"gradient_tol": 1e-20})
+def test_run_verify_sabotaged_tolerance_fails(monkeypatch):
+    monkeypatch.setitem(X.VERIFY_DEFAULTS, "gradient_tol", 1e-20)
+    rep = X.run_verify(checks=["hopf_gradient"])
     assert not rep.passed
     assert rep.to_table().startswith("FAIL")
 

@@ -520,11 +520,11 @@ def test_prescribed_hopf_map_domain():
 ])
 def test_descriptor_round_trip(build):
     u = build()
-    text = maps.descriptor_to_json(u.descriptor)
-    rebuilt = maps.map_from_descriptor(maps.descriptor_from_json(text))
+    text = json.dumps(u.descriptor, sort_keys=True)
+    rebuilt = maps.map_from_descriptor(json.loads(text))
     pts = S3_PTS[:64] if u.domain_dim == 3 else S2_PTS[:64]
     assert np.array_equal(u.eval_many(pts), rebuilt.eval_many(pts))
-    assert maps.descriptor_to_json(rebuilt.descriptor) == text
+    assert json.dumps(rebuilt.descriptor, sort_keys=True) == text
 
 
 @pytest.mark.parametrize("d", [27, 29, 31, 32, 33, 34, 35, 47, 196, 625])
@@ -532,9 +532,9 @@ def test_prescribed_descriptor_round_trip_is_exact(d):
     # these degrees rebuilt renormalized centres: other descriptors, and at
     # d = 196 and 625 other values
     u = maps.prescribed_hopf_map(d)
-    text = maps.descriptor_to_json(u.descriptor)
-    rebuilt = maps.map_from_descriptor(maps.descriptor_from_json(text))
-    assert maps.descriptor_to_json(rebuilt.descriptor) == text
+    text = json.dumps(u.descriptor, sort_keys=True)
+    rebuilt = maps.map_from_descriptor(json.loads(text))
+    assert json.dumps(rebuilt.descriptor, sort_keys=True) == text
     assert np.array_equal(u.eval_many(S3_PTS), rebuilt.eval_many(S3_PTS))
 
 
@@ -557,15 +557,29 @@ def test_edited_multi_bubble_descriptor_is_refused():
 
 
 def test_descriptor_json_is_canonical():
-    text = maps.descriptor_to_json(maps.prescribed_hopf_map(5).descriptor)
+    text = json.dumps(maps.prescribed_hopf_map(5).descriptor, sort_keys=True)
     assert json.loads(text) == json.loads(
-        maps.descriptor_to_json(maps.prescribed_hopf_map(5).descriptor))
-    assert text == maps.descriptor_to_json(maps.prescribed_hopf_map(5).descriptor)
+        json.dumps(maps.prescribed_hopf_map(5).descriptor, sort_keys=True))
+    assert text == json.dumps(maps.prescribed_hopf_map(5).descriptor, sort_keys=True)
 
 
 def test_map_from_descriptor_rejects_unknown():
     with pytest.raises(ParameterError):
         maps.map_from_descriptor({"variant": "nonsense", "params": {}})
+
+
+@pytest.mark.parametrize("desc, match", [
+    ({"variant": "multi_bubble", "params": {}}, "'multi_bubble' has no key 'k'"),
+    ({"params": {}}, "has no key 'variant'"),
+    ({"variant": "compose_hopf", "params": {}, "children": []},
+     "'compose_hopf' lacks a child"),
+    ([1, 2], "JSON object, got list"),
+    ({"variant": "compose_hopf", "params": {}, "children": ["hopf"]},
+     "JSON object, got str"),
+])
+def test_malformed_descriptor_names_what_is_missing(desc, match):
+    with pytest.raises(ParameterError, match=match):
+        maps.map_from_descriptor(desc)
 
 
 def test_eval_many_rejects_wrong_shape():
