@@ -13,9 +13,12 @@ sphere E(u) = integral over x in W, y anywhere, of K (2 - 1_W(y)).
   uniform in the region, or in one source of the map (_strata); y is one
   shell step from x (geometry.shell_step) in a dyadic geodesic shell,
   with exact shell-measure weights. A pilot sets the samples per stratum
-  by Neyman allocation. The innermost ball (geodesic radius pi * 2^-J) is
-  never sampled; its contribution is bounded in closed form from the
-  map's Lipschitz hint and carried as a certified remainder.
+  by Neyman allocation. In a source's strata, where most of the variance
+  lies in where x lands, x is stratified further over MC_RINGS
+  equal-measure rings about the centres, in proportion (_moments). The
+  innermost ball (geodesic radius pi * 2^-J) is never sampled; its
+  contribution is bounded in closed form from the map's Lipschitz hint and
+  carried as a certified remainder.
 * fiber_reduced_energy: E(v o h, S^3) at sp = 3 for v: S^2 -> S^2, from
   energy_mc's driver on S^2 with the kernel that integrates each Hopf
   fiber in closed form. hopf_energy is the Hopf map's energy in closed
@@ -65,6 +68,7 @@ _QUAD_GAUSS = 4  # Gauss-Legendre nodes per radial band
 MC_PILOT_SHARE = 64  # energy_mc's pilot takes about n / MC_PILOT_SHARE samples
 MC_DEFENSIVE = 0.1  # share of energy_mc's main samples split evenly
 MC_BLOCK = 8192  # samples per eval_many call in energy_mc's main strata
+MC_RINGS = 8  # equal-measure rings of x in each stratum of a map's source
 _PILOT_KEY = 1 << 63  # sets the pilot's Philox key words apart
 
 
@@ -145,6 +149,7 @@ class _Stratum:
     weight: float  # |source| times the shell measure
     key: int       # second Philox key word of the stratum's main stream
     label: dict    # its profile fields: j, t_lo, t_hi, shell weight (, source)
+    rings: int     # most rings of x: MC_RINGS in a map's source, 1 in a Region
 
 
 def energy_mc(u: SphereMap, params: EnergyParams, region: Region, n: int,
@@ -155,11 +160,12 @@ def energy_mc(u: SphereMap, params: EnergyParams, region: Region, n: int,
     contributes a seed drawn from its state). A stratum pairs a source region of x with
     a dyadic shell of the step length (_strata). A pilot of about
     n / MC_PILOT_SHARE samples on its own Philox keys estimates each
-    stratum's standard deviation sigma_j; the rest of n is allocated by
-    Neyman allocation, n_j ~ weight_j * sigma_j (_neyman_allocation). The
-    pilot counts toward n but not toward the estimate, which stays
-    unbiased. The unsampled innermost ball contributes only through
-    tail_bound, computed from the map's lipschitz_hint. The driver
+    stratum's standard deviation sigma_j, within its rings of x (_moments);
+    the rest of n is allocated by Neyman allocation, n_j ~ weight_j *
+    sigma_j (_neyman_allocation). The pilot counts toward n but not toward
+    the estimate, which stays unbiased. The unsampled innermost ball
+    contributes only through tail_bound, computed from the map's
+    lipschitz_hint. The driver
     (_stratified) is the one fiber_reduced_energy runs with its own pair
     kernel; here the kernel is the chordal |x - y|^-(n + sp).
     """
@@ -277,14 +283,16 @@ def _strata(u: SphereMap, dim: int, region: Region):
     E(W x W) + 2 E(W x W^c); x is uniform in one source, pair weight
     2 - 1_W(y) (_pair_weight). Each source is cut into MC_SHELLS dyadic
     shells of the step length, keyed j (plain) or (i + 1) 2^32 + j
-    (source i).
+    (source i). A source's strata draw x in up to MC_RINGS rings, a
+    region's in one.
     """
     if region.center is None and u.sources is not None:
-        sources = [(src, {"source": i}, i + 1) for i, src in enumerate(u.sources)]
+        sources = [(src, {"source": i}, i + 1, MC_RINGS)
+                   for i, src in enumerate(u.sources)]
         tail_measure = 2.0 * sum(src.measure() for src in u.sources)
         pair_weight = _pair_weight(u.sources)
     else:
-        sources = [(region, {}, 0)]
+        sources = [(region, {}, 0, 1)]
         tail_measure = region.measure()
 
         def pair_weight(y):
@@ -292,13 +300,13 @@ def _strata(u: SphereMap, dim: int, region: Region):
 
     edges = np.pi * 2.0 ** (-np.arange(MC_SHELLS + 1, dtype=np.float64))
     strata = []
-    for src, label, tag in sources:
+    for src, label, tag, rings in sources:
         area = src.measure()
         for j in range(MC_SHELLS):
             t_hi, t_lo = float(edges[j]), float(edges[j + 1])
             w_j = shell_measure(dim, t_lo, t_hi)
             strata.append(_Stratum(src, area * w_j, tag * 2 ** 32 + j, {
-                **label, "j": j, "t_lo": t_lo, "t_hi": t_hi, "weight": w_j}))
+                **label, "j": j, "t_lo": t_lo, "t_hi": t_hi, "weight": w_j}, rings))
     return strata, pair_weight, tail_measure
 
 
@@ -354,44 +362,77 @@ def _neyman_allocation(n_main: int, weighted_sigma):
 
 
 def _moments(u, kernel, pair_weight, jobs, block: int):
-    """Mean and unbiased variance of the pair values of each job.
+    """Mean and variance per sample of the pair values of each job.
 
-    A job (stratum, n_j, gen) draws n_j samples of its stratum from gen.
-    The draws go in job order, in pieces that fill blocks of at most
-    `block` samples, and each block is evaluated in one _pair_values call.
-    Every piece's sum of squares is taken around its own mean and merged
-    into its job's by the pairwise update of Chan, Golub and LeVeque.
+    A job (stratum, n_j, gen) draws n_j samples of its stratum from gen, in
+    R = min(stratum.rings, n_j // 2) equal-measure rings of x (_blocks), so
+    every ring holds at least 2 of them. The draws go in job order, in
+    pieces that fill blocks of at most `block` samples, and each block is
+    evaluated in one _pair_values call. Every (job, ring) keeps its own
+    count, mean and sum of squares: a piece's rows of one ring are taken
+    around their own mean and merged by the pairwise update of Chan, Golub
+    and LeVeque (_merge). A job's mean is the mean of its R ring means, and
+    its variance per sample is n_j sum_k s_k^2 / (R^2 n_k), with s_k^2 the
+    unbiased variance of ring k's n_k values: n_j times the variance of the
+    mean, which the standard error and the Neyman allocation both read.
+    With R = 1 these are the job's plain mean and unbiased variance.
     """
-    count, mean, m2 = [0] * len(jobs), [0.0] * len(jobs), [0.0] * len(jobs)
-    for pieces in _blocks(jobs, block):
-        idx, xs, ys, ts = zip(*pieces)
+    rings = [min(st.rings, n_j // 2) for st, n_j, _ in jobs]
+    moments = [(np.zeros(r), np.zeros(r), np.zeros(r)) for r in rings]
+    for pieces in _blocks(jobs, rings, block):
+        idx, starts, xs, ys, ts = zip(*pieces)
         cuts = np.cumsum([t.shape[0] for t in ts[:-1]])
         if len(pieces) > 1:  # a block of one piece needs no copy
             xs, ys, ts = [np.concatenate(a) for a in (xs, ys, ts)]
         else:
             xs, ys, ts = xs[0], ys[0], ts[0]
         vals = _pair_values(u, kernel, xs, ys, ts, pair_weight)
-        for i, piece in zip(idx, np.split(vals, cuts)):
-            m, p_mean = piece.shape[0], float(np.mean(piece))
-            delta = p_mean - mean[i]
-            mean[i] += delta * m / (count[i] + m)
-            m2[i] += (float(np.sum((piece - p_mean) ** 2))
-                      + delta * delta * count[i] * m / (count[i] + m))
-            count[i] += m
-    return mean, [q / (c - 1) for q, c in zip(m2, count)]
+        for i, start, piece in zip(idx, starts, np.split(vals, cuts)):
+            # row j of the piece lies in ring (start + j) mod r: column j
+            # of the full rows, and the row full + j of the rest
+            r, m = rings[i], piece.shape[0]
+            ring = (start + np.arange(r)) % r
+            full = m - m % r
+            if full:
+                rows = piece[:full].reshape(-1, r)
+                p_mean = rows.mean(axis=0)
+                _merge(moments[i], ring, full // r, p_mean,
+                       ((rows - p_mean) ** 2).sum(axis=0))
+            if full < m:
+                _merge(moments[i], ring[:m - full], 1, piece[full:], 0.0)
+    mean = [float(np.mean(mu)) for _, mu, _ in moments]
+    var = [float(np.sum(q / (c - 1) * (c.sum() / c))) / c.shape[0] ** 2
+           for c, _, q in moments]
+    return mean, var
 
 
-def _blocks(jobs, block: int):
-    """Lists of (job index, x, y, t) pieces of at most `block` samples:
-    x uniform in the stratum's source, y a geodesic step in its shell."""
+def _merge(moments, ring, m, p_mean, p_m2):
+    """Chan, Golub and LeVeque's update of the (count, mean, sum of
+    squares) arrays at the rings `ring` by pieces of m samples each, of
+    means p_mean and sums of squares p_m2 around them."""
+    count, mean, m2 = moments
+    c = count[ring]
+    delta = p_mean - mean[ring]
+    mean[ring] += delta * m / (c + m)
+    m2[ring] += p_m2 + delta * delta * c * m / (c + m)
+    count[ring] = c + m
+
+
+def _blocks(jobs, rings, block: int):
+    """Lists of (job index, ring of its first row, x, y, t) pieces of at
+    most `block` samples: x uniform in the stratum's source, row j of a
+    job's samples in ring j mod rings[i] of the source when rings[i] > 1,
+    and y a geodesic step in the stratum's shell."""
     pieces, room = [], block
     for i, (st, n_j, gen) in enumerate(jobs):
-        while n_j:
-            m = min(n_j, room)
-            x = st.source.sample(m, gen)
+        done, r = 0, rings[i]
+        while done < n_j:
+            m = min(n_j - done, room)
+            x = (st.source.sample(m, gen, r, done % r) if r > 1
+                 else st.source.sample(m, gen))
             y, t = shell_step(x, st.label["t_lo"], st.label["t_hi"], gen)
-            pieces.append((i, x, y, t))
-            n_j -= m
+            pieces.append((i, done % r, x, y, t))
+            done += m
             room -= m
             if not room:
                 yield pieces

@@ -428,33 +428,84 @@ class Region:
                 "inner": {"center": c, "radius": self.lo}}
 
 
+def ring_draws(n: int, rng, edges, rings: int = 1, start: int = 0):
+    """(part, q) for n draws of x from a source made of parts, each about
+    its own centre. edges are the running sums of the parts' shares of the
+    measure, the last one left out; part is i with probability share i.
+    q, the share of its part's measure nearer the centre than x, is uniform
+    on row i's equal-measure ring [k / rings, (k + 1) / rings),
+    k = (start + i) mod rings. A single part draws no part index."""
+    u = rng.random((2, n)) if len(edges) else rng.random((1, n))
+    part = (np.searchsorted(edges, u[1], side="right") if len(edges)
+            else np.zeros(n, dtype=np.intp))
+    return part, ((start + np.arange(n)) % rings + u[0]) / rings
+
+
+def carry(x0, part, rows):
+    """Row i of x0 times rows[part[i]]: points drawn about one pole carried
+    onto their parts by per-part orthogonal matrices (row-vector form)."""
+    if rows.shape[0] == 1:
+        return x0 @ rows[0]
+    return np.einsum("ni,nij->nj", x0, rows[part])
+
+
 class BallUnion:
     """Pairwise disjoint closed geodesic balls of one sphere, as one x source.
 
-    x falls in each ball in proportion to its measure and is then uniform
-    in it (sample, from one ball Region per ball); contains compares one
-    dot product per ball with cos r, gap is min_i d(x, c_i) - r_i, a lower
-    bound on the geodesic distance to the union (<= 0 on it), and moved(M)
-    is the union carried by x -> M^T x.
+    x falls in each ball in proportion to its measure and is uniform in it.
+    A cap of radius rho has measure 2 pi F(rho), F = 1 - cos on S^2
+    (Archimedes) and rho - sin rho cos rho on S^3, so sample draws the
+    share q of the ball nearer its centre (ring_draws: with rings > 1, row
+    i in ring (start + i) mod rings), then rho from F(rho) = q F(r) at a
+    uniform direction about the last axis, the pole, and carries each row
+    onto its ball by one reflection per ball, built once, here. contains
+    compares one dot product per ball with cos r, gap is
+    min_i d(x, c_i) - r_i, a lower bound on the geodesic distance to the
+    union (<= 0 on it), and moved(M) is the union carried by x -> M^T x.
     """
 
     def __init__(self, balls):
         self.balls = list(balls)
-        self.parts = [Region(b.center.dim, b.center, 0.0, b.radius)
-                      for b in self.balls]
         self.centers = np.array([b.center.coords for b in self.balls])
-        self.cos_r = np.cos([b.radius for b in self.balls])
-        sizes = np.array([p.measure() for p in self.parts])
+        radii = np.array([b.radius for b in self.balls])
+        self.cos_r = np.cos(radii)
+        self.dim = self.centers.shape[1] - 1
+        if self.dim not in (2, 3):
+            raise ParameterError(f"unsupported sphere dimension {self.dim}")
+        self._f = 2.0 * np.sin(0.5 * radii) ** 2 if self.dim == 2 else _f3(radii)
+        sizes = 2.0 * np.pi * self._f
         self._total = float(np.sum(sizes))
-        self._shares = sizes / self._total
+        self._edges = np.cumsum(sizes / self._total)[:-1]
+        # Householder reflections I - 2 v v^T / |v|^2, v = c - pole, swap the
+        # pole and c and act on rows as they are; near the pole, where c_m
+        # rounds to 1, c_m - 1 is -|c_<m|^2 / (1 + c_m)
+        v = self.centers.copy()
+        head = np.einsum("ki,ki->k", v[:, :-1], v[:, :-1])
+        last = v[:, -1]
+        v[:, -1] = np.where(last > 0.0, -head / (1.0 + np.abs(last)), last - 1.0)
+        vv = np.einsum("ki,ki->k", v, v)
+        scale = np.divide(2.0, vv, out=np.zeros_like(vv), where=vv > 0.0)
+        self._rows = (np.eye(self.dim + 1)
+                      - scale[:, None, None] * v[:, :, None] * v[:, None])
 
     def measure(self) -> float:
         return self._total
 
-    def sample(self, n: int, rng):
-        counts = rng.multinomial(n, self._shares)
-        return np.concatenate([p.sample(k, rng)
-                               for p, k in zip(self.parts, counts) if k])
+    def sample(self, n: int, rng, rings: int = 1, start: int = 0):
+        part, q = ring_draws(n, rng, self._edges, rings, start)
+        a = q * self._f[part]
+        x0 = np.empty((n, self.dim + 1))
+        if self.dim == 2:  # 1 - cos rho = a, at an azimuth phi
+            phi = (2.0 * np.pi) * rng.random(n)
+            sin_rho = np.sqrt(a * (2.0 - a))
+            x0[:, 0] = sin_rho * np.cos(phi)
+            x0[:, 1] = sin_rho * np.sin(phi)
+            x0[:, 2] = 1.0 - a
+        else:
+            rho = _f3_inverse(a)
+            x0[:, :3] = sample_uniform_many(2, n, rng) * np.sin(rho)[:, None]
+            x0[:, 3] = np.cos(rho)
+        return carry(x0, part, self._rows)
 
     def contains(self, pts):
         return np.any(self.centers @ pts.T >= self.cos_r[:, None], axis=0)

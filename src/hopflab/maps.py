@@ -19,6 +19,7 @@ a fill off disjoint balls share one masked evaluator (_BallMasked).
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -35,11 +36,13 @@ from .geometry import (
     SpherePoint,
     ball_gap,
     ball_grid,
+    carry,
     fibonacci_lattice_s2,
     geodesic_distance,
     geodesic_distances,
     geodesic_step,
     pack_disjoint_balls,
+    ring_draws,
     rotation_taking,
     sample_uniform_many,
     sphere_point,
@@ -343,16 +346,17 @@ class HopfTubes:
     pi^2 (1 - cos r). Over the pole (1, 0, 0), where h_1 = 2|w|^2 - 1, the
     tube is |w|^2 >= (1 + cos r)/2: a uniform point of it has
     |z|^2 = 1 - |w|^2 uniform on [0, sin^2(r/2)] and both phases uniform.
-    sample draws them from a standard normal g of C^2 = R^4, whose two
-    phases are uniform and independent of q = |g_z|^2/|g|^2, itself
-    uniform on [0, 1]; |z|^2 = q sin^2(r/2). The SU(2) matrix U_i whose
-    first column lifts c_i (hopf_lift_many) carries the tube over the pole
-    onto the one over c_i, since h(U x) = R h(x) for a rotation R with
-    R(pole) = c_i; U_i is built once, here. contains and gap read the
-    balls B_i at one h(x) for all tubes: h(x) is in B_i when
-    h(x).c_i >= cos r_i, and the gap is half of min_i d(h(x), c_i) - r_i,
-    since d_S2(h(x), h(y)) <= 2 d_S3(x, y). frame F, an orthogonal matrix
-    of R^4, gives the tubes carried by x -> F^T x (see moved).
+    sample draws each row's tube and |z|^2 = q sin^2(r/2), q the share of
+    the tube nearer the fiber over the pole, by ring_draws (with rings > 1,
+    row i in ring (start + i) mod rings), and both phases from a standard
+    normal of C^2 = R^4. The SU(2) matrix U_i whose first column
+    lifts c_i (hopf_lift_many) carries the tube over the pole onto the one
+    over c_i, since h(U x) = R h(x) for a rotation R with R(pole) = c_i;
+    U_i is built once, here. contains and gap read the balls B_i at one
+    h(x) for all tubes: h(x) is in B_i when h(x).c_i >= cos r_i, and the
+    gap is half of min_i d(h(x), c_i) - r_i, since
+    d_S2(h(x), h(y)) <= 2 d_S3(x, y). frame F, an orthogonal matrix of R^4,
+    gives the tubes carried by x -> F^T x (see moved).
     """
 
     def __init__(self, balls, frame=None):
@@ -364,23 +368,24 @@ class HopfTubes:
         self._z2 = np.sin(0.5 * self.radii) ** 2
         sizes = 2.0 * np.pi ** 2 * self._z2
         self._total = float(np.sum(sizes))
-        self._shares = sizes / self._total
+        self._edges = np.cumsum(sizes / self._total)[:-1]
         self.lifts = np.array([_su2(q) for q in hopf_lift_many(self.centers)])
         # x -> F^T U_i x on row vectors
-        self._rows = [U.T if frame is None else U.T @ frame for U in self.lifts]
+        self._rows = np.array([U.T if frame is None else U.T @ frame
+                               for U in self.lifts])
 
     def measure(self) -> float:
         return self._total
 
-    def sample(self, n: int, rng):
-        counts = rng.multinomial(n, self._shares)
+    def sample(self, n: int, rng, rings: int = 1, start: int = 0):
+        part, q = ring_draws(n, rng, self._edges, rings, start)
         g = rng.standard_normal((n, 2, 2))
         sq = np.einsum("nij,nij->ni", g, g)
-        z2 = sq[:, 1] / (sq[:, 0] + sq[:, 1]) * np.repeat(self._z2, counts)
+        z2 = q * self._z2[part]
         sq[:, 0] = (1.0 - z2) / sq[:, 0]
         sq[:, 1] = z2 / sq[:, 1]
         g *= np.sqrt(sq)[:, :, None]
-        return self._carry(g.reshape(n, 4), counts)
+        return carry(g.reshape(n, 4), part, self._rows)
 
     def contains(self, pts):
         dots = self.centers @ self._images(pts).T  # one row per tube
@@ -410,19 +415,11 @@ class HopfTubes:
         # w = cos(rho/2), z = sin(rho/2) e^(i psi): h = (cos rho, sin rho e^(-i psi))
         x0 = np.column_stack([np.cos(half), np.zeros(half.shape[0]),
                               np.sin(half) * np.cos(psi), np.sin(half) * np.sin(psi)])
+        # the first n_r n_a nodes go onto tube 0, the next onto tube 1, ...
+        x = np.concatenate([block @ rows for block, rows
+                            in zip(np.split(x0, k), self._rows)])
         # pi/2 carries the S^2 polar weights up to S^3
-        return (self._carry(x0, [n_r * n_a] * k),
-                (0.5 * np.pi * 2.0 * np.pi / n_a) * np.repeat(weights.ravel(), n_a))
-
-    def _carry(self, x0, counts):
-        """Points of the tube over the pole, the first counts[0] carried
-        onto tube 0, the next counts[1] onto tube 1, and so on."""
-        out = np.empty_like(x0)
-        start = 0
-        for rows, k in zip(self._rows, counts):
-            np.matmul(x0[start:start + k], rows, out=out[start:start + k])
-            start += k
-        return out
+        return x, (0.5 * np.pi * 2.0 * np.pi / n_a) * np.repeat(weights.ravel(), n_a)
 
 
 def equator_collapse(m: int) -> SphereMap:
@@ -920,7 +917,8 @@ def map_from_descriptor(desc) -> SphereMap:
     The rebuilt map's descriptor must equal desc, bit for bit: a descriptor
     that no constructor yields (an edited ball of a multi-bubble, say)
     raises ParameterError instead of rebuilding another map, and so does
-    one that is not a JSON object or lacks a key or a child it needs.
+    one that is not a JSON object, lacks a key or a child it needs, or
+    gives a value of the wrong type (_Params).
     """
     if not isinstance(desc, dict):
         raise ParameterError(
@@ -940,40 +938,87 @@ def map_from_descriptor(desc) -> SphereMap:
     return u
 
 
+class _Params:
+    """A descriptor's params, read by type: a value of another type raises
+    ParameterError naming the variant and the key (a missing key still
+    raises KeyError, which map_from_descriptor names)."""
+
+    def __init__(self, variant, params, what="params"):
+        if not isinstance(params, dict):
+            raise ParameterError(f"{what} of variant {variant!r} must be a JSON "
+                                 f"object, got {type(params).__name__}")
+        self.variant, self.params = variant, params
+
+    def _read(self, key, ok, kind):
+        value = self.params[key]
+        if not ok(value):
+            raise ParameterError(f"{key!r} of variant {self.variant!r} must be "
+                                 f"{kind}, got {value!r}")
+        return value
+
+    def int(self, key):
+        return self._read(key, lambda v: _is_number(v, numbers.Integral), "an integer")
+
+    def number(self, key):
+        return self._read(key, _is_number, "a number")
+
+    def array(self, key, ndim: int = 1):
+        """A vector (ndim 1) or matrix (ndim 2) of numbers."""
+        return np.array(self._read(key, lambda v: _is_array(v, ndim),
+                                   "a list of " + "lists of " * (ndim - 1) + "numbers"))
+
+    def list(self, key):
+        return self._read(key, lambda v: isinstance(v, list), "a list")
+
+
+def _is_number(value, kind=numbers.Real) -> bool:
+    return isinstance(value, kind) and not isinstance(value, bool)
+
+
+def _is_array(value, ndim: int) -> bool:
+    if ndim == 0:
+        return _is_number(value)
+    return isinstance(value, list) and all(_is_array(v, ndim - 1) for v in value)
+
+
 def _from_descriptor(desc) -> SphereMap:
     variant = desc["variant"]
-    p = desc.get("params", {})
+    p = _Params(variant, desc.get("params", {}))
     kids = desc.get("children", [])
+    if not isinstance(kids, list):
+        raise ParameterError(f"children of variant {variant!r} must be a list, "
+                             f"got {type(kids).__name__}")
     if variant == "constant":
-        return constant_map(p["domain_dim"], np.array(p["basepoint"]))
+        return constant_map(p.int("domain_dim"), p.array("basepoint"))
     if variant == "identity":
-        return identity_map(p["dim"])
+        return identity_map(p.int("dim"))
     if variant == "hopf":
         return hopf_map()
     if variant == "equator_collapse":
-        return equator_collapse(p["dim"])
+        return equator_collapse(p.int("dim"))
     if variant == "bump_deg1":
-        return bump_deg1(np.array(p["center"]), p["stereo_radius"],
-                         np.array(p["basepoint"]))
+        return bump_deg1(p.array("center"), p.number("stereo_radius"),
+                         p.array("basepoint"))
     if variant == "multi_bubble":
-        return multi_bubble(p["k"], np.array(p["basepoint"]), p["safety"])
+        return multi_bubble(p.int("k"), p.array("basepoint"), p.number("safety"))
     if variant == "compose_hopf":
         return composed_with_hopf(map_from_descriptor(kids[0]))
     if variant == "hopf_bump":
-        return hopf_bump(np.array(p["center"]), p["stereo_radius"],
-                         np.array(p["basepoint"]))
+        return hopf_bump(p.array("center"), p.number("stereo_radius"),
+                         p.array("basepoint"))
     if variant == "patched":
         background = map_from_descriptor(kids[0])
+        supports = [_Params(variant, e, "each of 'supports'") for e in p.list("supports")]
         # the stored centres keep their bits: sphere_point would renormalize
         pieces = [
             (map_from_descriptor(kid),
-             GeodesicBall(SpherePoint(len(e["center"]) - 1, np.array(e["center"])),
-                          e["radius"]))
-            for kid, e in zip(kids[1:], p["supports"])
+             GeodesicBall(SpherePoint(len(e.params["center"]) - 1, e.array("center")),
+                          e.number("radius")))
+            for kid, e in zip(kids[1:], supports)
         ]
-        return _patched(background, pieces, np.array(p["basepoint"]))
+        return _patched(background, pieces, p.array("basepoint"))
     if variant == "orientation_flip":
         return precompose_flip(map_from_descriptor(kids[0]))
     if variant == "precompose_rotation":
-        return precompose_rotation(map_from_descriptor(kids[0]), np.array(p["matrix"]))
+        return precompose_rotation(map_from_descriptor(kids[0]), p.array("matrix", 2))
     raise ParameterError(f"unknown descriptor variant {variant!r}")

@@ -23,6 +23,7 @@ from .errors import (
     NonRegularValueError,
     ParameterError,
     UnresolvedDegreeError,
+    require_int,
 )
 from .geometry import (
     ball_grid,
@@ -242,6 +243,7 @@ def mapping_degree(f: SphereMap, grid_size: int = 200_000) -> DegreeReport:
     """
     if f.domain_dim != f.codomain_dim:
         raise ParameterError("mapping degree needs equal domain and codomain dimension")
+    grid_size = require_int(grid_size, "grid_size")
     if grid_size < 1_000:
         raise ParameterError("grid_size must be at least 1000")
     m = f.domain_dim
@@ -584,6 +586,7 @@ def hopf_invariant(f: SphereMap, step: float = 1e-3,
     """
     if f.domain_dim != 3 or f.codomain_dim != 2:
         raise ParameterError("the Hopf invariant needs a map S^3 -> S^2")
+    seed = require_int(seed, "seed")
     if not 0 <= seed < 2 ** 64:
         raise ParameterError(f"seed must lie in [0, 2^64), got {seed}")
     seeds = f.fiber_seeds or (lambda target: kronecker_lattice_s3(LATTICE_SEEDS))

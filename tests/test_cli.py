@@ -114,7 +114,11 @@ def test_bad_degrees_exit_1_without_traceback(degrees, token, tmp_path, capsys):
     ('{"variant": "multi_bubble", "params": {}}', "'multi_bubble' has no key 'k'"),
     ("[1, 2]", "JSON object"),
     ('{"variant": "hopf", "par', "not JSON"),
-], ids=["missing_key", "not_an_object", "truncated"])
+    ('{"variant": "multi_bubble", "params": [1]}',
+     "params of variant 'multi_bubble' must be a JSON object, got list"),
+    ('{"variant": "multi_bubble", "params": {"k": "3", "basepoint": [1, 0, 0], '
+     '"safety": 0.9}}', "'k' of variant 'multi_bubble' must be an integer, got '3'"),
+], ids=["missing_key", "not_an_object", "truncated", "params_a_list", "k_a_string"])
 def test_malformed_descriptor_exits_1_without_traceback(text, message, tmp_path,
                                                         capsys):
     path = tmp_path / "bad.json"
@@ -122,6 +126,7 @@ def test_malformed_descriptor_exits_1_without_traceback(text, message, tmp_path,
     assert main(["energy", "--descriptor", str(path), "--s", "0.5"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and message in err and "Traceback" not in err
+    assert err.count("\n") == 1  # one line
 
 
 def test_scaling_writes_artifacts(tmp_path, capsys):

@@ -126,6 +126,68 @@ def test_energy_mc_deterministic_bitwise():
     assert a.to_json() == b.to_json()
 
 
+@pytest.mark.parametrize("estimate", [
+    lambda seed: energy.energy_mc(maps.prescribed_hopf_map(5), PARAMS_S3,
+                                  WHOLE_S3, 20_000, seed),
+    lambda seed: energy.fiber_reduced_energy(maps.multi_bubble(3), PARAMS_S3,
+                                             20_000, seed),
+], ids=["tubes_and_s3_balls", "s2_balls"])
+def test_ringed_estimates_are_bitwise_per_seed(estimate):
+    # x drawn in rings: a Hopf tube source and an S^3 ball union, and an S^2
+    # ball union; the same seed gives the same bits, another seed others
+    a, b, c = estimate(11), estimate(11), estimate(12)
+    assert a.to_json() == b.to_json()
+    assert a.value != c.value
+
+
+def test_small_strata_fall_back_to_fewer_rings(monkeypatch):
+    # R_j = min(MC_RINGS, n_j // 2) rings, so every ring holds >= 2 samples;
+    # at n = 1000 the pilot (2 per stratum) draws one ring, the smallest
+    # main strata fewer than MC_RINGS and the largest all of them
+    calls = []
+    draw = geo.BallUnion.sample
+
+    def spy(self, n, rng, rings=1, start=0):
+        calls.append((n, rings, start))
+        return draw(self, n, rng, rings, start)
+
+    monkeypatch.setattr(geo.BallUnion, "sample", spy)
+    est = energy.fiber_reduced_energy(maps.multi_bubble(1), PARAMS_S3, 1_000, 0)
+    pilot, main = calls[:energy.MC_SHELLS], calls[energy.MC_SHELLS:]
+    assert pilot == [(2, 1, 0)] * energy.MC_SHELLS
+    # one block: one piece per stratum, its rows from ring 0 on
+    n_j = [r["n"] for r in est.strata_profile]
+    assert [(m, start) for m, _, start in main] == [(n, 0) for n in n_j]
+    rings = [r for _, r, _ in main]
+    assert rings == [min(energy.MC_RINGS, n // 2) for n in n_j]
+    assert all(n >= 2 * r for n, r in zip(n_j, rings))
+    assert min(rings) < energy.MC_RINGS == max(rings)
+    assert math.isfinite(est.value) and est.std_error > 0.0
+
+
+# E(multi_bubble(k) o h) from the S^2 identity of fiber_reduced_energy,
+# (pi^2 / 4) (6 E_{s,p}(v, S^2) - E_{s/3,p}(v, S^2) / 2), with both terms
+# from energy_quadrature on S^2 at resolution 32 000. Resolution 16 000
+# reads the same within 3e-5 relative, under a tenth of the 24-seed SE.
+FIBER_QUADRATURE = {(0.5, 1): 9820.43153427966, (0.5, 2): 28131.398069151277,
+                    (0.8, 1): 9510.466458841918, (0.8, 2): 27120.180326372112}
+
+
+@pytest.mark.parametrize("s, k", sorted(FIBER_QUADRATURE))
+def test_ringed_fiber_reduction_is_unbiased_and_its_se_calibrated(s, k):
+    # 24 seeds of the v o h row: the mean lies within 3 SE of the quadrature,
+    # and the seed-to-seed spread matches the reported SE, which the ring
+    # variances give
+    params = energy.EnergyParams(s, 3.0 / s, 3, critical=True)
+    ests = [energy.fiber_reduced_energy(maps.multi_bubble(k), params, 100_000, seed)
+            for seed in range(24)]
+    values = np.array([e.value for e in ests])
+    se = np.array([e.std_error for e in ests])
+    mean_se = math.sqrt(np.sum(se ** 2)) / len(ests)
+    assert abs(values.mean() - FIBER_QUADRATURE[s, k]) <= 3.0 * mean_se
+    assert 0.7 <= np.std(values, ddof=1) / math.sqrt(np.mean(se ** 2)) <= 1.4
+
+
 def test_energy_mc_seed_matters():
     u = maps.hopf_map()
     a = energy.energy_mc(u, PARAMS_S3, WHOLE_S3, 20_000, 1)
@@ -258,15 +320,16 @@ def test_energy_mc_hopf_mean_matches_closed_form():
     ("hopf", maps.hopf_map,
      "a6720702c6e21e352799b38f421c657e22648a0fd5c53e0cf466a2c82687c104"),
     ("bubbles2_hopf", lambda: maps.composed_with_hopf(maps.multi_bubble(2)),
-     "548009dc2cfb0906f50e3ea1ff40df73409121693783e91d644bb7a54eafa059"),
+     "65c99d743873fe525eecb389a852550e67d2ca76a2ce57c178aa445cde7c0b1d"),
     ("prescribed5", lambda: maps.prescribed_hopf_map(5),
-     "53eae80b78a9510d4a22c08392f88d06a40dce5604d658be0e14f5fcb584384d"),
+     "4ae73445eab776016d49dce27e0076109b6ef7219139d1018deb713a4de698d1"),
     ("bump_s3", lambda: maps.bump_deg1(CENTER_S3, 0.3, [1.0, 0.0, 0.0, 0.0]),
-     "db43ffa5a0664573505f1dbfba376d4f48afb0911fb081c446e7f10e7a6b80b0"),
+     "5f843f3350f82e955773e88305f109a98aecf92e603ba4220a4f2520847ba197"),
 ])
 def test_energy_mc_json_is_pinned(name, build, digest):
-    # the S^3 estimates as the chordal kernel wrote them before energy_mc
-    # shared its driver with fiber_reduced_energy: sha256 of to_json
+    # sha256 of to_json of the S^3 estimates: hopf (no sources, one ring of
+    # x) as written before energy_mc shared its driver with
+    # fiber_reduced_energy, the maps with sources with x in MC_RINGS rings
     est = energy.energy_mc(build(), PARAMS_S3, WHOLE_S3, 20_000, 3)
     assert hashlib.sha256(est.to_json().encode()).hexdigest() == digest, name
 

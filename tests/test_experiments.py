@@ -226,16 +226,17 @@ def test_run_scaling_routes_v_o_h_rows_through_the_fiber_reduction(tmp_path):
 
 
 def test_run_scaling_artifacts_are_pinned(tmp_path):
-    # written before ExperimentConfig.p became the property 3/s
+    # the config hash as written before ExperimentConfig.p became the
+    # property 3/s; the artifacts as the ring-stratified x draws write them
     out = tmp_path / "run.csv"
     cfg = X.ExperimentConfig(s=0.5, degrees=(1, 2, 4), samples_per_estimate=2000,
                              seed=0, output_path=str(out))
     X.run_scaling(cfg)
     assert cfg.config_hash() == "25fd289a231c2e1e"
     for path, digest in (
-            (out, "98e29fa10babcd99d9e722f214b3124e5ef96273bb128dd99300100a32227a66"),
+            (out, "e0b9f1e38559a9b97b1dd429c00c220ad108ee3476411bfa3d4a3da144d2e517"),
             (tmp_path / "run.csv.loglog.csv",
-             "36642331723b19dd8ba9b690f4ada07c7ac8faaacb390dbe0a673f0217f15361")):
+             "fc533fb9e758fdd091ff19dd4ae615e64c57575f8fb896258a4d4ed935dfcc7a")):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name
 
 

@@ -362,6 +362,53 @@ def test_hopf_tubes_are_uniform_over_their_balls():
         assert np.allclose(hUy, hy @ R.T, rtol=0, atol=1e-12)
 
 
+def _ball(coords, radius):
+    return geo.GeodesicBall(geo.sphere_point(coords), radius)
+
+
+@pytest.mark.parametrize("start", [0, 3])
+@pytest.mark.parametrize("kind", ["balls_s2", "balls_s3", "tubes"])
+def test_source_rows_lie_in_their_rings(kind, start):
+    # row i of sample(n, rng, R, start) lies in the equal-measure ring
+    # (start + i) mod R of its ball (tube): the share q of that ball's
+    # measure nearer its centre lies in [k / R, (k + 1) / R]. The parts
+    # have unequal measures, and each draws its share of the rows
+    R, n = 8, 40_000
+    if kind == "balls_s2":
+        src = geo.BallUnion([_ball([0.0, 0.0, 1.0], 0.4), _ball([1.0, 0.0, 0.0], 0.7)])
+    elif kind == "balls_s3":
+        src = geo.BallUnion([_ball([0.0, 0.0, 0.0, 1.0], 0.5),
+                             _ball([1.0, 0.0, 0.0, 0.0], 0.3)])
+    else:
+        src = maps.HopfTubes([_ball([0.0, 0.0, 1.0], 0.4), _ball([1.0, 0.0, 0.0], 0.7)])
+    rng = np.random.default_rng(53)
+    x = src.sample(n, rng, R, start)
+    assert np.allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-14)
+    assert np.all(src.contains(x))
+    centre_of = maps.hopf_eval_many(x) if kind == "tubes" else x
+    d = np.arccos(np.clip(centre_of @ src.centers.T, -1.0, 1.0))
+    part = np.argmin(d, axis=1)
+    d = d[np.arange(n), part]
+    radii = np.array([b.radius for b in src.balls])
+    if kind == "balls_s3":
+        q = geo.cap_area(3, d) / geo.cap_area(3, radii[part])
+    else:  # on S^2 (under h for tubes) a cap's measure goes as 1 - cos
+        q = (1.0 - np.cos(d)) / (1.0 - np.cos(radii[part]))
+    ring = (start + np.arange(n)) % R
+    assert np.all(q >= ring / R - 1e-9) and np.all(q <= (ring + 1) / R + 1e-9)
+    # a tube's measure is pi/2 times its ball's
+    share = geo.cap_area(3 if kind == "balls_s3" else 2, radii)
+    share = share / np.sum(share)
+    for i in range(2):
+        assert abs(np.mean(part == i) - share[i]) < 4.0 * math.sqrt(
+            share[i] * (1.0 - share[i]) / n)
+        # no direction about the centre is preferred
+        y = centre_of[part == i]
+        c = src.centers[i]
+        off = y - (y @ c)[:, None] * c
+        assert np.all(np.abs(off.mean(axis=0)) < 4.0 / math.sqrt(y.shape[0]))
+
+
 def test_sources_cover_where_the_map_leaves_its_basepoint():
     assert maps.hopf_map().sources is None
     assert maps.constant_map(3, [1.0, 0.0, 0.0]).sources == []
@@ -576,8 +623,46 @@ def test_map_from_descriptor_rejects_unknown():
     ([1, 2], "JSON object, got list"),
     ({"variant": "compose_hopf", "params": {}, "children": ["hopf"]},
      "JSON object, got str"),
+    ({"variant": "compose_hopf", "params": {}, "children": {"a": 1}},
+     "children of variant 'compose_hopf' must be a list, got dict"),
 ])
 def test_malformed_descriptor_names_what_is_missing(desc, match):
+    with pytest.raises(ParameterError, match=match):
+        maps.map_from_descriptor(desc)
+
+
+def _with_params(desc, **params):
+    return {**desc, "params": {**desc["params"], **params}}
+
+
+_BUBBLES = maps.multi_bubble(3).descriptor
+_PATCHED = maps.prescribed_hopf_map(5).descriptor
+_ROTATED = maps.precompose_rotation(maps.hopf_map(), np.eye(4)).descriptor
+
+
+@pytest.mark.parametrize("desc, match", [
+    ({**_BUBBLES, "params": [1]}, "params of variant 'multi_bubble' must be a JSON object"),
+    (_with_params(_BUBBLES, k="3"), "'k' of variant 'multi_bubble' must be an integer"),
+    (_with_params(_BUBBLES, k=3.0), "'k' of variant 'multi_bubble' must be an integer"),
+    (_with_params(_BUBBLES, k=True), "'k' of variant 'multi_bubble' must be an integer"),
+    (_with_params(_BUBBLES, safety="0.9"),
+     "'safety' of variant 'multi_bubble' must be a number"),
+    (_with_params(_BUBBLES, basepoint="x"),
+     "'basepoint' of variant 'multi_bubble' must be a list of numbers"),
+    (_with_params(_BUBBLES, basepoint=[1, 0, [0]]), "must be a list of numbers"),
+    (_with_params(_PATCHED, supports=3),
+     "'supports' of variant 'patched' must be a list"),
+    (_with_params(_PATCHED, supports=[3]),
+     "each of 'supports' of variant 'patched' must be a JSON object"),
+    (_with_params(_PATCHED, supports=[{"center": [0, 0, 0, 1], "radius": "0.1"}]),
+     "'radius' of variant 'patched' must be a number"),
+    (_with_params(_ROTATED, matrix=[[1, 0], [0, "x"]]),
+     "'matrix' of variant 'precompose_rotation' must be a list of lists of numbers"),
+    (_with_params(maps.identity_map(2).descriptor, dim=None),
+     "'dim' of variant 'identity'"),
+])
+def test_descriptor_values_of_the_wrong_type_raise_parameter_errors(desc, match):
+    # they used to reach the constructors and raise bare TypeErrors
     with pytest.raises(ParameterError, match=match):
         maps.map_from_descriptor(desc)
 

@@ -663,6 +663,22 @@ def test_hopf_invariant_rejects_out_of_range_seeds(seed):
         topology.hopf_invariant(maps.hopf_map(), seed=seed)
 
 
+@pytest.mark.parametrize("call, name", [
+    (lambda: topology.hopf_invariant(maps.hopf_map(), seed=1.5), "seed"),
+    (lambda: topology.mapping_degree(maps.multi_bubble(2), 20000.5), "grid_size"),
+    (lambda: topology.mapping_degree(maps.multi_bubble(2), "20000"), "grid_size"),
+], ids=["hopf_seed", "degree_grid_float", "degree_grid_str"])
+def test_non_integer_counts_raise_parameter_errors(call, name):
+    # they used to raise bare TypeErrors from numpy and range
+    with pytest.raises(ParameterError, match=f"{name} must be an integer"):
+        call()
+
+
+def test_numpy_integer_counts_are_accepted():
+    rep = topology.mapping_degree(maps.multi_bubble(2), np.int64(20_000))
+    assert rep.value == 2
+
+
 # ---------------------------------------------------------------------------
 # Bookkeeping
 # ---------------------------------------------------------------------------
