@@ -11,12 +11,13 @@ sphere E(u) = integral over x in W, y anywhere, of K (2 - 1_W(y)).
   sphere or a geodesic annulus {lo <= d(center, x) <= hi} (Region), which
   covers balls, their complements and concentric ball differences. x is
   uniform in the region, or in one source of the map (_strata); y is one
-  shell step from x (geometry.shell_step) in a dyadic geodesic shell,
-  with exact shell-measure weights. A pilot sets the samples per stratum
-  by Neyman allocation. In a source's strata, where most of the variance
-  lies in where x lands, x is stratified further over MC_RINGS
-  equal-measure rings about the centres, in proportion (_moments). The
-  innermost ball (geodesic radius pi * 2^-J) is never sampled; its
+  geodesic step from x in a shell of ratio sqrt 2, with exact
+  shell-measure weights, drawn a block of samples at a time (_blocks). A
+  pilot sets the samples per stratum by Neyman allocation. In a source's
+  strata, where most of the variance lies in where x lands, x is
+  stratified further over MC_RINGS equal-measure rings about the centres,
+  in proportion (_moments). The innermost ball (geodesic radius
+  pi * 2^-40) is never sampled; its
   contribution is bounded in closed form from the map's Lipschitz hint and
   carried as a certified remainder.
 * fiber_reduced_energy: E(v o h, S^3) at sp = 3 for v: S^2 -> S^2, from
@@ -43,23 +44,26 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from itertools import groupby
 
 import numpy as np
 
 from .errors import ParameterError, require_int
 from .geometry import (
     Region,
+    geodesic_step,
     polar_directions,
+    sample_shell_radii,
     shell_measure,
-    shell_step,
     sphere_area,
     sphere_lattice,
     sphere_point,
+    tangent_directions,
 )
 from .maps import HopfTubes, SphereMap, hopf_lift_many
 from . import _kernels
 
-MC_SHELLS = 40  # dyadic shells of the step length per energy_mc source
+MC_SHELLS = 80  # shells of the step length per energy_mc source, of ratio sqrt 2
 QUAD_MIN_BAND_EXP = 34  # inner radial grid reaches pi * 2^-34 at most
 QUAD_PAIR_BUDGET = 10 ** 9
 QUAD_TAIL_RTOL = 1e-12  # radial bands stop once the certified rest is this small
@@ -143,7 +147,7 @@ class EnergyEstimate:
 
 @dataclass(frozen=True)
 class _Stratum:
-    """x uniform in source, y a geodesic step from x in a dyadic shell."""
+    """x uniform in source, y a geodesic step from x in one shell."""
 
     source: object  # a Region or a map's x source
     weight: float  # |source| times the shell measure
@@ -158,7 +162,7 @@ def energy_mc(u: SphereMap, params: EnergyParams, region: Region, n: int,
 
     rng is an integer seed in [0, 2^64) or a numpy Generator (a Generator
     contributes a seed drawn from its state). A stratum pairs a source region of x with
-    a dyadic shell of the step length (_strata). A pilot of about
+    a shell of the step length (_strata). A pilot of about
     n / MC_PILOT_SHARE samples on its own Philox keys estimates each
     stratum's standard deviation sigma_j, within its rings of x (_moments);
     the rest of n is allocated by Neyman allocation, n_j ~ weight_j *
@@ -251,19 +255,22 @@ def _stratified(u: SphereMap, params: EnergyParams, region: Region, n: int,
         return EnergyEstimate(0.0, 0.0, n, params, region, seed, 0.0, [])
     pilot = max(2, n // (MC_PILOT_SHARE * len(strata)))
     n_main = n - pilot * len(strata)
-    if n_main < 2 * len(strata):
-        raise ParameterError("too few samples per stratum; raise n")
+    if n_main < 2 * len(strata):  # 2 pilot and 2 main samples per stratum
+        raise ParameterError(
+            f"too few samples per stratum: n = {n} over {len(strata)} strata "
+            f"({len(strata) // MC_SHELLS} sources x {MC_SHELLS} shells); "
+            f"raise n to at least {4 * len(strata)}")
     tail = tail_scale * lipschitz_tail_bound(u, params, tail_measure,
                                              strata[-1].label["t_lo"])
     weights = np.array([st.weight for st in strata])
     kernel = (params.p, inv_kernel)
     # the pilot: its own key words (bit 63 set), all strata in one batch
-    _, var = _moments(u, kernel, pair_weight, [
-        (st, pilot, _philox(seed, _PILOT_KEY | st.key)) for st in strata
+    _, var = _moments(u, kernel, pair_weight, seed, [
+        (st, pilot, _PILOT_KEY | st.key) for st in strata
     ], pilot * len(strata))
     alloc = _neyman_allocation(n_main, weights * np.sqrt(var)).tolist()
-    mean, var = _moments(u, kernel, pair_weight, [
-        (st, n_j, _philox(seed, st.key)) for st, n_j in zip(strata, alloc)
+    mean, var = _moments(u, kernel, pair_weight, seed, [
+        (st, n_j, st.key) for st, n_j in zip(strata, alloc)
     ], MC_BLOCK)
     profile = [{**st.label, "n": n_j, "pilot": pilot,
                 "contribution": w * m, "std_error": w * math.sqrt(v / n_j)}
@@ -281,10 +288,13 @@ def _strata(u: SphereMap, dim: int, region: Region):
     x sources (SphereMap.sources), on the whole sphere: with W their
     union, pairs outside W x W contribute nothing, so E(u, S^n) =
     E(W x W) + 2 E(W x W^c); x is uniform in one source, pair weight
-    2 - 1_W(y) (_pair_weight). Each source is cut into MC_SHELLS dyadic
-    shells of the step length, keyed j (plain) or (i + 1) 2^32 + j
-    (source i). A source's strata draw x in up to MC_RINGS rings, a
-    region's in one.
+    2 - 1_W(y) (_pair_weight). Each source is cut into MC_SHELLS shells
+    of the step length, [pi 2^(-(j+1)/2), pi 2^(-j/2)], keyed j (plain) or
+    (i + 1) 2^32 + j (source i). Within a shell the kernel t^-(n+sp)
+    swings by 2^((n+sp)/2), 5.7x on S^2 at sp = 3 against 32x across a
+    dyadic shell, and the Neyman allocation acts only between strata. The
+    innermost edge, pi 2^-40, is the dyadic shells' one. A source's strata
+    draw x in up to MC_RINGS rings, a region's in one.
     """
     if region.center is None and u.sources is not None:
         sources = [(src, {"source": i}, i + 1, MC_RINGS)
@@ -298,7 +308,8 @@ def _strata(u: SphereMap, dim: int, region: Region):
         def pair_weight(y):
             return region.contains(y).astype(np.float64)
 
-    edges = np.pi * 2.0 ** (-np.arange(MC_SHELLS + 1, dtype=np.float64))
+    # edges pi 2^(-j/2): the innermost, pi 2^-40, bounds the tail
+    edges = np.pi * 2.0 ** (-0.5 * np.arange(MC_SHELLS + 1))
     strata = []
     for src, label, tag, rings in sources:
         area = src.measure()
@@ -322,9 +333,20 @@ def _pair_weight(sources):
     return pair_weight
 
 
-def _philox(seed: int, key: int):
-    return np.random.Generator(
-        np.random.Philox(key=np.array([seed, key], dtype=np.uint64)))
+def _streams(seed: int):
+    """key -> the Generator of the Philox stream of key words (seed, key),
+    at its start. One bit generator is re-keyed in place for every key, so
+    one stream is live at a time; a new Philox would first seed itself from
+    OS entropy it never uses, at more cost than a small stratum's draws."""
+    bits = np.random.Philox(key=np.array([seed, 0], dtype=np.uint64))
+    gen, start = np.random.Generator(bits), bits.state
+
+    def stream(key: int):
+        start["state"]["key"][1] = key
+        bits.state = start
+        return gen
+
+    return stream
 
 
 def _pair_values(u: SphereMap, kernel, x, y, t, pair_weight):
@@ -361,10 +383,11 @@ def _neyman_allocation(n_main: int, weighted_sigma):
     return 2 + alloc
 
 
-def _moments(u, kernel, pair_weight, jobs, block: int):
+def _moments(u, kernel, pair_weight, seed: int, jobs, block: int):
     """Mean and variance per sample of the pair values of each job.
 
-    A job (stratum, n_j, gen) draws n_j samples of its stratum from gen, in
+    A job (stratum, n_j, key) draws n_j samples of its stratum from the
+    Philox stream of key words (seed, key) (_streams), in
     R = min(stratum.rings, n_j // 2) equal-measure rings of x (_blocks), so
     every ring holds at least 2 of them. The draws go in job order, in
     pieces that fill blocks of at most `block` samples, and each block is
@@ -379,15 +402,9 @@ def _moments(u, kernel, pair_weight, jobs, block: int):
     """
     rings = [min(st.rings, n_j // 2) for st, n_j, _ in jobs]
     moments = [(np.zeros(r), np.zeros(r), np.zeros(r)) for r in rings]
-    for pieces in _blocks(jobs, rings, block):
-        idx, starts, xs, ys, ts = zip(*pieces)
-        cuts = np.cumsum([t.shape[0] for t in ts[:-1]])
-        if len(pieces) > 1:  # a block of one piece needs no copy
-            xs, ys, ts = [np.concatenate(a) for a in (xs, ys, ts)]
-        else:
-            xs, ys, ts = xs[0], ys[0], ts[0]
-        vals = _pair_values(u, kernel, xs, ys, ts, pair_weight)
-        for i, start, piece in zip(idx, starts, np.split(vals, cuts)):
+    for idx, starts, sizes, x, y, t in _blocks(jobs, rings, block, u.domain_dim, seed):
+        vals = _pair_values(u, kernel, x, y, t, pair_weight)
+        for i, start, piece in zip(idx, starts, np.split(vals, np.cumsum(sizes[:-1]))):
             # row j of the piece lies in ring (start + j) mod r: column j
             # of the full rows, and the row full + j of the rest
             r, m = rings[i], piece.shape[0]
@@ -418,27 +435,60 @@ def _merge(moments, ring, m, p_mean, p_m2):
     count[ring] = c + m
 
 
-def _blocks(jobs, rings, block: int):
-    """Lists of (job index, ring of its first row, x, y, t) pieces of at
-    most `block` samples: x uniform in the stratum's source, row j of a
-    job's samples in ring j mod rings[i] of the source when rings[i] > 1,
-    and y a geodesic step in the stratum's shell."""
-    pieces, room = [], block
-    for i, (st, n_j, gen) in enumerate(jobs):
-        done, r = 0, rings[i]
+def _blocks(jobs, rings, block: int, dim: int, seed: int):
+    """The jobs' samples on S^dim in blocks of at most `block`, as
+    (job index, first row's ring and size of each piece; x, y, t).
+
+    A piece, the run of one job's samples in one block, draws its raw
+    variates from its job's stream, the jobs' streams one after another:
+    x's (the source's draw), then a normal
+    per coordinate for the tangent and a uniform for the radius. Each block
+    then turns them into samples at once (_transform). Row j of a job's
+    samples lies in ring j mod rings[i].
+    """
+    pieces, room, stream = [], block, _streams(seed)
+    for i, (st, n_j, key) in enumerate(jobs):
+        done, gen = 0, stream(key)
         while done < n_j:
             m = min(n_j - done, room)
-            x = (st.source.sample(m, gen, r, done % r) if r > 1
-                 else st.source.sample(m, gen))
-            y, t = shell_step(x, st.label["t_lo"], st.label["t_hi"], gen)
-            pieces.append((i, done % r, x, y, t))
+            pieces.append((i, done % rings[i], m, st, rings[i], st.source.draw(m, gen),
+                           gen.standard_normal((m, dim + 1)), gen.random(m)))
             done += m
             room -= m
             if not room:
-                yield pieces
+                yield _transform(pieces)
                 pieces, room = [], block
     if pieces:
-        yield pieces
+        yield _transform(pieces)
+
+
+def _transform(pieces):
+    """One block of _blocks' pieces: x by one points call per run of
+    pieces of one source, and y a geodesic step from x to a radius t of the
+    distance law in each row's shell, by one call each of
+    tangent_directions, sample_shell_radii and geodesic_step. All act row
+    by row, so a piece's rows do not depend on the block around it."""
+    idx, starts, sizes, strata, r, draws, normals, uniforms = zip(*pieces)
+    ends = np.cumsum(sizes)
+    r = np.repeat(r, sizes)
+    ring = (np.arange(ends[-1]) + np.repeat(np.subtract(starts, ends - sizes), sizes)) % r
+    xs = []
+    for _, run in groupby(range(len(pieces)), key=lambda k: id(strata[k].source)):
+        run = list(run)
+        rows = slice(ends[run[0]] - sizes[run[0]], ends[run[-1]])
+        raw = [_joined(a) for a in zip(*(draws[k] for k in run))]
+        xs.append(strata[run[0]].source.points(raw, ring[rows], r[rows]))
+    x = _joined(xs)
+    t_lo, t_hi = (np.repeat([st.label[key] for st in strata], sizes)
+                  for key in ("t_lo", "t_hi"))
+    t = sample_shell_radii(x.shape[1] - 1, t_lo, t_hi, x.shape[0], _joined(uniforms))
+    y = geodesic_step(x, tangent_directions(x, _joined(normals)), t)
+    return idx, starts, sizes, x, y, t
+
+
+def _joined(arrays):
+    """The arrays end to end; one array is passed on as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
 
 
 def lipschitz_tail_bound(u: SphereMap, params: EnergyParams, measure: float,

@@ -159,24 +159,27 @@ def ball_gap(points, balls):
 
 def sample_uniform_many(m: int, n: int, rng):
     """(n, m+1) array of independent uniform draws on S^m."""
-    v = rng.standard_normal((n, m + 1))
+    return _unit_rows(rng.standard_normal((n, m + 1)))
+
+
+def _unit_rows(v):
+    """The rows of v scaled to unit length."""
     return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
 def tangent_directions(points, rng):
-    """One uniform unit tangent vector at each row of points."""
+    """One uniform unit tangent vector at each row of points: a normal per
+    coordinate, from the Generator rng or given as rng (an array the shape
+    of points), projected and normalised. A zero projection (probability
+    zero) takes the first vector of the point's tangent frame."""
     pts = np.asarray(points, dtype=np.float64)
-    v = rng.standard_normal(pts.shape)
-    v -= np.einsum("ij,ij->i", v, pts)[:, None] * pts
+    g = rng.standard_normal(pts.shape) if isinstance(rng, np.random.Generator) else rng
+    v = g - np.einsum("ij,ij->i", g, pts)[:, None] * pts
     n = np.sqrt(np.einsum("ij,ij->i", v, v))
-    # a zero projection has probability zero; resample defensively anyway
     bad = n < 1e-12
-    while np.any(bad):
-        w = rng.standard_normal((int(bad.sum()), pts.shape[1]))
-        w -= np.einsum("ij,ij->i", w, pts[bad])[:, None] * pts[bad]
-        v[bad] = w
-        n = np.sqrt(np.einsum("ij,ij->i", v, v))
-        bad = n < 1e-12
+    if np.any(bad):
+        v[bad] = _kernels.oriented_frames(pts[bad])[:, :, 0]
+        n[bad] = 1.0
     return v / n[:, None]
 
 
@@ -184,15 +187,6 @@ def geodesic_step(points, directions, angles):
     """Walk distance angles from points along unit tangents: cos t x + sin t v."""
     t = np.asarray(angles, dtype=np.float64)[:, None]
     return np.cos(t) * points + np.sin(t) * directions
-
-
-def shell_step(points, t0: float, t1: float, rng):
-    """(y, t): each y a uniform point at geodesic distance t in [t0, t1]
-    from its row of points, t drawn by the distance law (sample_shell_radii)
-    along a uniform tangent (tangent_directions), in that draw order."""
-    dirs = tangent_directions(points, rng)
-    t = sample_shell_radii(points.shape[1] - 1, t0, t1, points.shape[0], rng)
-    return geodesic_step(points, dirs, t), t
 
 
 # ---------------------------------------------------------------------------
@@ -284,8 +278,11 @@ def shell_measure(m: int, t0, t1):
     return cap_area(m, t1) - cap_area(m, t0)
 
 
-def sample_shell_radii(m: int, t0: float, t1: float, n: int, rng):
-    """Radii distributed as the geodesic-distance law restricted to [t0, t1].
+def sample_shell_radii(m: int, t0, t1, n: int, rng):
+    """n radii distributed as the geodesic-distance law restricted to a
+    shell [t0, t1]: one shell for every row, or row i's [t0[i], t1[i]] when
+    t0 and t1 are arrays of n bounds. rng is a Generator, or the n uniforms
+    on [0, 1) that the radii invert, drawn already.
 
     The density is proportional to sin^(m-1)(t). m = 2 inverts the CDF in
     the cancellation-free form 1 - cos t = 2 sin^2(t/2); m = 3 inverts
@@ -294,23 +291,29 @@ def sample_shell_radii(m: int, t0: float, t1: float, n: int, rng):
     F(pi - t) = pi - F(t): there F is small and known to full relative
     precision, while near pi its derivative 2 sin^2 t vanishes and a
     residual formed against a target close to pi carries that target's
-    rounding into t.
+    rounding into t. A row's radius does not depend on the other rows.
     """
-    u = rng.random(n)
+    if m not in (2, 3):
+        raise ParameterError(f"unsupported sphere dimension {m}")
+    u = rng.random(n) if isinstance(rng, np.random.Generator) else rng
+    t0, t1 = np.broadcast_to(t0, (n,)), np.broadcast_to(t1, (n,))
+    # per-row bounds come in runs, one per piece of a block: the bounds'
+    # CDF values are taken once per run
+    first = np.flatnonzero(np.concatenate(
+        ([True], (t0[1:] != t0[:-1]) | (t1[1:] != t1[:-1]))))
+    count = np.diff(first, append=n)
+    lo, hi = t0[first], t1[first]
     if m == 2:
-        q0 = 2.0 * np.sin(0.5 * t0) ** 2
-        q1 = 2.0 * np.sin(0.5 * t1) ** 2
+        q0 = np.repeat(2.0 * np.sin(0.5 * lo) ** 2, count)
+        q1 = np.repeat(2.0 * np.sin(0.5 * hi) ** 2, count)
         q = q0 + u * (q1 - q0)
         return np.clip(2.0 * np.arcsin(np.sqrt(0.5 * q)), t0, t1)
-    if m != 3:
-        raise ParameterError(f"unsupported sphere dimension {m}")
-    if t0 >= 0.5 * np.pi:
-        e0, e1 = np.pi - t1, np.pi - t0
-        g0, g1 = _f3(e0), _f3(e1)
-        e = _f3_inverse(g0 + (1.0 - u) * (g1 - g0))
-        return np.clip(np.pi - e, t0, t1)
-    f0, f1 = _f3(t0), _f3(t1)
-    return np.clip(_f3_inverse(f0 + u * (f1 - f0)), t0, t1)
+    mirror = lo >= 0.5 * np.pi
+    f0 = np.repeat(_f3(np.where(mirror, np.pi - hi, lo)), count)
+    f1 = np.repeat(_f3(np.where(mirror, np.pi - lo, hi)), count)
+    mirror = np.repeat(mirror, count)
+    t = _f3_inverse(f0 + np.where(mirror, 1.0 - u, u) * (f1 - f0))
+    return np.clip(np.where(mirror, np.pi - t, t), t0, t1)
 
 
 def _f3_inverse(target):
@@ -372,8 +375,8 @@ class Region:
 
     A ball B(c, r) is [0, r], its complement [r, pi], and a concentric
     difference B(c, r) minus B(c, r') is [r', r]. energy_mc draws x from
-    its region: sample draws uniform points, measure is their total
-    measure, and contains tests membership.
+    its region: points turns draw's variates into uniform points, measure
+    is their total measure, and contains tests membership.
     """
 
     dim: int
@@ -398,12 +401,20 @@ class Region:
             return sphere_area(self.dim) - cap_area(self.dim, self.lo)
         return cap_area(self.dim, self.hi) - cap_area(self.dim, self.lo)
 
-    def sample(self, n: int, rng):
-        """n points uniform in the region, shape (n, dim+1)."""
+    def draw(self, n: int, rng):
+        """n points' normals, and for an annulus their radius uniforms."""
+        g = rng.standard_normal((n, self.dim + 1))
+        return (g,) if self.center is None else (g, rng.random(n))
+
+    def points(self, draws, ring=None, rings=None):
+        """The normals scaled to the sphere, or a geodesic step from the
+        center to a radius in [lo, hi]; a region is one ring."""
         if self.center is None:
-            return sample_uniform_many(self.dim, n, rng)
-        c = self.center.coords
-        return shell_step(np.broadcast_to(c, (n, c.shape[0])), self.lo, self.hi, rng)[0]
+            return _unit_rows(draws[0])
+        g, u = draws
+        c = np.broadcast_to(self.center.coords, g.shape)
+        t = sample_shell_radii(self.dim, self.lo, self.hi, g.shape[0], u)
+        return geodesic_step(c, tangent_directions(c, g), t)
 
     def contains(self, pts):
         if self.center is None:
@@ -428,17 +439,20 @@ class Region:
                 "inner": {"center": c, "radius": self.lo}}
 
 
-def ring_draws(n: int, rng, edges, rings: int = 1, start: int = 0):
-    """(part, q) for n draws of x from a source made of parts, each about
-    its own centre. edges are the running sums of the parts' shares of the
-    measure, the last one left out; part is i with probability share i.
-    q, the share of its part's measure nearer the centre than x, is uniform
-    on row i's equal-measure ring [k / rings, (k + 1) / rings),
-    k = (start + i) mod rings. A single part draws no part index."""
-    u = rng.random((2, n)) if len(edges) else rng.random((1, n))
-    part = (np.searchsorted(edges, u[1], side="right") if len(edges)
-            else np.zeros(n, dtype=np.intp))
-    return part, ((start + np.arange(n)) % rings + u[0]) / rings
+def ring_uniforms(n: int, rng, edges):
+    """(n, 2) uniforms for ring_shares; one column for a single part."""
+    return rng.random((2 if len(edges) else 1, n)).T
+
+
+def ring_shares(u, edges, ring, rings):
+    """(part, q) of the rows of ring_uniforms' u. edges are the running
+    sums of the parts' shares of the measure, the last one left out; part
+    is i with probability share i. q, the share of its part's measure
+    nearer the centre than x, is uniform on the row's equal-measure ring
+    [ring / rings, (ring + 1) / rings)."""
+    part = (np.searchsorted(edges, u[:, 1], side="right") if len(edges)
+            else np.zeros(u.shape[0], dtype=np.intp))
+    return part, (ring + u[:, 0]) / rings
 
 
 def carry(x0, part, rows):
@@ -454,14 +468,16 @@ class BallUnion:
 
     x falls in each ball in proportion to its measure and is uniform in it.
     A cap of radius rho has measure 2 pi F(rho), F = 1 - cos on S^2
-    (Archimedes) and rho - sin rho cos rho on S^3, so sample draws the
-    share q of the ball nearer its centre (ring_draws: with rings > 1, row
-    i in ring (start + i) mod rings), then rho from F(rho) = q F(r) at a
-    uniform direction about the last axis, the pole, and carries each row
-    onto its ball by one reflection per ball, built once, here. contains
-    compares one dot product per ball with cos r, gap is
-    min_i d(x, c_i) - r_i, a lower bound on the geodesic distance to the
-    union (<= 0 on it), and moved(M) is the union carried by x -> M^T x.
+    (Archimedes) and rho - sin rho cos rho on S^3. draw takes a piece's
+    ring and part uniforms (ring_uniforms), then an azimuth (S^2) or a
+    normal of R^3 (S^3) per row. points turns the rows of any number of
+    pieces into x: the share q of the ball nearer its centre (ring_shares),
+    rho from F(rho) = q F(r) at that direction about the last axis, the
+    pole, and each row carried onto its ball by one reflection per ball,
+    built once, here. contains compares one dot product per ball with
+    cos r, gap is min_i d(x, c_i) - r_i, a lower bound on the geodesic
+    distance to the union (<= 0 on it), and moved(M) is the union carried
+    by x -> M^T x.
     """
 
     def __init__(self, balls):
@@ -491,19 +507,24 @@ class BallUnion:
     def measure(self) -> float:
         return self._total
 
-    def sample(self, n: int, rng, rings: int = 1, start: int = 0):
-        part, q = ring_draws(n, rng, self._edges, rings, start)
+    def draw(self, n: int, rng):
+        u = ring_uniforms(n, rng, self._edges)
+        return u, (rng.random(n) if self.dim == 2 else rng.standard_normal((n, 3)))
+
+    def points(self, draws, ring, rings):
+        u, g = draws
+        part, q = ring_shares(u, self._edges, ring, rings)
         a = q * self._f[part]
-        x0 = np.empty((n, self.dim + 1))
+        x0 = np.empty((u.shape[0], self.dim + 1))
         if self.dim == 2:  # 1 - cos rho = a, at an azimuth phi
-            phi = (2.0 * np.pi) * rng.random(n)
+            phi = (2.0 * np.pi) * g
             sin_rho = np.sqrt(a * (2.0 - a))
             x0[:, 0] = sin_rho * np.cos(phi)
             x0[:, 1] = sin_rho * np.sin(phi)
             x0[:, 2] = 1.0 - a
         else:
             rho = _f3_inverse(a)
-            x0[:, :3] = sample_uniform_many(2, n, rng) * np.sin(rho)[:, None]
+            x0[:, :3] = _unit_rows(g) * np.sin(rho)[:, None]
             x0[:, 3] = np.cos(rho)
         return carry(x0, part, self._rows)
 

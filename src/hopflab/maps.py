@@ -42,7 +42,8 @@ from .geometry import (
     geodesic_distances,
     geodesic_step,
     pack_disjoint_balls,
-    ring_draws,
+    ring_shares,
+    ring_uniforms,
     rotation_taking,
     sample_uniform_many,
     sphere_point,
@@ -346,10 +347,11 @@ class HopfTubes:
     pi^2 (1 - cos r). Over the pole (1, 0, 0), where h_1 = 2|w|^2 - 1, the
     tube is |w|^2 >= (1 + cos r)/2: a uniform point of it has
     |z|^2 = 1 - |w|^2 uniform on [0, sin^2(r/2)] and both phases uniform.
-    sample draws each row's tube and |z|^2 = q sin^2(r/2), q the share of
-    the tube nearer the fiber over the pole, by ring_draws (with rings > 1,
-    row i in ring (start + i) mod rings), and both phases from a standard
-    normal of C^2 = R^4. The SU(2) matrix U_i whose first column
+    draw takes a piece's ring and part uniforms (ring_uniforms) and a
+    standard normal of C^2 = R^4 per row. points turns the rows of any
+    number of pieces into x: each row's tube and |z|^2 = q sin^2(r/2), q the
+    share of the tube nearer the fiber over the pole (ring_shares), and
+    both phases from the normal. The SU(2) matrix U_i whose first column
     lifts c_i (hopf_lift_many) carries the tube over the pole onto the one
     over c_i, since h(U x) = R h(x) for a rotation R with R(pole) = c_i;
     U_i is built once, here. contains and gap read the balls B_i at one
@@ -377,15 +379,17 @@ class HopfTubes:
     def measure(self) -> float:
         return self._total
 
-    def sample(self, n: int, rng, rings: int = 1, start: int = 0):
-        part, q = ring_draws(n, rng, self._edges, rings, start)
-        g = rng.standard_normal((n, 2, 2))
+    def draw(self, n: int, rng):
+        return ring_uniforms(n, rng, self._edges), rng.standard_normal((n, 2, 2))
+
+    def points(self, draws, ring, rings):
+        u, g = draws
+        part, q = ring_shares(u, self._edges, ring, rings)
         sq = np.einsum("nij,nij->ni", g, g)
         z2 = q * self._z2[part]
         sq[:, 0] = (1.0 - z2) / sq[:, 0]
         sq[:, 1] = z2 / sq[:, 1]
-        g *= np.sqrt(sq)[:, :, None]
-        return carry(g.reshape(n, 4), part, self._rows)
+        return carry((g * np.sqrt(sq)[:, :, None]).reshape(-1, 4), part, self._rows)
 
     def contains(self, pts):
         dots = self.centers @ self._images(pts).T  # one row per tube

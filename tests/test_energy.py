@@ -69,21 +69,22 @@ def test_region_sampling_respects_bounds():
           "inner": {"center": c, "radius": 0.4}}),
     ):
         region = energy.Region(3, CENTER_S3, lo, hi)
-        pts = region.sample(2000, gen)
+        pts = region.points(region.draw(2000, gen))
         d = geo.geodesic_distances(pts, CENTER_S3.coords)
         assert np.all(d >= lo - 1e-12) and np.all(d <= hi + 1e-12)
         assert np.all(region.contains(pts))
-        every = WHOLE_S3.sample(2000, gen)
+        every = WHOLE_S3.points(WHOLE_S3.draw(2000, gen))
         d = geo.geodesic_distances(every, CENTER_S3.coords)
         assert np.array_equal(region.contains(every), (d >= lo) & (d <= hi))
         assert region.to_dict() == doc
         # one shell step lands each y at its own distance t in [lo, hi]
         base = geo.sample_uniform_many(3, 2000, gen)
-        y, t = geo.shell_step(base, lo, hi, gen)
+        t = geo.sample_shell_radii(3, lo, hi, 2000, gen)
+        y = geo.geodesic_step(base, geo.tangent_directions(base, gen), t)
         assert np.all((t >= lo) & (t <= hi))
         assert np.allclose(_chord_angle(base, y), t, rtol=0, atol=1e-12)
     assert WHOLE_S3.to_dict() == {"variant": "whole", "dim": 3}
-    assert np.all(WHOLE_S3.contains(WHOLE_S3.sample(10, gen)))
+    assert np.all(WHOLE_S3.contains(WHOLE_S3.points(WHOLE_S3.draw(10, gen))))
 
 
 def test_gluing_bound_takes_a_centre_concentric_with_itself():
@@ -145,24 +146,57 @@ def test_small_strata_fall_back_to_fewer_rings(monkeypatch):
     # at n = 1000 the pilot (2 per stratum) draws one ring, the smallest
     # main strata fewer than MC_RINGS and the largest all of them
     calls = []
-    draw = geo.BallUnion.sample
+    points = geo.BallUnion.points
 
-    def spy(self, n, rng, rings=1, start=0):
-        calls.append((n, rings, start))
-        return draw(self, n, rng, rings, start)
+    def spy(self, draws, ring, rings):
+        calls.append((ring, rings))
+        return points(self, draws, ring, rings)
 
-    monkeypatch.setattr(geo.BallUnion, "sample", spy)
+    monkeypatch.setattr(geo.BallUnion, "points", spy)
     est = energy.fiber_reduced_energy(maps.multi_bubble(1), PARAMS_S3, 1_000, 0)
-    pilot, main = calls[:energy.MC_SHELLS], calls[energy.MC_SHELLS:]
-    assert pilot == [(2, 1, 0)] * energy.MC_SHELLS
-    # one block: one piece per stratum, its rows from ring 0 on
+    # one block each for the pilot and the main strata, one call per block
+    (pilot_ring, pilot_rings), (ring, rings) = calls
+    assert np.all(pilot_ring == 0) and np.all(pilot_rings == 1)
+    assert pilot_rings.shape == (2 * energy.MC_SHELLS,)
+    # each stratum's rows from ring 0 on, in R rings
     n_j = [r["n"] for r in est.strata_profile]
-    assert [(m, start) for m, _, start in main] == [(n, 0) for n in n_j]
-    rings = [r for _, r, _ in main]
-    assert rings == [min(energy.MC_RINGS, n // 2) for n in n_j]
-    assert all(n >= 2 * r for n, r in zip(n_j, rings))
-    assert min(rings) < energy.MC_RINGS == max(rings)
+    want = [min(energy.MC_RINGS, n // 2) for n in n_j]
+    assert np.array_equal(rings, np.repeat(want, n_j))
+    assert np.array_equal(ring, np.concatenate([np.arange(n) % r
+                                                for n, r in zip(n_j, want)]))
+    assert all(n >= 2 * r for n, r in zip(n_j, want))
+    assert min(want) < energy.MC_RINGS == max(want)
     assert math.isfinite(est.value) and est.std_error > 0.0
+
+
+def test_a_piece_transforms_alone_as_in_a_two_source_block():
+    # prescribed_hopf_map(5) has a HopfTubes and a BallUnion source. A block
+    # of a tube stratum's 1000 samples and the first 500 of a ball
+    # stratum's, then a block of the ball's last 200 (which start in ring
+    # 500 mod 8 = 4), against each job drawn alone in blocks of its own:
+    # the same (x, y, t) rows, bit for bit
+    strata = energy._strata(maps.prescribed_hopf_map(5), 3, WHOLE_S3)[0]
+    tube, ball = strata[3], strata[energy.MC_SHELLS + 50]
+    assert (tube.label["source"], ball.label["source"]) == (0, 1)
+
+    def blocks(jobs, block):
+        jobs = [(st, n, st.key) for st, n in jobs]
+        return list(energy._blocks(jobs, [energy.MC_RINGS] * len(jobs), block, 3, 7))
+
+    first, last = blocks([(tube, 1000), (ball, 700)], 1500)
+    assert first[:3] == ((0, 1), (0, 0), (1000, 500)) and last[1] == (4,)
+    (tube_alone,) = blocks([(tube, 1000)], 1000)
+    ball_first, ball_last = blocks([(ball, 700)], 500)
+    for mixed, rest, a, b, c in zip(first[3:], last[3:], tube_alone[3:],
+                                    ball_first[3:], ball_last[3:]):
+        assert np.array_equal(mixed[:1000], a)
+        assert np.array_equal(mixed[1000:], b)
+        assert np.array_equal(rest, c)
+    x, y, t = first[3:]
+    assert np.all(tube.source.contains(x[:1000])) and np.all(ball.source.contains(x[1000:]))
+    assert np.allclose(_chord_angle(x, y), t, rtol=0, atol=1e-12)
+    for st, rows in ((tube, t[:1000]), (ball, t[1000:])):
+        assert np.all((rows >= st.label["t_lo"]) & (rows <= st.label["t_hi"]))
 
 
 # E(multi_bubble(k) o h) from the S^2 identity of fiber_reduced_energy,
@@ -224,6 +258,26 @@ def test_energy_mc_validates_inputs():
                                   np.uint64(3))
     assert numpy_ints.to_json() == energy.energy_mc(u, PARAMS_S3, WHOLE_S3,
                                                     2_000, 3).to_json()
+
+
+def test_too_few_samples_per_stratum_names_the_least_n():
+    # four one-ball sources: 4 x MC_SHELLS strata, each needing 2 pilot and
+    # 2 main samples, so n = 1000 is short and 4 x 320 = 1280 the least n
+    v = maps.multi_bubble(4)
+    u = maps.SphereMap(2, 2, v.eval_many, v.descriptor, lipschitz_hint=v.lipschitz_hint,
+                       sources=[geo.BallUnion([b]) for b in v.supports])
+    params = energy.EnergyParams(0.5, 4.0, 2)
+    k = 4 * energy.MC_SHELLS
+    with pytest.raises(ParameterError) as err:
+        energy.energy_mc(u, params, WHOLE_S2, 1_000, 0)
+    assert str(err.value) == (
+        f"too few samples per stratum: n = 1000 over {k} strata "
+        f"(4 sources x {energy.MC_SHELLS} shells); raise n to at least {4 * k}")
+    with pytest.raises(ParameterError, match=f"n = {4 * k - 1} "):
+        energy.energy_mc(u, params, WHOLE_S2, 4 * k - 1, 0)
+    est = energy.energy_mc(u, params, WHOLE_S2, 4 * k, 0)
+    assert [r["pilot"] for r in est.strata_profile] == [2] * k
+    assert [r["n"] for r in est.strata_profile] == [2] * k
 
 
 def test_energy_mc_region_monotone():
@@ -316,22 +370,74 @@ def test_energy_mc_hopf_mean_matches_closed_form():
     assert abs(mean - 25.6 * np.pi ** 4) <= 3.0 * se
 
 
-@pytest.mark.parametrize("name, build, digest", [
-    ("hopf", maps.hopf_map,
-     "a6720702c6e21e352799b38f421c657e22648a0fd5c53e0cf466a2c82687c104"),
-    ("bubbles2_hopf", lambda: maps.composed_with_hopf(maps.multi_bubble(2)),
-     "65c99d743873fe525eecb389a852550e67d2ca76a2ce57c178aa445cde7c0b1d"),
-    ("prescribed5", lambda: maps.prescribed_hopf_map(5),
-     "4ae73445eab776016d49dce27e0076109b6ef7219139d1018deb713a4de698d1"),
-    ("bump_s3", lambda: maps.bump_deg1(CENTER_S3, 0.3, [1.0, 0.0, 0.0, 0.0]),
-     "5f843f3350f82e955773e88305f109a98aecf92e603ba4220a4f2520847ba197"),
+@pytest.mark.parametrize("build, digest", [
+    pytest.param(maps.hopf_map,
+                 "1896c9ed4cc12a018720e33487af3be76dc8317cac5b799e8c34ba5f88ec0777",
+                 id="hopf"),
+    pytest.param(lambda: maps.composed_with_hopf(maps.multi_bubble(2)),
+                 "e4cf450ce78ff516654e55c97eacbd0eedb6c3422a0ad8fa9c13168ef310941e",
+                 id="bubbles2_hopf"),
+    pytest.param(lambda: maps.prescribed_hopf_map(5),
+                 "e689adc991ae848a06a05c663c30eb5290637a27f618b9d1bcec321fd84a3258",
+                 id="prescribed5"),
+    pytest.param(lambda: maps.bump_deg1(CENTER_S3, 0.3, [1.0, 0.0, 0.0, 0.0]),
+                 "7641373337128ca23f7fcf5354b5446fc67e822519fb07b5db8e757da393d420",
+                 id="bump_s3"),
 ])
-def test_energy_mc_json_is_pinned(name, build, digest):
-    # sha256 of to_json of the S^3 estimates: hopf (no sources, one ring of
-    # x) as written before energy_mc shared its driver with
-    # fiber_reduced_energy, the maps with sources with x in MC_RINGS rings
+def test_energy_mc_json_is_pinned(build, digest):
+    # sha256 of to_json of the S^3 estimates, with 80 shells of ratio sqrt 2
+    # per source: hopf (no sources, one ring of x) and the maps with sources
+    # (x in MC_RINGS rings)
     est = energy.energy_mc(build(), PARAMS_S3, WHOLE_S3, 20_000, 3)
-    assert hashlib.sha256(est.to_json().encode()).hexdigest() == digest, name
+    assert hashlib.sha256(est.to_json().encode()).hexdigest() == digest
+
+
+def test_shells_have_ratio_sqrt2_down_to_pi_2_to_the_minus_40():
+    # 80 shells of ratio sqrt 2 per source: the innermost edge, pi 2^-40,
+    # is where the tail bound starts, so the tail bounds read as with 40
+    # dyadic shells; the shell measures tile the sphere minus that cap
+    assert energy.MC_SHELLS == 80
+    for dim in (2, 3):
+        strata = energy._strata(maps.identity_map(dim), dim, energy.whole_sphere(dim))[0]
+        lo = np.array([st.label["t_lo"] for st in strata])
+        hi = np.array([st.label["t_hi"] for st in strata])
+        assert hi[0] == math.pi and lo[-1] == math.ldexp(math.pi, -40)
+        assert np.array_equal(lo[:-1], hi[1:])
+        assert np.allclose(hi / lo, math.sqrt(2.0), rtol=1e-15, atol=0)
+        total = sum(st.label["weight"] for st in strata)
+        assert total == pytest.approx(geo.sphere_area(dim) - geo.cap_area(dim, lo[-1]),
+                                      rel=1e-14, abs=0)
+    # tail_bound as 40 dyadic shells gave it
+    for s, u, want in ((0.5, maps.hopf_map(), 1.85424759726057e-30),
+                       (0.5, maps.prescribed_hopf_map(5), 4.010603990399841e-24),
+                       (0.8, maps.hopf_map(), 0.00014690027953473064),
+                       (0.8, maps.prescribed_hopf_map(5), 0.9513053995195017)):
+        params = energy.EnergyParams(s, 3.0 / s, 3, critical=True)
+        assert energy.energy_mc(u, params, WHOLE_S3, 2_000, 0).tail_bound == want
+
+
+@pytest.mark.parametrize("s, build", [
+    (0.8, maps.hopf_map),
+    (0.5, lambda: maps.prescribed_hopf_map(2)),
+], ids=["hopf_s0.8", "prescribed2_s0.5"])
+def test_s3_estimates_have_calibrated_se(s, build):
+    # 24 seeds of energy_mc on S^3 paths that the reduction test leaves
+    # out: the Hopf map (one whole-sphere region) and a patched map (a tube
+    # source and a ball source, 160 strata with 9-sample pilots). The
+    # seed-to-seed spread matches the reported SE, and the Hopf mean lies
+    # within 3 SE of the closed form
+    params = energy.EnergyParams(s, 3.0 / s, 3, critical=True)
+    u = build()
+    ests = [energy.energy_mc(u, params, WHOLE_S3, 100_000, seed) for seed in range(24)]
+    values = np.array([e.value for e in ests])
+    se = np.array([e.std_error for e in ests])
+    assert 0.7 <= np.std(values, ddof=1) / math.sqrt(np.mean(se ** 2)) <= 1.4
+    if u.sources is None:
+        mean_se = math.sqrt(np.sum(se ** 2)) / len(ests)
+        assert abs(values.mean() - energy.hopf_energy(s)) <= 3.0 * mean_se
+    else:
+        rows = ests[0].strata_profile
+        assert len(rows) == 2 * energy.MC_SHELLS and rows[0]["pilot"] == 9
 
 
 def test_hopf_energy_closed_form():

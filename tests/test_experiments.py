@@ -227,16 +227,16 @@ def test_run_scaling_routes_v_o_h_rows_through_the_fiber_reduction(tmp_path):
 
 def test_run_scaling_artifacts_are_pinned(tmp_path):
     # the config hash as written before ExperimentConfig.p became the
-    # property 3/s; the artifacts as the ring-stratified x draws write them
+    # property 3/s; the artifacts as 80 shells of ratio sqrt 2 write them
     out = tmp_path / "run.csv"
     cfg = X.ExperimentConfig(s=0.5, degrees=(1, 2, 4), samples_per_estimate=2000,
                              seed=0, output_path=str(out))
     X.run_scaling(cfg)
     assert cfg.config_hash() == "25fd289a231c2e1e"
     for path, digest in (
-            (out, "e0b9f1e38559a9b97b1dd429c00c220ad108ee3476411bfa3d4a3da144d2e517"),
+            (out, "33d398dfc18cf25d4eba40adfffe3efe23bf7f2fe3f372fafd622d9da5a3f1be"),
             (tmp_path / "run.csv.loglog.csv",
-             "fc533fb9e758fdd091ff19dd4ae615e64c57575f8fb896258a4d4ed935dfcc7a")):
+             "fe21f61d428b6f4b931bc144858881597c3a040a2c3f22bd967d9846c398923b")):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name
 
 

@@ -137,6 +137,31 @@ def test_sample_shell_radii_inverts_the_cdf_on_every_dyadic_shell(m):
         assert err < 1e-9, f"shell {j}: CDF residual {err:.1e}"
 
 
+@pytest.mark.parametrize("m", [2, 3])
+def test_per_row_shell_bounds_match_scalar_calls_bit_for_bit(m):
+    # one call with per-row bounds, as a block of pieces makes it, against
+    # one scalar call per piece on the same uniforms. [pi/sqrt 2, pi] and
+    # [pi/2, pi/sqrt 2] take the mirror branch (t0 >= pi/2), as does
+    # [1.9, 2.6]; [0.3, 0.7] and [0.3, 0.5] share t0 only, and the last is
+    # the thinnest of the 80 shells of ratio sqrt 2
+    edges = np.pi * 2.0 ** (-0.5 * np.arange(81))
+    shells = [(edges[1], edges[0]), (edges[2], edges[1]), (edges[3], edges[2]),
+              (0.3, 0.7), (0.3, 0.5), (1.9, 2.6), (edges[41], edges[40]),
+              (edges[80], edges[79])]
+    sizes = [5, 300, 1, 64, 33, 129, 7, 250]
+    gen = np.random.default_rng(9)
+    u = [gen.random(n) for n in sizes]
+    t0, t1 = (np.repeat(bound, sizes) for bound in zip(*shells))
+    block = geo.sample_shell_radii(m, t0, t1, sum(sizes), np.concatenate(u))
+    alone = np.concatenate([geo.sample_shell_radii(m, lo, hi, n, v)
+                            for (lo, hi), n, v in zip(shells, sizes, u)])
+    assert np.array_equal(block, alone)
+    assert np.all((block >= t0) & (block <= t1))
+    # a Generator gives the radii of the uniforms it draws
+    first = geo.sample_shell_radii(m, *shells[0], sizes[0], np.random.default_rng(9))
+    assert np.array_equal(first, alone[:sizes[0]])
+
+
 def _f3_longdouble(t):
     """t - sin t cos t in 80-bit arithmetic; the series of (x - sin x)/2,
     x = 2t, up to pi/4, where the direct form would cancel."""
@@ -188,6 +213,16 @@ def test_tangent_directions_are_unit_and_orthogonal():
     dirs = geo.tangent_directions(pts, gen)
     assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0, atol=1e-12)
     assert np.max(np.abs(np.sum(dirs * pts, axis=1))) < 1e-12
+
+
+def test_tangent_directions_of_a_vanishing_projection_are_tangent():
+    # normals along the points project to zero (probability zero for drawn
+    # normals): those rows take a vector of the tangent frame
+    for m in (2, 3):
+        pts = geo.sample_uniform_many(m, 50, np.random.default_rng(10))
+        dirs = geo.tangent_directions(pts, 2.0 * pts)
+        assert np.allclose(np.linalg.norm(dirs, axis=1), 1.0, rtol=0, atol=1e-14)
+        assert np.allclose(np.einsum("ij,ij->i", dirs, pts), 0.0, rtol=0, atol=1e-14)
 
 
 def test_geodesic_step_moves_the_right_distance():

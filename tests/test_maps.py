@@ -16,6 +16,12 @@ from hopflab.errors import (
 )
 
 GEN = np.random.default_rng(20260814)
+
+
+def _sample(src, n, rng, rings=1, start=0):
+    """n points of an x source drawn as one piece whose row i lies in ring
+    (start + i) mod rings."""
+    return src.points(src.draw(n, rng), (start + np.arange(n)) % rings, rings)
 S3_PTS = geo.sample_uniform_many(3, 400, np.random.default_rng(11))
 S2_PTS = geo.sample_uniform_many(2, 400, np.random.default_rng(12))
 
@@ -262,7 +268,7 @@ def test_ball_masked_maps_match_the_reference_at_their_seams(build):
     seams = np.any(ref[5_000:] != u.basepoint, axis=1)
     assert 0 < seams.sum() < seams.shape[0]  # seams on both sides
     ball = refs[0][0]
-    inner = geo.Region(dim, ball.center, 0.0, 0.99 * ball.radius).sample(500, rng)
+    inner = _sample(geo.Region(dim, ball.center, 0.0, 0.99 * ball.radius), 500, rng)
     ref = reference(inner)
     assert np.all(np.any(ref != u.basepoint, axis=1))
     assert np.array_equal(u.eval_many(inner), ref)
@@ -337,7 +343,7 @@ def test_hopf_tubes_are_uniform_over_their_balls():
     want = tubes.measure() / geo.sphere_area(3)
     sd = math.sqrt(want * (1.0 - want) / every.shape[0])
     assert abs(np.mean(tubes.contains(every)) - want) < 4.0 * sd
-    x = tubes.sample(30_000, rng)
+    x = _sample(tubes, 30_000, rng)
     assert np.allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-14)
     assert np.all(tubes.contains(x))
     # cos d(h(x), c_i) is uniform on [cos r, 1] over each tube, and the
@@ -369,7 +375,7 @@ def _ball(coords, radius):
 @pytest.mark.parametrize("start", [0, 3])
 @pytest.mark.parametrize("kind", ["balls_s2", "balls_s3", "tubes"])
 def test_source_rows_lie_in_their_rings(kind, start):
-    # row i of sample(n, rng, R, start) lies in the equal-measure ring
+    # row i of a piece that starts in ring `start` lies in the equal-measure ring
     # (start + i) mod R of its ball (tube): the share q of that ball's
     # measure nearer its centre lies in [k / R, (k + 1) / R]. The parts
     # have unequal measures, and each draws its share of the rows
@@ -382,7 +388,7 @@ def test_source_rows_lie_in_their_rings(kind, start):
     else:
         src = maps.HopfTubes([_ball([0.0, 0.0, 1.0], 0.4), _ball([1.0, 0.0, 0.0], 0.7)])
     rng = np.random.default_rng(53)
-    x = src.sample(n, rng, R, start)
+    x = _sample(src, n, rng, R, start)
     assert np.allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-14)
     assert np.all(src.contains(x))
     centre_of = maps.hopf_eval_many(x) if kind == "tubes" else x
@@ -430,10 +436,10 @@ def test_sources_cover_where_the_map_leaves_its_basepoint():
         assert np.all(w.eval_many(pts[off]) == w.basepoint)
     for src, moved in zip(u.sources, flipped.sources):
         assert moved.measure() == src.measure()
-        x = moved.sample(5_000, rng)
+        x = _sample(moved, 5_000, rng)
         assert np.all(moved.contains(x)) and np.all(src.contains(x @ flip.T))
     # the patched balls lie off the tubes: the sources are disjoint
-    assert not np.any(tubes.contains(balls.sample(5_000, rng)))
+    assert not np.any(tubes.contains(_sample(balls, 5_000, rng)))
 
 
 @pytest.mark.parametrize("move", ["built", "flip", "rotation"])
@@ -453,8 +459,8 @@ def test_source_gaps_are_lower_bounds(move):
     rng = np.random.default_rng(52)
     x = geo.sample_uniform_many(3, 400, rng)
     for src in sources:
-        assert np.all(src.gap(src.sample(2_000, rng)) <= 0.0)
-        y = src.sample(20_000, rng)
+        assert np.all(src.gap(_sample(src, 2_000, rng)) <= 0.0)
+        y = _sample(src, 20_000, rng)
         nearest = np.min(np.arccos(np.clip(x @ y.T, -1.0, 1.0)), axis=1)
         gap = src.gap(x)
         assert np.all(gap <= nearest + 1e-12)
