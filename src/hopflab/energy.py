@@ -92,8 +92,8 @@ class EnergyParams:
     def __post_init__(self):
         if not (0.0 < self.s < 1.0):
             raise ParameterError(f"s must lie in (0,1), got {self.s}")
-        if self.p <= 1.0:
-            raise ParameterError(f"p must exceed 1, got {self.p}")
+        if not (1.0 < self.p < math.inf):
+            raise ParameterError(f"p must be finite and exceed 1, got {self.p}")
         if self.n not in (2, 3):
             raise ParameterError(f"unsupported sphere dimension {self.n}")
         if self.critical and abs(self.s * self.p - self.n) > 1e-12:
@@ -545,6 +545,9 @@ def energy_quadrature(u: SphereMap, params: EnergyParams, resolution: int) -> fl
     """
     if u.domain_dim != params.n:
         raise ParameterError("map domain does not match params.n")
+    resolution = require_int(resolution, "resolution")
+    if resolution < 1:
+        raise ParameterError(f"resolution must be at least 1, got {resolution}")
     n_ang = max(48, round(resolution ** 0.5))
     pairs = resolution * n_ang * QUAD_MIN_BAND_EXP * _QUAD_GAUSS
     if pairs > QUAD_PAIR_BUDGET:
@@ -560,14 +563,27 @@ def _quad_rule(u: SphereMap, params: EnergyParams, X, outer_w, n_ang: int,
                pair_weight=None) -> float:
     """The product rule on outer nodes X of weights outer_w (one per node,
     or one for all), with the pair weight pair_weight(y) when x ranges over
-    the map's sources only (None: 1, x ranges over the whole sphere)."""
+    the map's sources only (None: 1, x ranges over the whole sphere).
+
+    The inner point at node x, radius t_g and direction omega_a is
+    cos t_g x + sin t_g F omega_a, with F the node's oriented frame; that
+    is column (g, a) of [x | F] [cos t_g ; sin t_g omega_a]. Each node's
+    (n+1) x (n+1) matrix [x | F] is built once, each band's
+    (n+1) x (4 n_ang) matrix once, and a block of nodes takes all its inner
+    points from one batched matmul (both factors stored transposed, so the
+    product comes out as rows of points). Pair values are (|du|^2)^(p/2).
+    Memory is O(resolution): blocks of about QUAD_BLOCK inner points bound
+    the temporaries.
+    """
     n = params.n
     outer_w = np.broadcast_to(np.asarray(outer_w, dtype=np.float64), X.shape[:1])
-    frames = _kernels.oriented_frames(X)
+    # rows x, e_1..e_n: the transposed basis [x | F] of each node
+    basis = np.concatenate([X[:, None, :],
+                            np.swapaxes(_kernels.oriented_frames(X), 1, 2)], axis=1)
     omega, w_ang = polar_directions(n, n_ang)
     ux = u.eval_many(X)
     nodes, weights = np.polynomial.legendre.leggauss(_QUAD_GAUSS)
-    p = params.p
+    half_p = 0.5 * params.p
     measure = sphere_area(n)
     step = max(1, QUAD_BLOCK // (_QUAD_GAUSS * n_ang))
     # in the band below hi a node with gap >= hi adds only exact zeros
@@ -584,18 +600,18 @@ def _quad_rule(u: SphereMap, params: EnergyParams, X, outer_w, n_ang: int,
         t = 0.5 * (hi - lo) * (nodes + 1.0) + lo
         w_t = 0.5 * (hi - lo) * weights * np.sin(t) ** (n - 1)
         kern = w_t / (2.0 * np.sin(0.5 * t)) ** params.kernel_exponent
-        cos_t = np.cos(t)[None, :, None, None]
-        sin_t = np.sin(t)[None, :, None, None]
+        # row (g, a): cos t_g, sin t_g omega_a
+        coef = np.empty((_QUAD_GAUSS, n_ang, n + 1))
+        coef[..., 0] = np.cos(t)[:, None]
+        coef[..., 1:] = np.sin(t)[:, None, None] * omega
+        coef = coef.reshape(-1, n + 1)
         band_sum = 0.0
         for i in range(0, near.shape[0], step):
             block = near[i:i + step]
-            x = X[block]
-            # unit tangents at each node of the block, one per angular node
-            dirs = np.einsum("ndm,am->nad", frames[block], omega)
-            Y = cos_t * x[:, None, None, :] + sin_t * dirs[:, None]
-            Y = Y.reshape(-1, n + 1)
-            uy = u.eval_many(Y).reshape(block.shape[0], _QUAD_GAUSS, n_ang, -1)
-            vals = np.linalg.norm(uy - ux[block, None, None, :], axis=3) ** p
+            Y = np.matmul(coef, basis[block]).reshape(-1, n + 1)
+            du = (u.eval_many(Y).reshape(block.shape[0], _QUAD_GAUSS, n_ang, -1)
+                  - ux[block, None, None, :])
+            vals = np.einsum("bgak,bgak->bga", du, du) ** half_p
             if pair_weight is not None:
                 vals *= pair_weight(Y).reshape(vals.shape)
             band_sum += float(np.einsum("bga,g,b->", vals, kern, outer_w[block]))

@@ -19,6 +19,7 @@ from .errors import (
     PackingError,
     ParameterError,
     SingularInputError,
+    require_int,
 )
 
 GOLDEN_ANGLE = np.pi * (3.0 - np.sqrt(5.0))
@@ -631,6 +632,7 @@ def pack_disjoint_balls(k: int, safety: float = 0.9):
     2/sqrt(k); any safety < 1 then guarantees strict disjointness, which is
     re-verified here by an exact pairwise check.
     """
+    k = require_int(k, "k")
     if k < 1:
         raise ParameterError("packing needs k >= 1")
     if not (0.0 < safety < 1.0):

@@ -28,6 +28,7 @@ from .errors import (
     ParameterError,
     PlacementError,
     SupportError,
+    require_int,
 )
 from .geometry import (
     BallUnion,
@@ -591,6 +592,7 @@ def multi_bubble(k: int, b=None, safety: float = 0.9) -> SphereMap:
     Balls come from pack_disjoint_balls(k, safety); each carries a bump
     whose support is exactly that ball, so the total degree is k.
     """
+    k = require_int(k, "k")
     if k < 1:
         raise ParameterError("multi_bubble needs k >= 1")
     bc = DEFAULT_BASEPOINT_S2.copy() if b is None else _unit(b)
@@ -831,6 +833,7 @@ def prescribed_hopf_map(d: int, b=None, safety: float = 0.9) -> SphereMap:
     of maximal clearance from the bubbles. d < 0 flips orientation of the
     map built for |d|.
     """
+    d = require_int(d, "d")
     bc = DEFAULT_BASEPOINT_S2.copy() if b is None else _unit(b)
     if d == 0:
         return constant_map(3, bc)

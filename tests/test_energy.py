@@ -32,6 +32,13 @@ def test_params_validation():
     assert energy.EnergyParams(s=0.5, p=6.0, n=3).kernel_exponent == 6.0
 
 
+@pytest.mark.parametrize("p", [np.nan, np.inf])
+def test_params_reject_a_non_finite_p(p):
+    # a nan p used to reach energy_mc, which returned nan +- nan
+    with pytest.raises(ParameterError, match="p must be finite"):
+        energy.EnergyParams(s=0.5, p=p, n=2)
+
+
 def test_region_measures_tile():
     b = energy.Region(3, CENTER_S3, 0.0, 0.8).measure()
     c = energy.Region(3, CENTER_S3, 0.8).measure()
@@ -615,16 +622,35 @@ def test_quadrature_tube_rule_converges():
 
 
 def test_quadrature_does_not_depend_on_the_block_size(monkeypatch):
+    # blocks only bound the temporaries of the batched product: one node
+    # per block (200 points) and every node in one block read the same
+    # value up to the order of the block sums; the second case runs the
+    # tube rule, the third the S^2 lattice
     cases = [
-        (maps.hopf_map(), PARAMS_S3, 1_000),
-        (maps.composed_with_hopf(maps.multi_bubble(2)), PARAMS_S3, 1_000),
-        (maps.multi_bubble(2), energy.EnergyParams(s=0.5, p=6.0, n=2), 300),
+        (maps.hopf_map(), PARAMS_S3),
+        (maps.composed_with_hopf(maps.multi_bubble(2)), PARAMS_S3),
+        (maps.multi_bubble(2), energy.EnergyParams(s=0.5, p=6.0, n=2)),
     ]
-    wide = [energy.energy_quadrature(u, p, r) for u, p, r in cases]
-    monkeypatch.setattr(energy, "QUAD_BLOCK", 500)
-    narrow = [energy.energy_quadrature(u, p, r) for u, p, r in cases]
-    for a, b in zip(wide, narrow):
-        assert abs(a - b) <= 1e-12 * abs(a)
+    default = [energy.energy_quadrature(u, p, 1_000) for u, p in cases]
+    for block in (200, 10 ** 6):
+        monkeypatch.setattr(energy, "QUAD_BLOCK", block)
+        for (u, p), want in zip(cases, default):
+            got = energy.energy_quadrature(u, p, 1_000)
+            assert abs(got - want) <= 1e-13 * want, (block, u.descriptor["variant"])
+
+
+@pytest.mark.parametrize("resolution, match", [
+    (-5, "resolution must be at least 1, got -5"),
+    (0, "resolution must be at least 1, got 0"),
+    ("1000", "resolution must be an integer"),
+    (1000.5, "resolution must be an integer"),
+], ids=["negative", "zero", "string", "fraction"])
+def test_quadrature_validates_resolution(resolution, match):
+    # -5 and "1000" used to raise bare TypeErrors, and 1000.5 read
+    # multi_bubble(2) at 1937.4278 where 1000 reads 1937.4001
+    params = energy.EnergyParams(s=0.5, p=6.0, n=2)
+    with pytest.raises(ParameterError, match=match):
+        energy.energy_quadrature(maps.multi_bubble(2), params, resolution)
 
 
 def test_quadrature_without_lipschitz_hint_runs_every_band():

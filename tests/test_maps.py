@@ -279,6 +279,34 @@ def test_multi_bubble_needs_positive_k():
         maps.multi_bubble(0)
 
 
+@pytest.mark.parametrize("build, value", [
+    (maps.multi_bubble, 2.5),
+    (maps.multi_bubble, "3"),
+    (geo.pack_disjoint_balls, 2.5),
+    (maps.prescribed_hopf_map, 2.0),
+])
+def test_bubble_counts_and_degrees_must_be_integers(build, value):
+    # multi_bubble(2.5) used to pack 3 bubbles and bookkeep degree 2.5;
+    # "3" and prescribed_hopf_map(2.0) raised bare TypeErrors
+    name = "d" if build is maps.prescribed_hopf_map else "k"
+    with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+        build(value)
+
+
+def test_integer_counts_reach_the_descriptor_as_ints():
+    # numpy integers are taken as ints, so the descriptor is JSON and
+    # rebuilds to itself; a nested non-integer k is refused on the way in
+    u = maps.composed_with_hopf(maps.multi_bubble(np.int64(3)))
+    assert json.dumps(u.descriptor) == json.dumps(
+        maps.composed_with_hopf(maps.multi_bubble(3)).descriptor)
+    assert maps.map_from_descriptor(u.descriptor).descriptor == u.descriptor
+    assert maps.prescribed_hopf_map(np.int64(5)).degree == 5
+    child = u.descriptor["children"][0]
+    bad = {**u.descriptor, "children": [{**child, "params": {**child["params"], "k": 2.5}}]}
+    with pytest.raises(ParameterError, match="'k' of variant 'multi_bubble'"):
+        maps.map_from_descriptor(bad)
+
+
 # ---------------------------------------------------------------------------
 # Composition, patching, prescription
 # ---------------------------------------------------------------------------
