@@ -27,12 +27,12 @@ sphere E(u) = integral over x in W, y anywhere, of K (2 - 1_W(y)).
 * energy_quadrature: a deterministic product rule (outer nodes, inner
   geodesic-polar grid with dyadic radial bands accumulating at the
   singularity) used as a cross-checking oracle on the whole sphere. Its
-  outer rule uses the Hopf fiber symmetry where the map has it: one node
-  for the Hopf map, and a polar rule per Hopf tube, lifted with one phase,
-  for maps whose sources are all tubes (v o h); other maps run a
-  near-uniform lattice. Its bands stop once the certified remainder is
-  negligible, and skip the outer nodes whose pairs are exact zeros off
-  W (the sources' gap, SphereMap.support_gap).
+  outer rule is a near-uniform lattice on S^n. A map v o h (its
+  SphereMap.fiber_base v, the Hopf map included) at sp = 3 is integrated
+  on S^2, with fiber_reduced_energy's kernel, like the rows it checks;
+  an isometry v (the identity) takes one node. Its bands stop once the
+  certified remainder is negligible, and skip the outer nodes whose
+  pairs are exact zeros off W (the sources' gap, SphereMap.support_gap).
 
 Determinism: estimates are bit-identical given (map, params, region, n,
 seed); every stratum draws from its own counter-based substream and the
@@ -60,7 +60,7 @@ from .geometry import (
     sphere_point,
     tangent_directions,
 )
-from .maps import HopfTubes, SphereMap, hopf_lift_many
+from .maps import SphereMap
 from . import _kernels
 
 MC_SHELLS = 80  # shells of the step length per energy_mc source, of ratio sqrt 2
@@ -179,9 +179,13 @@ def energy_mc(u: SphereMap, params: EnergyParams, region: Region, n: int,
         )
     if region.dim != params.n:
         raise ParameterError("region dimension does not match params.n")
-    exponent = params.kernel_exponent
     return _stratified(u, params, region, n, rng,
-                       lambda t: (2.0 * np.sin(0.5 * t)) ** exponent)
+                       _chordal_kernel_inverse(params.kernel_exponent))
+
+
+def _chordal_kernel_inverse(exponent: float):
+    """1 / K at step t of the chordal kernel K = |x - y|^-exponent."""
+    return lambda t: (2.0 * np.sin(0.5 * t)) ** exponent
 
 
 def fiber_reduced_energy(v: SphereMap, params: EnergyParams, n: int,
@@ -212,13 +216,22 @@ def fiber_reduced_energy(v: SphereMap, params: EnergyParams, n: int,
     """
     if v.domain_dim != 2 or v.codomain_dim != 2:
         raise ParameterError("fiber_reduced_energy needs v: S^2 -> S^2")
-    if params.n != 3 or abs(params.s * params.p - 3.0) > 1e-12:
+    if not _fiber_reduces(params):
         raise ParameterError(
             "the fiber reduction holds for the S^3 energy at s*p = 3, got "
             f"n = {params.n}, s*p = {params.s * params.p}")
     est = _stratified(v, EnergyParams(params.s, params.p, 2), whole_sphere(2),
-                      n, rng, _fiber_kernel_inverse, 1.5 * np.pi ** 2)
+                      n, rng, _fiber_kernel_inverse, _FIBER_TAIL_SCALE)
     return replace(est, params=params, region=whole_sphere(3))
+
+
+def _fiber_reduces(params: EnergyParams) -> bool:
+    """Whether params are those of the S^3 energy at sp = 3, where
+    fiber_reduced_energy's identity holds."""
+    return params.n == 3 and abs(params.s * params.p - 3.0) <= 1e-12
+
+
+_FIBER_TAIL_SCALE = 1.5 * np.pi ** 2  # the fiber kernel over the chordal one, at most
 
 
 def _fiber_kernel_inverse(t):
@@ -522,9 +535,15 @@ def lipschitz_tail_bound(u: SphereMap, params: EnergyParams, measure: float,
 def energy_quadrature(u: SphereMap, params: EnergyParams, resolution: int) -> float:
     """Deterministic product-rule value of E_{s,p}(u, S^n).
 
-    resolution is the size of a near-uniform outer lattice on S^n; maps
-    with Hopf tubes as their only x sources, and the Hopf map, use other
-    outer rules (_quad_outer_nodes). The inner geodesic-polar rule uses
+    The outer rule is a near-uniform lattice of `resolution` equal-weight
+    nodes on S^n. A map v o h (SphereMap.fiber_base v, the Hopf map
+    included) on S^3 at sp = 3 is instead integrated like
+    fiber_reduced_energy, on S^2: _quad_rule on v with the fiber kernel
+    (_fiber_kernel_inverse), its tail bound scaled by 3 pi^2 / 2, on
+    max(1, resolution // 2) lattice nodes of S^2. When v is an isometry
+    (lipschitz_hint 1 and degree +-1: the identity, for the Hopf map) the
+    inner integral is the same at every x, so one node carries the whole
+    measure. The inner geodesic-polar rule uses
     4-point Gauss-Legendre on dyadic radial bands and an angular lattice
     (the rounded square root of resolution, at least 48 points). Bands run from
     pi down to at most pi * 2^-QUAD_MIN_BAND_EXP; they stop early once the
@@ -540,8 +559,8 @@ def energy_quadrature(u: SphereMap, params: EnergyParams, resolution: int) -> fl
     sources' gaps) bounds from below the distance from x to W, where u
     differs from its basepoint. An outer node with gap(x) >= hi, and every
     inner point of the band below hi, lie off W, so the band evaluates only
-    nodes with gap < hi. Maps without sources (the Hopf map, the identity)
-    run every node.
+    nodes with gap < hi. Maps without sources (the identity, a rotated
+    Hopf map) run every node.
     """
     if u.domain_dim != params.n:
         raise ParameterError("map domain does not match params.n")
@@ -554,16 +573,24 @@ def energy_quadrature(u: SphereMap, params: EnergyParams, resolution: int) -> fl
         raise ParameterError(
             f"quadrature would evaluate {pairs:.2e} pairs, over the 1e9 budget"
         )
-    X, outer_w = _quad_outer_nodes(u, params.n, resolution)
-    return _quad_rule(u, params, X, outer_w, n_ang,
-                      _pair_weight(u.sources) if _tubes_only(u) else None)
+    v = u.fiber_base
+    if v is None or not _fiber_reduces(params):
+        X = sphere_lattice(params.n, resolution)
+        return _quad_rule(u, params, X, sphere_area(params.n) / resolution, n_ang)
+    isometry = v.lipschitz_hint == 1.0 and v.degree in (1, -1)
+    nodes = 1 if isometry else max(1, resolution // 2)
+    return _quad_rule(v, EnergyParams(params.s, params.p, 2), sphere_lattice(2, nodes),
+                      sphere_area(2) / nodes, n_ang, _fiber_kernel_inverse,
+                      _FIBER_TAIL_SCALE)
 
 
 def _quad_rule(u: SphereMap, params: EnergyParams, X, outer_w, n_ang: int,
-               pair_weight=None) -> float:
-    """The product rule on outer nodes X of weights outer_w (one per node,
-    or one for all), with the pair weight pair_weight(y) when x ranges over
-    the map's sources only (None: 1, x ranges over the whole sphere).
+               inv_kernel=None, tail_scale: float = 1.0) -> float:
+    """The product rule on outer nodes X of weight outer_w each, with the
+    pair kernel K given by its reciprocal inv_kernel(t) at step t, and a
+    kernel at most tail_scale times the chordal one of params (its tail
+    bound's factor), as in _stratified; the default is the chordal kernel
+    |x - y|^-(n + sp).
 
     The inner point at node x, radius t_g and direction omega_a is
     cos t_g x + sin t_g F omega_a, with F the node's oriented frame; that
@@ -576,6 +603,8 @@ def _quad_rule(u: SphereMap, params: EnergyParams, X, outer_w, n_ang: int,
     the temporaries.
     """
     n = params.n
+    if inv_kernel is None:
+        inv_kernel = _chordal_kernel_inverse(params.kernel_exponent)
     outer_w = np.broadcast_to(np.asarray(outer_w, dtype=np.float64), X.shape[:1])
     # rows x, e_1..e_n: the transposed basis [x | F] of each node
     basis = np.concatenate([X[:, None, :],
@@ -592,14 +621,14 @@ def _quad_rule(u: SphereMap, params: EnergyParams, X, outer_w, n_ang: int,
     total = 0.0
     for band in range(QUAD_MIN_BAND_EXP):
         hi = np.pi * 2.0 ** (-band)
-        if (u.lipschitz_hint is not None and
-                lipschitz_tail_bound(u, params, measure, hi) < QUAD_TAIL_RTOL * total):
+        if (u.lipschitz_hint is not None and QUAD_TAIL_RTOL * total
+                > tail_scale * lipschitz_tail_bound(u, params, measure, hi)):
             break
         near = np.flatnonzero(gap < hi)
         lo = 0.5 * hi
         t = 0.5 * (hi - lo) * (nodes + 1.0) + lo
         w_t = 0.5 * (hi - lo) * weights * np.sin(t) ** (n - 1)
-        kern = w_t / (2.0 * np.sin(0.5 * t)) ** params.kernel_exponent
+        kern = w_t / inv_kernel(t)
         # row (g, a): cos t_g, sin t_g omega_a
         coef = np.empty((_QUAD_GAUSS, n_ang, n + 1))
         coef[..., 0] = np.cos(t)[:, None]
@@ -612,46 +641,9 @@ def _quad_rule(u: SphereMap, params: EnergyParams, X, outer_w, n_ang: int,
             du = (u.eval_many(Y).reshape(block.shape[0], _QUAD_GAUSS, n_ang, -1)
                   - ux[block, None, None, :])
             vals = np.einsum("bgak,bgak->bga", du, du) ** half_p
-            if pair_weight is not None:
-                vals *= pair_weight(Y).reshape(vals.shape)
             band_sum += float(np.einsum("bga,g,b->", vals, kern, outer_w[block]))
         total += w_ang * band_sum
     return total
-
-
-def _quad_outer_nodes(u: SphereMap, n: int, resolution: int):
-    """Outer nodes of energy_quadrature and their weights (one for all, or
-    one per node).
-
-    * The Hopf map: U(2) acts transitively on S^3 by isometries that h
-      intertwines with rotations of S^2, so the inner integral F(x) is
-      constant and one node carries the whole measure exactly.
-    * Maps whose x sources are all Hopf tubes (v o h, and its moves,
-      _tubes_only): x ranges over the tubes, with the pair weight
-      2 - 1_W(y) of _strata, on each tube's product rule (HopfTubes.nodes)
-      with n_r = round(5 c) radii and n_a = round(8 c) angles (at least 1
-      each), c = (resolution / 1000)^(1/3), as the spacing of the lattice
-      follows resolution^(-1/3). At resolution 1000 (5 x 8 nodes per tube)
-      it reads v o h within 0.13% of 12 x 24 nodes per tube for d = 4 and
-      25 at s = 0.5 and 0.8; 4 x 8 nodes read 0.35% low at d = 25,
-      s = 0.5, so the radii need the fifth node. The phase action
-      e^(i theta)(w, z) is an isometry of S^3 that fixes h, so F is constant
-      on Hopf fibers and one phase node is exact.
-    * Any other map: a resolution-point lattice on S^n of equal weights.
-    """
-    if u.descriptor.get("variant") == "hopf":
-        return hopf_lift_many(np.array([[0.0, 0.0, 1.0]])), sphere_area(3)
-    if _tubes_only(u):
-        scale = (resolution / 1000.0) ** (1.0 / 3.0)
-        n_r, n_a = max(1, round(5.0 * scale)), max(1, round(8.0 * scale))
-        rules = [src.nodes(n_r, n_a) for src in u.sources]
-        return (np.concatenate([X for X, _ in rules]),
-                np.concatenate([w for _, w in rules]))
-    return sphere_lattice(n, resolution), sphere_area(n) / resolution
-
-
-def _tubes_only(u: SphereMap) -> bool:
-    return bool(u.sources) and all(isinstance(src, HopfTubes) for src in u.sources)
 
 
 # ---------------------------------------------------------------------------

@@ -21,11 +21,13 @@ class ParameterError(HopflabError, ValueError):
 
 def require_int(value, name: str) -> int:
     """value as an int, from an int or a numpy integer; ParameterError
-    naming `name` for anything else, 1.5 and 2000.0 included."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    naming `name` for anything else, 1.5, 2000.0 and booleans included."""
+    if not isinstance(value, bool):  # operator.index(True) is 1
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ParameterError(f"{name} must be an integer, got {value!r}")
 
 
 class PackingError(HopflabError, RuntimeError):

@@ -205,11 +205,10 @@ def run_scaling(config: ExperimentConfig) -> ScalingResult:
 
 def _estimate_row(u, params: EnergyParams, n: int, rng):
     """(estimator name, estimate) of E(u, S^3) at sp = 3: fiber_reduced_energy
-    on v when u is v o h, where the reduction is exact; energy_mc
-    otherwise."""
-    if u.descriptor["variant"] == "compose_hopf":
-        v = map_from_descriptor(u.descriptor["children"][0])
-        return "fiber_reduced_energy", fiber_reduced_energy(v, params, n, rng)
+    on v when u is v o h (its fiber_base), where the reduction is exact;
+    energy_mc otherwise."""
+    if u.fiber_base is not None:
+        return "fiber_reduced_energy", fiber_reduced_energy(u.fiber_base, params, n, rng)
     return "energy_mc", energy_mc(u, params, whole_sphere(3), n, rng)
 
 

@@ -44,9 +44,11 @@ _F3_START = (
     6.123489446018986e-06,
 )
 
-# plastic constant: real root of t^3 = t + 1, drives the R3 Kronecker
-# lattice used for near-uniform S^3 node sets
-_PLASTIC = 1.3247179572447460260
+# phi_3, the real root of t^4 = t + 1 above 1: its powers 1/phi_3,
+# 1/phi_3^2, 1/phi_3^3 drive the R3 Kronecker lattice of near-uniform S^3
+# node sets. Not the plastic constant rho (t^3 = t + 1): 1/rho^2 + 1/rho^3
+# = 1 puts every point on the 2-D surface xi_2 = -xi_1.
+_PHI3 = 1.2207440846057596
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +567,7 @@ def kronecker_lattice_s3(k: int):
     if k < 1:
         raise ParameterError("lattice needs k >= 1")
     i = np.arange(1, k + 1, dtype=np.float64)
-    a1, a2, a3 = 1.0 / _PLASTIC, 1.0 / _PLASTIC ** 2, 1.0 / _PLASTIC ** 3
+    a1, a2, a3 = 1.0 / _PHI3, 1.0 / _PHI3 ** 2, 1.0 / _PHI3 ** 3
     u1 = np.mod(0.5 + i * a1, 1.0)
     u2 = np.mod(0.5 + i * a2, 1.0)
     u3 = np.mod(0.5 + i * a3, 1.0)

@@ -11,7 +11,9 @@ Each constructor also sets the exact degree it bookkeeps from the pieces,
 for maps S^3 -> S^2 a rule that seeds the fiber over a target, and, for
 maps equal to a basepoint off a known set, the pieces of that set as x
 sources (unions of balls, Hopf tubes): the one declaration that the energy
-estimators, the degree integral and the preimage solver read.
+estimators, the degree integral and the preimage solver read, and, for
+maps v o h, the map v itself (fiber_base). Only map_from_descriptor reads
+a descriptor's variant; everything else reads these slots.
 Evaluation is vectorized over (N, dim+1) coordinate arrays; maps equal to
 a fill off disjoint balls share one masked evaluator (_BallMasked).
 """
@@ -87,6 +89,11 @@ class SphereMap:
     closed form, and u o M carries (u(M x), J_u(M x) M); every other map
     (v o h, Hopf bumps, patched maps) leaves it None and is differentiated
     on the finite-difference stencil of topology.tangential_jacobian.
+    fiber_base, when not None, is the map v: S^2 -> S^2 with this map
+    equal to v o h, h the Hopf map: composed_with_hopf sets it to v, and
+    hopf_map to the identity of S^2. Energy estimators read it to
+    integrate the Hopf fibers in closed form; u o M and patched maps leave
+    it None.
     """
 
     def __init__(
@@ -101,6 +108,7 @@ class SphereMap:
         degree=None,
         fiber_seeds=None,
         sources=None,
+        fiber_base=None,
     ):
         self.domain_dim = int(domain_dim)
         self.codomain_dim = int(codomain_dim)
@@ -112,6 +120,7 @@ class SphereMap:
         self.degree = degree
         self.fiber_seeds = fiber_seeds
         self.sources = sources
+        self.fiber_base = fiber_base
 
     @property
     def supports(self):
@@ -255,12 +264,14 @@ def hopf_map() -> SphereMap:
 
     Coordinates: (x1, x2, x3, x4) reads as (w, z) = (x1 + i x2, x3 + i x4)
     and the image (h1, h2 + i h3) sits in R x C = R^3. The ambient 3x4
-    Jacobian is provided in closed form.
+    Jacobian is provided in closed form. As h = id o h, its fiber_base is
+    the identity of S^2.
     """
     return SphereMap(
         3, 2, hopf_eval_many, _desc("hopf", {}),
         lipschitz_hint=2.0, jet_many=hopf_jet_many, degree=1,
         fiber_seeds=lambda target: fiber_circle(target, 1),
+        fiber_base=identity_map(2),
     )
 
 
@@ -359,7 +370,10 @@ class HopfTubes:
     h(x) for all tubes: h(x) is in B_i when h(x).c_i >= cos r_i, and the
     gap is half of min_i d(h(x), c_i) - r_i, since
     d_S2(h(x), h(y)) <= 2 d_S3(x, y). frame F, an orthogonal matrix of R^4,
-    gives the tubes carried by x -> F^T x (see moved).
+    gives the tubes carried by x -> F^T x (see moved). The tubes serve
+    energy_mc's draws of x and the support gap of the S^3 quadrature
+    lattice (v o h moved or patched); the quadrature of v o h itself runs
+    on S^2, on its fiber_base.
     """
 
     def __init__(self, balls, frame=None):
@@ -405,26 +419,6 @@ class HopfTubes:
 
     def moved(self, mat):
         return HopfTubes(self.balls, mat if self.frame is None else self.frame @ mat)
-
-    def nodes(self, n_r: int, n_a: int):
-        """A product rule on the tubes: per tube, n_r Gauss-Legendre radii
-        rho on [0, r] of weight sin rho times n_a equal angles psi about c_i
-        on S^2, each lifted to one point of its fiber. Returns the (N, 4)
-        nodes and their (N,) weights, which sum to the measure."""
-        g, gw = np.polynomial.legendre.leggauss(n_r)
-        k = len(self.balls)
-        rho = 0.5 * self.radii[:, None] * (g + 1.0)  # (k, n_r)
-        weights = 0.5 * self.radii[:, None] * gw * np.sin(rho)
-        half = np.repeat(0.5 * rho.ravel(), n_a)
-        psi = np.tile(2.0 * np.pi * (np.arange(n_a) + 0.5) / n_a, k * n_r)
-        # w = cos(rho/2), z = sin(rho/2) e^(i psi): h = (cos rho, sin rho e^(-i psi))
-        x0 = np.column_stack([np.cos(half), np.zeros(half.shape[0]),
-                              np.sin(half) * np.cos(psi), np.sin(half) * np.sin(psi)])
-        # the first n_r n_a nodes go onto tube 0, the next onto tube 1, ...
-        x = np.concatenate([block @ rows for block, rows
-                            in zip(np.split(x0, k), self._rows)])
-        # pi/2 carries the S^2 polar weights up to S^3
-        return x, (0.5 * np.pi * 2.0 * np.pi / n_a) * np.repeat(weights.ravel(), n_a)
 
 
 def equator_collapse(m: int) -> SphereMap:
@@ -624,8 +618,9 @@ def multi_bubble(k: int, b=None, safety: float = 0.9) -> SphereMap:
 def composed_with_hopf(v: SphereMap) -> SphereMap:
     """v o h for v: S^2 -> S^2; the Hopf degree bookkeeps to (deg v)^2.
 
-    When v's sources are balls (v.supports), v o h equals v's basepoint
-    off the Hopf tubes over those balls, its one x source.
+    The map carries v as its fiber_base. When v's sources are balls
+    (v.supports), v o h equals v's basepoint off the Hopf tubes over those
+    balls, its one x source.
     """
     if v.domain_dim != 2 or v.codomain_dim != 2:
         raise DimensionMismatchError("composed_with_hopf needs v: S^2 -> S^2")
@@ -646,7 +641,8 @@ def composed_with_hopf(v: SphereMap) -> SphereMap:
     sources = None if balls is None else [HopfTubes(balls)] if balls else []
     desc = _desc("compose_hopf", {}, children=[v.descriptor])
     return SphereMap(3, 2, ev, desc, lipschitz_hint=hint, basepoint=v.basepoint,
-                     degree=degree, fiber_seeds=seeds, sources=sources)
+                     degree=degree, fiber_seeds=seeds, sources=sources,
+                     fiber_base=v)
 
 
 def hopf_bump(x0, r: float, b=None) -> SphereMap:

@@ -548,12 +548,12 @@ def test_quadrature_identity_anchor():
 
 
 def test_quadrature_oracle_is_pinned():
-    # the inner rule turns with _kernels.oriented_frames at each outer node;
-    # quaternion frames there moved these values by -0.11% to +0.28%
+    # the inner rule turns with _kernels.oriented_frames at each outer node,
+    # S^2 frames for all three: the two S^3 maps run on their fiber base
     s3 = energy.EnergyParams(0.5, 6.0, 3, critical=True)
     s2 = energy.EnergyParams(0.5, 6.0, 2)
-    cases = [(maps.hopf_map(), s3, 2491.203889533289),
-             (maps.composed_with_hopf(maps.multi_bubble(2)), s3, 28139.874472173222),
+    cases = [(maps.hopf_map(), s3, 2493.6761508436143),
+             (maps.composed_with_hopf(maps.multi_bubble(2)), s3, 28135.540654171975),
              (maps.multi_bubble(2), s2, 1937.4001417560137)]
     for u, params, want in cases:
         assert abs(energy.energy_quadrature(u, params, 1000) / want - 1.0) < 1e-13
@@ -581,51 +581,72 @@ def test_quadrature_band_stop_keeps_the_s2_value():
 def test_quadrature_hopf_one_node_matches_the_general_path():
     # |h(x) - h(y)|^2 = 4(1 - |<x,y>|^2) for the Hermitian product, and
     # <x,y> is uniform on the unit disk for y uniform on S^3; integrating
-    # gives E_{1/2,6}(h, S^3) = 25.6 pi^4 exactly
+    # gives E_{1/2,6}(h, S^3) = 25.6 pi^4 exactly. The Hopf map is the
+    # identity o h, whose S^2 integrand is the same at every node, so it
+    # runs one node, and a rotated copy carries no fiber base and runs the
+    # S^3 lattice
     exact = 25.6 * np.pi ** 4
     h = maps.hopf_map()
-    X, w = energy._quad_outer_nodes(h, 3, 1_000)
-    assert X.shape == (1, 4) and w == geo.sphere_area(3)
+    seen = []
+
+    def counted(pts):
+        seen.append(pts.shape[0])
+        return pts.copy()
+
+    ident = maps.identity_map(2)
+    counted_id = maps.SphereMap(2, 2, counted, ident.descriptor,
+                                lipschitz_hint=1.0, degree=1)
+    via_count = maps.SphereMap(3, 2, h.eval_many, h.descriptor,
+                               lipschitz_hint=2.0, fiber_base=counted_id)
+    one = energy.energy_quadrature(via_count, PARAMS_S3, 1_000)
+    assert seen[0] == 1  # ux: one outer node
+    assert one == energy.energy_quadrature(h, PARAMS_S3, 1_000)
     rot = geo.rotation_taking(geo.sphere_point([1.0, 0.0, 0.0, 0.0]),
                               geo.sphere_point([0.3, -0.5, 0.7, 0.4]))
     rotated = maps.precompose_rotation(h, rot)
-    assert energy._quad_outer_nodes(rotated, 3, 1_000)[0].shape == (1_000, 4)
-    one = energy.energy_quadrature(h, PARAMS_S3, 1_000)
+    assert rotated.fiber_base is None
     general = energy.energy_quadrature(rotated, PARAMS_S3, 1_000)
     assert abs(one - general) <= 5e-3 * general
-    assert abs(one - exact) <= 2e-3 * exact
+    assert abs(one - exact) <= 2e-6 * exact
     assert abs(general - exact) <= 2e-3 * exact
+    for s in (0.5, 0.8):
+        params = energy.EnergyParams(s, 3.0 / s, 3, critical=True)
+        want = energy.hopf_energy(s)
+        assert abs(energy.energy_quadrature(h, params, 1_000) - want) <= 1e-5 * want
 
 
-def test_quadrature_tube_rule_converges():
-    # v o h integrates x over its Hopf tubes only, 5 radii x 8 angles per
-    # tube at resolution 1000, with weights that sum to the tubes' measure
-    u = maps.composed_with_hopf(maps.multi_bubble(2))
-    X, w = energy._quad_outer_nodes(u, 3, 1_000)
-    assert X.shape == (80, 4) and np.all(u.sources[0].contains(X))
-    assert abs(np.sum(w) - u.sources[0].measure()) <= 1e-12 * np.sum(w)
-    assert energy._quad_outer_nodes(u, 3, 8_000)[0].shape == (320, 4)
-    # the flipped map keeps the rule, on the moved tubes
-    flipped = maps.precompose_flip(u)
-    Xf, _ = energy._quad_outer_nodes(flipped, 3, 1_000)
-    assert np.all(flipped.sources[0].contains(Xf))
-    # within 0.3% of 12 x 24 nodes per tube, with the same inner rule
-    for d in (4, 25):
-        u = maps.prescribed_hopf_map(d)
-        tubes = u.sources[0]
-        for s in (0.5, 0.8):
-            params = energy.EnergyParams(s, 3.0 / s, 3, critical=True)
-            q = energy.energy_quadrature(u, params, 1_000)
-            ref = energy._quad_rule(u, params, *tubes.nodes(12, 24), 48,
-                                    energy._pair_weight(u.sources))
-            assert abs(q - ref) <= 3e-3 * ref, (d, s, q, ref)
+@pytest.mark.parametrize("s, k", sorted(FIBER_QUADRATURE))
+def test_quadrature_of_v_o_h_runs_the_fiber_reduction(s, k):
+    # v o h at sp = 3 integrates on S^2 like fiber_reduced_energy: it reads
+    # the two-pass S^2 identity within 0.25% at resolution 1000, and it is
+    # _quad_rule on v with the fiber kernel on resolution // 2 nodes
+    params = energy.EnergyParams(s, 3.0 / s, 3, critical=True)
+    v = maps.multi_bubble(k)
+    q = energy.energy_quadrature(maps.composed_with_hopf(v), params, 1_000)
+    assert abs(q / FIBER_QUADRATURE[s, k] - 1.0) <= 2.5e-3
+    direct = energy._quad_rule(v, energy.EnergyParams(s, 3.0 / s, 2),
+                               geo.sphere_lattice(2, 500), geo.sphere_area(2) / 500,
+                               48, energy._fiber_kernel_inverse, 1.5 * np.pi ** 2)
+    assert q == direct
+
+
+def test_quadrature_of_v_o_h_off_the_critical_pairing_runs_the_s3_lattice():
+    # the fiber reduction holds at sp = 3 only; elsewhere v o h is a map on
+    # S^3 like any other
+    u = maps.composed_with_hopf(maps.multi_bubble(1))
+    params = energy.EnergyParams(0.5, 4.0, 3)
+    plain = maps.SphereMap(3, 2, u.eval_many, u.descriptor,
+                           lipschitz_hint=u.lipschitz_hint, basepoint=u.basepoint,
+                           sources=u.sources)
+    assert (energy.energy_quadrature(u, params, 300)
+            == energy.energy_quadrature(plain, params, 300))
 
 
 def test_quadrature_does_not_depend_on_the_block_size(monkeypatch):
     # blocks only bound the temporaries of the batched product: one node
     # per block (200 points) and every node in one block read the same
-    # value up to the order of the block sums; the second case runs the
-    # tube rule, the third the S^2 lattice
+    # value up to the order of the block sums; the first two cases run the
+    # fiber kernel on S^2, the third the plain S^2 lattice
     cases = [
         (maps.hopf_map(), PARAMS_S3),
         (maps.composed_with_hopf(maps.multi_bubble(2)), PARAMS_S3),
@@ -704,8 +725,8 @@ def _redeclared(u, basepoint=None, sources=None):
         "flipped_bubbles2_hopf"])
 def test_quadrature_support_pruning_is_exact(build, params):
     # the pruned pairs are exact zeros, so only the summation order moves;
-    # both run energy_quadrature's lattice rule at 300 (48 directions),
-    # since a map with tube sources alone would run the tube rule
+    # both run energy_quadrature's lattice rule at 300 (48 directions) on
+    # the map itself, which a v o h map would leave for its S^2 route
     u = build()
     pruned, seen_pruned = _redeclared(u, u.basepoint, u.sources)
     full, seen_full = _redeclared(u, basepoint=u.basepoint)

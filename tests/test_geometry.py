@@ -244,6 +244,21 @@ def test_lattices_are_unit_and_separated():
         assert geo.min_center_separation(pts) > 0.1 * 512 ** (-1.0 / m)
 
 
+def test_s3_lattice_fills_caps_in_proportion():
+    # the share of lattice points in a cap of radius r tends to its measure
+    # share (2r - sin 2r) / 2 pi; the plastic constant's steps put the
+    # lattice on a 2-D surface, where 50 caps of radius 0.7 read up to 0.12
+    # off at every size
+    centers = geo.sample_uniform_many(3, 50, np.random.default_rng(5))
+    r = 0.7
+    share = (2.0 * r - math.sin(2.0 * r)) / (2.0 * math.pi)
+    errors = []
+    for k in (1_000, 16_000):
+        hits = geo.kronecker_lattice_s3(k) @ centers.T >= math.cos(r)
+        errors.append(float(np.max(np.abs(hits.mean(axis=0) - share))))
+    assert errors[0] <= 0.015 and errors[1] <= 0.004, errors
+
+
 def test_sphere_lattice_dispatch():
     assert geo.sphere_lattice(2, 64).shape == (64, 3)
     assert geo.sphere_lattice(3, 64).shape == (64, 4)

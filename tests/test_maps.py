@@ -1,14 +1,18 @@
 """Map constructions: Hopf map, bumps, bubbles, patching, descriptors."""
 
+import ast
 import copy
 import json
 import math
+import pathlib
 
 import numpy as np
 import pytest
 
+from hopflab import energy, topology
 from hopflab import geometry as geo
 from hopflab import maps
+from hopflab.experiments import ExperimentConfig
 from hopflab.errors import (
     DimensionMismatchError,
     ParameterError,
@@ -291,6 +295,24 @@ def test_bubble_counts_and_degrees_must_be_integers(build, value):
     name = "d" if build is maps.prescribed_hopf_map else "k"
     with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
         build(value)
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: maps.multi_bubble(True), "k"),
+    (lambda: maps.prescribed_hopf_map(True), "d"),
+    (lambda: energy.energy_quadrature(maps.multi_bubble(2),
+                                      energy.EnergyParams(0.5, 6.0, 2), True), "resolution"),
+    (lambda: topology.hopf_invariant(maps.hopf_map(), seed=True), "seed"),
+    (lambda: ExperimentConfig(s=0.5, degrees=(1,), samples_per_estimate=2_000,
+                              seed=False, output_path=""), "seed"),
+], ids=["multi_bubble", "prescribed_hopf_map", "quadrature", "hopf_invariant",
+        "config_seed"])
+def test_counts_refuse_booleans(call, name):
+    # operator.index(True) is 1: multi_bubble(True) used to build one
+    # bubble and the quadrature ran at resolution 1, while the descriptor
+    # reader refused True for the same k
+    with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+        call()
 
 
 def test_integer_counts_reach_the_descriptor_as_ints():
@@ -704,3 +726,33 @@ def test_descriptor_values_of_the_wrong_type_raise_parameter_errors(desc, match)
 def test_eval_many_rejects_wrong_shape():
     with pytest.raises(DimensionMismatchError):
         maps.hopf_map().eval_many(S2_PTS)
+
+
+def _variant_reads(path):
+    """Line numbers where a module reads a "variant" key: x["variant"],
+    x.get("variant") or "variant" in x."""
+    lines = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load):
+            key = node.slice
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in ("get", "pop") and node.args:
+            key = node.args[0]
+        elif isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.In, ast.NotIn)):
+            key = node.left
+        else:
+            continue
+        if isinstance(key, ast.Constant) and key.value == "variant":
+            lines.append(node.lineno)
+    return lines
+
+
+def test_only_maps_reads_a_descriptor_variant():
+    # one descriptor-variant registry: map_from_descriptor rebuilds a map
+    # from its variant, and every other module reads the slots the
+    # constructors set (degree, sources, fiber_base, ...)
+    src = pathlib.Path(maps.__file__).parent
+    assert _variant_reads(src / "maps.py")  # the reader sees the registry
+    readers = {p.name: _variant_reads(p) for p in sorted(src.glob("*.py"))
+               if p.name != "maps.py"}
+    assert not {name: lines for name, lines in readers.items() if lines}
