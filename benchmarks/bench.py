@@ -23,9 +23,11 @@ read lower on the change. Nothing here changes what perfbench/run.py
 measures.
 
 `scaling` also carries the Monte Carlo efficiency 1/(SE^2 * seconds) of
-the headline rows d = 1, 9, 25 (s = 0.5, 2.5e5 samples), from
-EFFICIENCY_REPEATS `run_scaling` calls per row in a fresh interpreter on
-each checkout. Each call is timed under perfbench's host-speed sampler
+the headline rows d = 1, 9, 25 at s = 0.5 and 0.8 (2.5e5 samples; keys
+`s0.5_d1`, ...), from EFFICIENCY_REPEATS `run_scaling` calls per row in a
+fresh interpreter on each checkout. Both s matter: the s = 0.8 rows have
+the smaller relative SE, so they weigh most in the harmonic mean behind
+the `scaling` figure of merit. Each call is timed under perfbench's host-speed sampler
 (perfbench/hostspeed.py of this checkout, on both sides) and its scaled
 seconds are kept; a row's seconds are the median of its calls. A row's SE
 is fixed by its seed, so between checkouts with the same estimates the
@@ -47,6 +49,7 @@ ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("scaling", "certify", "oracle")
 END_TO_END = ("setup_s", "wall_s", "stage_s", "peak_rss_mb")
 EFFICIENCY_DEGREES = (1, 9, 25)
+EFFICIENCY_S = (0.5, 0.8)
 EFFICIENCY_SAMPLES = 250_000
 EFFICIENCY_REPEATS = 3
 # one row per degree, so that each row's seconds are its own; a call's
@@ -59,16 +62,17 @@ from hopflab import ExperimentConfig, run_scaling
 seed, samples, repeats = map(int, sys.argv[2:5])
 spans, se = {}, {}
 with hostspeed.Sampler() as sampler:
-    for d in map(int, sys.argv[5:]):
-        cfg = ExperimentConfig(s=0.5, degrees=(d,), samples_per_estimate=samples,
+    for row in sys.argv[5:]:
+        s, d = row.split(":")
+        cfg = ExperimentConfig(s=float(s), degrees=(int(d),), samples_per_estimate=samples,
                                seed=seed, output_path="")
-        spans[d] = []
+        spans[row] = []
         for _ in range(repeats):
             span = sampler.start()
-            se[d] = run_scaling(cfg).rows[0][1].std_error
-            spans[d].append(sampler.stop(span))
-rows = {d: {"se": se[d], "seconds": statistics.median(map(sampler.scaled, s))}
-        for d, s in spans.items()}
+            se[row] = run_scaling(cfg).rows[0][1].std_error
+            spans[row].append(sampler.stop(span))
+rows = {row: {"se": se[row], "seconds": statistics.median(map(sampler.scaled, t))}
+        for row, t in spans.items()}
 print(json.dumps(rows))
 """
 
@@ -87,11 +91,12 @@ def run(checkout: Path, workload: str, seed: int, seconds: float, trace: int):
 
 
 def efficiency(checkout: Path, seed: int):
-    """{d: {"se", "seconds"}} of the headline rows, from checkout's src/;
+    """{"s:d": {"se", "seconds"}} of the headline rows, from checkout's src/;
     seconds are the median scaled time of EFFICIENCY_REPEATS calls."""
     proc = subprocess.run(
         [sys.executable, "-c", EFFICIENCY_SCRIPT, str(ROOT / "perfbench"), str(seed),
-         str(EFFICIENCY_SAMPLES), str(EFFICIENCY_REPEATS), *map(str, EFFICIENCY_DEGREES)],
+         str(EFFICIENCY_SAMPLES), str(EFFICIENCY_REPEATS),
+         *(f"{s}:{d}" for s in EFFICIENCY_S for d in EFFICIENCY_DEGREES)],
         cwd=checkout, capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": str(checkout / "src")})
     if proc.returncode != 0:
@@ -152,11 +157,12 @@ def bench_workload(workload, seeds, seconds, parent):
                      "environment": details["environment"]}
         if rows[side]:
             out[side]["efficiency"] = {
-                f"d{d}": {**spread([1.0 / (r[str(d)]["se"] ** 2 * r[str(d)]["seconds"])
-                                    for r in rows[side]]),
-                          "se": [r[str(d)]["se"] for r in rows[side]],
-                          "seconds": [r[str(d)]["seconds"] for r in rows[side]]}
-                for d in EFFICIENCY_DEGREES}
+                f"s{s}_d{d}": {**spread([1.0 / (r[f"{s}:{d}"]["se"] ** 2
+                                                * r[f"{s}:{d}"]["seconds"])
+                                         for r in rows[side]]),
+                               "se": [r[f"{s}:{d}"]["se"] for r in rows[side]],
+                               "seconds": [r[f"{s}:{d}"]["seconds"] for r in rows[side]]}
+                for s in EFFICIENCY_S for d in EFFICIENCY_DEGREES}
     if parent is not None:
         change, base = out["change"], out["parent"]
         for m in END_TO_END:

@@ -51,6 +51,8 @@ def cmd_verify(args) -> int:
 def cmd_energy(args) -> int:
     u = _load_map(args.descriptor)
     n_dim = u.domain_dim
+    if args.p is None and not 0.0 < args.s < 1.0:  # before the default p = 3/s
+        raise ParameterError(f"s must lie in (0,1), got {args.s}")
     p = args.p if args.p is not None else 3.0 / args.s
     est = energy_mc(u, EnergyParams(s=args.s, p=p, n=n_dim),
                     whole_sphere(n_dim), args.samples, args.seed)

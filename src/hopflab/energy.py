@@ -16,8 +16,11 @@ sphere E(u) = integral over x in W, y anywhere, of K (2 - 1_W(y)).
   pilot sets the samples per stratum by Neyman allocation. In a source's
   strata, where most of the variance lies in where x lands, x is
   stratified further over MC_RINGS equal-measure rings about the centres,
-  in proportion (_moments). The innermost ball (geodesic radius
-  pi * 2^-40) is never sampled; its
+  in proportion (_moments). A source that steers (a ball union on S^2)
+  draws the step direction with x, and its strata are stratified over
+  MC_SECTORS mirror-folded sectors of that direction's angle from the
+  inward direction too, in cells of one ring and one sector. The
+  innermost ball (geodesic radius pi * 2^-40) is never sampled; its
   contribution is bounded in closed form from the map's Lipschitz hint and
   carried as a certified remainder.
 * fiber_reduced_energy: E(v o h, S^3) at sp = 3 for v: S^2 -> S^2, from
@@ -73,6 +76,7 @@ MC_PILOT_SHARE = 64  # energy_mc's pilot takes about n / MC_PILOT_SHARE samples
 MC_DEFENSIVE = 0.1  # share of energy_mc's main samples split evenly
 MC_BLOCK = 8192  # samples per eval_many call in energy_mc's main strata
 MC_RINGS = 8  # equal-measure rings of x in each stratum of a map's source
+MC_SECTORS = 8  # mirror-folded sectors of the step direction, where the source steers
 _PILOT_KEY = 1 << 63  # sets the pilot's Philox key words apart
 
 
@@ -147,7 +151,9 @@ class EnergyEstimate:
 
 @dataclass(frozen=True)
 class _Stratum:
-    """x uniform in source, y a geodesic step from x in one shell."""
+    """x uniform in source, y a geodesic step from x in one shell; its
+    samples fall in cells of one ring of x and one sector of the step
+    direction (_moments)."""
 
     source: object  # a Region or a map's x source
     weight: float  # |source| times the shell measure
@@ -164,7 +170,7 @@ def energy_mc(u: SphereMap, params: EnergyParams, region: Region, n: int,
     contributes a seed drawn from its state). A stratum pairs a source region of x with
     a shell of the step length (_strata). A pilot of about
     n / MC_PILOT_SHARE samples on its own Philox keys estimates each
-    stratum's standard deviation sigma_j, within its rings of x (_moments);
+    stratum's standard deviation sigma_j, within its cells (_moments);
     the rest of n is allocated by Neyman allocation, n_j ~ weight_j *
     sigma_j (_neyman_allocation). The pilot counts toward n but not toward
     the estimate, which stays unbiased. The unsampled innermost ball
@@ -307,7 +313,9 @@ def _strata(u: SphereMap, dim: int, region: Region):
     swings by 2^((n+sp)/2), 5.7x on S^2 at sp = 3 against 32x across a
     dyadic shell, and the Neyman allocation acts only between strata. The
     innermost edge, pi 2^-40, is the dyadic shells' one. A source's strata
-    draw x in up to MC_RINGS rings, a region's in one.
+    draw x in up to MC_RINGS rings, a region's in one; a source that steers
+    draws the step direction in up to MC_SECTORS sectors, any other source
+    or region in one.
     """
     if region.center is None and u.sources is not None:
         sources = [(src, {"source": i}, i + 1, MC_RINGS)
@@ -400,72 +408,105 @@ def _moments(u, kernel, pair_weight, seed: int, jobs, block: int):
     """Mean and variance per sample of the pair values of each job.
 
     A job (stratum, n_j, key) draws n_j samples of its stratum from the
-    Philox stream of key words (seed, key) (_streams), in
-    R = min(stratum.rings, n_j // 2) equal-measure rings of x (_blocks), so
-    every ring holds at least 2 of them. The draws go in job order, in
-    pieces that fill blocks of at most `block` samples, and each block is
-    evaluated in one _pair_values call. Every (job, ring) keeps its own
-    count, mean and sum of squares: a piece's rows of one ring are taken
-    around their own mean and merged by the pairwise update of Chan, Golub
-    and LeVeque (_merge). A job's mean is the mean of its R ring means, and
-    its variance per sample is n_j sum_k s_k^2 / (R^2 n_k), with s_k^2 the
-    unbiased variance of ring k's n_k values: n_j times the variance of the
-    mean, which the standard error and the Neyman allocation both read.
-    With R = 1 these are the job's plain mean and unbiased variance.
+    Philox stream of key words (seed, key) (_streams), in C = R S
+    equal-measure cells: R = min(stratum.rings, n_j // 2) rings of x and
+    S = min(MC_SECTORS, n_j // (2 R)) sectors of the step direction where
+    the source steers, else 1 (_sectors), so every cell holds at least 2 of
+    them. The draws go in job order, in pieces that fill blocks of at most
+    `block` samples, and each block is evaluated in one _pair_values call
+    (_blocks). Every (job, cell) keeps its own count, mean and sum of
+    squares, in flat arrays, job after job. A block holds at most one piece
+    of a job: each piece's full rows of C are summed by column, each cell's
+    values taken around their own mean, and the block is merged at once by
+    the pairwise update of Chan, Golub and LeVeque (_merge), full rows
+    first, then the remaining rows, one per cell. A job's mean is the mean
+    of its C cell means, and its variance per sample is
+    n_j sum_k s_k^2 / (C^2 n_k), with s_k^2 the unbiased variance of cell
+    k's n_k values: n_j times the variance of the mean, which the standard
+    error and the Neyman allocation both read.
+    With C = 1 these are the job's plain mean and unbiased variance.
     """
     rings = [min(st.rings, n_j // 2) for st, n_j, _ in jobs]
-    moments = [(np.zeros(r), np.zeros(r), np.zeros(r)) for r in rings]
+    cells = np.multiply(rings, _sectors(jobs, rings))
+    first = np.cumsum(cells) - cells  # job i's cells start at first[i]
+    moments = tuple(np.zeros(int(np.sum(cells))) for _ in range(3))
     for idx, starts, sizes, x, y, t in _blocks(jobs, rings, block, u.domain_dim, seed):
         vals = _pair_values(u, kernel, x, y, t, pair_weight)
-        for i, start, piece in zip(idx, starts, np.split(vals, np.cumsum(sizes[:-1]))):
-            # row j of the piece lies in ring (start + j) mod r: column j
-            # of the full rows, and the row full + j of the rest
-            r, m = rings[i], piece.shape[0]
-            ring = (start + np.arange(r)) % r
-            full = m - m % r
-            if full:
-                rows = piece[:full].reshape(-1, r)
-                p_mean = rows.mean(axis=0)
-                _merge(moments[i], ring, full // r, p_mean,
-                       ((rows - p_mean) ** 2).sum(axis=0))
-            if full < m:
-                _merge(moments[i], ring[:m - full], 1, piece[full:], 0.0)
-    mean = [float(np.mean(mu)) for _, mu, _ in moments]
-    var = [float(np.sum(q / (c - 1) * (c.sum() / c))) / c.shape[0] ** 2
-           for c, _, q in moments]
-    return mean, var
+        idx, sizes = list(idx), np.array(sizes)
+        c = cells[idx]
+        full = sizes - sizes % c
+        # column j of a piece's rows of C (and its row full + j) lies in
+        # cell (start + j) mod C
+        col = np.arange(np.sum(c)) - np.repeat(np.cumsum(c) - c, c)
+        flat = np.repeat(first[idx], c) + (col + np.repeat(starts, c)) % np.repeat(c, c)
+        p_mean, p_m2, rest = [], [], []
+        for lo, m, n_c, n_full in zip((np.cumsum(sizes) - sizes).tolist(), sizes.tolist(),
+                                      c.tolist(), full.tolist()):
+            if n_full:
+                rows = vals[lo:lo + n_full].reshape(-1, n_c)
+                p_mean.append(np.add.reduce(rows, axis=0) / (n_full // n_c))
+                p_m2.append(np.add.reduce((rows - p_mean[-1]) ** 2, axis=0))
+            rest.append(vals[lo + n_full:lo + m])
+        if p_mean:
+            has = np.repeat(full > 0, c)
+            _merge(moments, flat[has], np.repeat(full // c, c)[has], _joined(p_mean),
+                   _joined(p_m2))
+        left = col < np.repeat(sizes - full, c)
+        if np.any(left):
+            _merge(moments, flat[left], 1, _joined(rest), 0.0)
+    out_mean, out_var = np.empty(len(jobs)), np.empty(len(jobs))
+    # jobs of equal C side by side: one reduction per row of C
+    for n_c, run in groupby(range(len(jobs)), key=lambda i: cells[i]):
+        run = list(run)
+        span = slice(first[run[0]], first[run[-1]] + n_c)
+        cnt, mu, q = (a[span].reshape(-1, n_c) for a in moments)
+        out_mean[run[0]:run[-1] + 1] = np.add.reduce(mu, axis=1) / n_c
+        out_var[run[0]:run[-1] + 1] = np.add.reduce(
+            q / (cnt - 1) * (np.add.reduce(cnt, axis=1)[:, None] / cnt), axis=1) / n_c ** 2
+    return out_mean.tolist(), out_var.tolist()
 
 
-def _merge(moments, ring, m, p_mean, p_m2):
+def _merge(moments, cells, m, p_mean, p_m2):
     """Chan, Golub and LeVeque's update of the (count, mean, sum of
-    squares) arrays at the rings `ring` by pieces of m samples each, of
+    squares) arrays at the cells `cells` by pieces of m samples each, of
     means p_mean and sums of squares p_m2 around them."""
     count, mean, m2 = moments
-    c = count[ring]
-    delta = p_mean - mean[ring]
-    mean[ring] += delta * m / (c + m)
-    m2[ring] += p_m2 + delta * delta * c * m / (c + m)
-    count[ring] = c + m
+    c = count[cells]
+    delta = p_mean - mean[cells]
+    mean[cells] += delta * m / (c + m)
+    m2[cells] += p_m2 + delta * delta * c * m / (c + m)
+    count[cells] = c + m
+
+
+def _sectors(jobs, rings):
+    """S = min(MC_SECTORS, n_j // (2 R)) sectors of the step direction per
+    job of R rings where the stratum's source steers, else 1: R S cells of
+    at least 2 samples each."""
+    return [min(MC_SECTORS, n_j // (2 * r)) if st.source.steers else 1
+            for (st, n_j, _), r in zip(jobs, rings)]
 
 
 def _blocks(jobs, rings, block: int, dim: int, seed: int):
     """The jobs' samples on S^dim in blocks of at most `block`, as
-    (job index, first row's ring and size of each piece; x, y, t).
+    (job index, first row's cell and size of each piece; x, y, t).
 
     A piece, the run of one job's samples in one block, draws its raw
     variates from its job's stream, the jobs' streams one after another:
-    x's (the source's draw), then a normal
-    per coordinate for the tangent and a uniform for the radius. Each block
-    then turns them into samples at once (_transform). Row j of a job's
-    samples lies in ring j mod rings[i].
+    x's (the source's draw), then, unless the source steers (draws the
+    step direction with x), a normal per coordinate for the tangent, and a
+    uniform for the radius. Each block then turns them into samples at
+    once (_transform). Row j of job i's samples lies in cell j mod C of its
+    C = R S cells, R = rings[i] and S = _sectors: ring (j mod C) mod R and
+    sector (j mod C) // R.
     """
     pieces, room, stream = [], block, _streams(seed)
-    for i, (st, n_j, key) in enumerate(jobs):
+    for i, ((st, n_j, key), r, s) in enumerate(zip(jobs, rings, _sectors(jobs, rings))):
         done, gen = 0, stream(key)
         while done < n_j:
             m = min(n_j - done, room)
-            pieces.append((i, done % rings[i], m, st, rings[i], st.source.draw(m, gen),
-                           gen.standard_normal((m, dim + 1)), gen.random(m)))
+            pieces.append((i, done % (r * s), m, st, r, s, st.source.draw(m, gen),
+                           None if st.source.steers else gen.standard_normal((m, dim + 1)),
+                           gen.random(m)))
             done += m
             room -= m
             if not room:
@@ -477,25 +518,35 @@ def _blocks(jobs, rings, block: int, dim: int, seed: int):
 
 def _transform(pieces):
     """One block of _blocks' pieces: x by one points call per run of
-    pieces of one source, and y a geodesic step from x to a radius t of the
-    distance law in each row's shell, by one call each of
-    tangent_directions, sample_shell_radii and geodesic_step. All act row
-    by row, so a piece's rows do not depend on the block around it."""
-    idx, starts, sizes, strata, r, draws, normals, uniforms = zip(*pieces)
+    pieces of one source, with the step direction of a source that steers,
+    and y a geodesic step from x to a radius t of the distance law in each
+    row's shell, by one call each of sample_shell_radii and geodesic_step
+    (and of tangent_directions per run of a source that does not steer).
+    All act row by row, so a piece's rows do not depend on the block
+    around it."""
+    idx, starts, sizes, strata, r, s, draws, normals, uniforms = zip(*pieces)
     ends = np.cumsum(sizes)
-    r = np.repeat(r, sizes)
-    ring = (np.arange(ends[-1]) + np.repeat(np.subtract(starts, ends - sizes), sizes)) % r
-    xs = []
+    r, s = np.repeat(r, sizes), np.repeat(s, sizes)
+    cell = (np.arange(ends[-1]) + np.repeat(np.subtract(starts, ends - sizes), sizes)) % (r * s)
+    xs, ds = [], []
     for _, run in groupby(range(len(pieces)), key=lambda k: id(strata[k].source)):
         run = list(run)
         rows = slice(ends[run[0]] - sizes[run[0]], ends[run[-1]])
+        src = strata[run[0]].source
         raw = [_joined(a) for a in zip(*(draws[k] for k in run))]
-        xs.append(strata[run[0]].source.points(raw, ring[rows], r[rows]))
+        ring = cell[rows] % r[rows]
+        if src.steers:
+            x, d = src.points(raw, ring, r[rows], cell[rows] // r[rows], s[rows])
+        else:
+            x = src.points(raw, ring, r[rows])
+            d = tangent_directions(x, _joined([normals[k] for k in run]))
+        xs.append(x)
+        ds.append(d)
     x = _joined(xs)
     t_lo, t_hi = (np.repeat([st.label[key] for st in strata], sizes)
                   for key in ("t_lo", "t_hi"))
     t = sample_shell_radii(x.shape[1] - 1, t_lo, t_hi, x.shape[0], _joined(uniforms))
-    y = geodesic_step(x, tangent_directions(x, _joined(normals)), t)
+    y = geodesic_step(x, _joined(ds), t)
     return idx, starts, sizes, x, y, t
 
 

@@ -386,6 +386,7 @@ class Region:
     center: SpherePoint | None = None
     lo: float = 0.0
     hi: float = math.pi
+    steers = False  # points gives x alone; energy_mc draws the step direction
 
     def __post_init__(self):
         if self.center is not None:
@@ -472,15 +473,20 @@ class BallUnion:
     x falls in each ball in proportion to its measure and is uniform in it.
     A cap of radius rho has measure 2 pi F(rho), F = 1 - cos on S^2
     (Archimedes) and rho - sin rho cos rho on S^3. draw takes a piece's
-    ring and part uniforms (ring_uniforms), then an azimuth (S^2) or a
-    normal of R^3 (S^3) per row. points turns the rows of any number of
-    pieces into x: the share q of the ball nearer its centre (ring_shares),
-    rho from F(rho) = q F(r) at that direction about the last axis, the
-    pole, and each row carried onto its ball by one reflection per ball,
-    built once, here. contains compares one dot product per ball with
-    cos r, gap is min_i d(x, c_i) - r_i, a lower bound on the geodesic
-    distance to the union (<= 0 on it), and moved(M) is the union carried
-    by x -> M^T x.
+    ring and part uniforms (ring_uniforms), then an azimuth and a step
+    uniform (S^2) or a normal of R^3 (S^3) per row. points turns the rows
+    of any number of pieces into x: the share q of the ball nearer its
+    centre (ring_shares), rho from F(rho) = q F(r) at that direction about
+    the last axis, the pole, and each row carried onto its ball by one
+    reflection per ball, built once, here. On S^2 (steers) points also
+    returns the step direction d of each row, a unit tangent at x at the
+    angle psi from the direction toward the centre of x's ball: sector k
+    of S is the mirror pair of arcs +-[pi k / S, pi (k + 1) / S], so
+    psi = +-pi (k + f) / S from one uniform (sign and f), and d is carried
+    with x by the same reflection. contains compares one dot product per
+    ball with cos r, gap is min_i d(x, c_i) - r_i, a lower bound on the
+    geodesic distance to the union (<= 0 on it), and moved(M) is the union
+    carried by x -> M^T x.
     """
 
     def __init__(self, balls):
@@ -491,6 +497,7 @@ class BallUnion:
         self.dim = self.centers.shape[1] - 1
         if self.dim not in (2, 3):
             raise ParameterError(f"unsupported sphere dimension {self.dim}")
+        self.steers = self.dim == 2
         self._f = 2.0 * np.sin(0.5 * radii) ** 2 if self.dim == 2 else _f3(radii)
         sizes = 2.0 * np.pi * self._f
         self._total = float(np.sum(sizes))
@@ -512,24 +519,45 @@ class BallUnion:
 
     def draw(self, n: int, rng):
         u = ring_uniforms(n, rng, self._edges)
-        return u, (rng.random(n) if self.dim == 2 else rng.standard_normal((n, 3)))
+        if self.dim == 3:
+            return u, rng.standard_normal((n, 3))
+        return u, *rng.random((2, n))
 
-    def points(self, draws, ring, rings):
-        u, g = draws
+    def points(self, draws, ring, rings, sector=0, sectors=1):
+        u = draws[0]
         part, q = ring_shares(u, self._edges, ring, rings)
         a = q * self._f[part]
-        x0 = np.empty((u.shape[0], self.dim + 1))
-        if self.dim == 2:  # 1 - cos rho = a, at an azimuth phi
-            phi = (2.0 * np.pi) * g
-            sin_rho = np.sqrt(a * (2.0 - a))
-            x0[:, 0] = sin_rho * np.cos(phi)
-            x0[:, 1] = sin_rho * np.sin(phi)
-            x0[:, 2] = 1.0 - a
-        else:
+        if self.dim == 3:
             rho = _f3_inverse(a)
-            x0[:, :3] = _unit_rows(g) * np.sin(rho)[:, None]
+            x0 = np.empty((u.shape[0], 4))
+            x0[:, :3] = _unit_rows(draws[1]) * np.sin(rho)[:, None]
             x0[:, 3] = np.cos(rho)
-        return carry(x0, part, self._rows)
+            return carry(x0, part, self._rows)
+        # 1 - cos rho = a at the azimuth phi. d makes the angle psi with the
+        # inward direction (-cos rho cos phi, -cos rho sin phi, sin rho),
+        # toward the pole, turning toward the azimuthal (-sin phi, cos phi, 0);
+        # w = 2 * uniform picks the arc's sign (its integer part) and f
+        phi = np.pi * (2.0 * draws[1] - 1.0)
+        w = 2.0 * draws[2]
+        side = np.floor(w)
+        psi = (np.pi / sectors) * (sector + (w - side)) * (1.0 - 2.0 * side)
+        cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+        cos_psi, sin_psi = np.cos(psi), np.sin(psi)
+        sin_rho = np.sqrt(a * (2.0 - a))
+        cos_rho = 1.0 - a
+        inward = cos_psi * cos_rho
+        xd = np.empty((u.shape[0], 2, 3))
+        xd[:, 0, 0] = sin_rho * cos_phi
+        xd[:, 0, 1] = sin_rho * sin_phi
+        xd[:, 0, 2] = cos_rho
+        xd[:, 1, 0] = -(inward * cos_phi + sin_psi * sin_phi)
+        xd[:, 1, 1] = sin_psi * cos_phi - inward * sin_phi
+        xd[:, 1, 2] = cos_psi * sin_rho
+        if self._rows.shape[0] == 1:  # one matrix product for every row
+            xd = (xd.reshape(-1, 3) @ self._rows[0]).reshape(xd.shape)
+        else:
+            xd = xd @ self._rows[part]
+        return xd[:, 0], xd[:, 1]
 
     def contains(self, pts):
         return np.any(self.centers @ pts.T >= self.cos_r[:, None], axis=0)

@@ -70,7 +70,8 @@ class SphereMap:
     points near every component of the fiber over z; fiber tracing corrects
     and deduplicates them.
     sources, when not None, lists pairwise disjoint x sources (objects with
-    sample, measure, contains, gap and moved, such as geometry.BallUnion)
+    steers, draw, points, measure, contains, gap and moved, such as
+    geometry.BallUnion)
     whose union W holds every point where the map differs from basepoint;
     both energy estimators integrate x over W only, and support_gap reads
     the distance to W from them. It is the map's one declaration of where
@@ -375,6 +376,8 @@ class HopfTubes:
     lattice (v o h moved or patched); the quadrature of v o h itself runs
     on S^2, on its fiber_base.
     """
+
+    steers = False  # points gives x alone; energy_mc draws the step direction
 
     def __init__(self, balls, frame=None):
         self.balls = list(balls)

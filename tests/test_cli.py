@@ -100,6 +100,16 @@ def test_bad_seed_or_step_exits_1_without_traceback(argv, hopf_descriptor, capsy
     assert err.startswith("error:") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("s", ["0", "-0.5", "1"])
+def test_energy_s_outside_the_unit_interval_exits_1_with_one_line(s, hopf_descriptor,
+                                                                   capsys):
+    # s = 0 used to end in a ZeroDivisionError traceback from the default p = 3/s
+    assert main(["energy", "--descriptor", hopf_descriptor, "--s", s]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: s must lie in (0,1)") and "Traceback" not in err
+    assert err.count("\n") == 1  # one line
+
+
 @pytest.mark.parametrize("degrees, token", [("kmax:x", "'x'"), ("1,a", "'a'")])
 def test_bad_degrees_exit_1_without_traceback(degrees, token, tmp_path, capsys):
     code = main(["scaling", "--s", "0.5", "--degrees", degrees,

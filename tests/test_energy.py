@@ -149,30 +149,36 @@ def test_ringed_estimates_are_bitwise_per_seed(estimate):
 
 
 def test_small_strata_fall_back_to_fewer_rings(monkeypatch):
-    # R_j = min(MC_RINGS, n_j // 2) rings, so every ring holds >= 2 samples;
-    # at n = 1000 the pilot (2 per stratum) draws one ring, the smallest
-    # main strata fewer than MC_RINGS and the largest all of them
+    # R_j = min(MC_RINGS, n_j // 2) rings and S_j = min(MC_SECTORS,
+    # n_j // (2 R_j)) sectors, so every cell holds >= 2 samples; at n = 1000
+    # the pilot (2 per stratum) draws one cell, the smallest main strata
+    # fewer than MC_RINGS rings and the largest all rings and sectors
     calls = []
     points = geo.BallUnion.points
 
-    def spy(self, draws, ring, rings):
-        calls.append((ring, rings))
-        return points(self, draws, ring, rings)
+    def spy(self, draws, ring, rings, sector, sectors):
+        calls.append((ring, rings, sector, sectors))
+        return points(self, draws, ring, rings, sector, sectors)
 
     monkeypatch.setattr(geo.BallUnion, "points", spy)
     est = energy.fiber_reduced_energy(maps.multi_bubble(1), PARAMS_S3, 1_000, 0)
     # one block each for the pilot and the main strata, one call per block
-    (pilot_ring, pilot_rings), (ring, rings) = calls
+    (pilot_ring, pilot_rings, pilot_sector, pilot_sectors), (ring, rings, sector, sectors) = calls
     assert np.all(pilot_ring == 0) and np.all(pilot_rings == 1)
+    assert np.all(pilot_sector == 0) and np.all(pilot_sectors == 1)
     assert pilot_rings.shape == (2 * energy.MC_SHELLS,)
-    # each stratum's rows from ring 0 on, in R rings
+    # each stratum's rows from cell 0 on, row j in cell j mod R S: its ring
+    # (j mod R S) mod R and its sector (j mod R S) // R
     n_j = [r["n"] for r in est.strata_profile]
-    want = [min(energy.MC_RINGS, n // 2) for n in n_j]
-    assert np.array_equal(rings, np.repeat(want, n_j))
-    assert np.array_equal(ring, np.concatenate([np.arange(n) % r
-                                                for n, r in zip(n_j, want)]))
-    assert all(n >= 2 * r for n, r in zip(n_j, want))
-    assert min(want) < energy.MC_RINGS == max(want)
+    want_r = [min(energy.MC_RINGS, n // 2) for n in n_j]
+    want_s = [min(energy.MC_SECTORS, n // (2 * r)) for n, r in zip(n_j, want_r)]
+    assert np.array_equal(rings, np.repeat(want_r, n_j))
+    assert np.array_equal(sectors, np.repeat(want_s, n_j))
+    cell = np.concatenate([np.arange(n) % (r * s) for n, r, s in zip(n_j, want_r, want_s)])
+    assert np.array_equal(ring, cell % rings) and np.array_equal(sector, cell // rings)
+    assert all(n >= 2 * r * s for n, r, s in zip(n_j, want_r, want_s))
+    assert min(want_r) < energy.MC_RINGS == max(want_r)
+    assert min(want_s) < energy.MC_SECTORS == max(want_s)
     assert math.isfinite(est.value) and est.std_error > 0.0
 
 
@@ -204,6 +210,82 @@ def test_a_piece_transforms_alone_as_in_a_two_source_block():
     assert np.allclose(_chord_angle(x, y), t, rtol=0, atol=1e-12)
     for st, rows in ((tube, t[:1000]), (ball, t[1000:])):
         assert np.all((rows >= st.label["t_lo"]) & (rows <= st.label["t_hi"]))
+
+
+def test_a_steered_piece_transforms_alone_as_in_a_shared_block():
+    # S^2 ball strata, whose source draws the step direction with x. A block
+    # of 300 samples of one stratum and the first 500 of another, then a
+    # block of the other's last 200 (which start in cell 500 mod 64 = 52),
+    # against the second drawn alone in blocks of 500: the same (x, y, t)
+    # rows, bit for bit, and row j of the second steps in sector
+    # (j mod 64) // 8 of its own x's ball
+    strata = energy._strata(maps.multi_bubble(2), 2, WHOLE_S2)[0]
+    other, st = strata[9], strata[4]
+    assert st.source.steers
+
+    def blocks(jobs, block):
+        jobs = [(s, n, s.key) for s, n in jobs]
+        return list(energy._blocks(jobs, [8] * len(jobs), block, 2, 7))
+
+    first, last = blocks([(other, 300), (st, 700)], 800)
+    assert first[:3] == ((0, 1), (0, 0), (300, 500)) and last[1] == (52,)
+    alone = blocks([(st, 700)], 500)
+    for mixed, rest, a, b in zip(first[3:], last[3:], alone[0][3:], alone[1][3:]):
+        assert np.array_equal(mixed[300:], a) and np.array_equal(rest, b)
+    x, y, t = (np.concatenate([a, b]) for a, b in zip(alone[0][3:], alone[1][3:]))
+    d = (y - np.cos(t)[:, None] * x) / np.sin(t)[:, None]
+    c = st.source.centers[np.argmax(x @ st.source.centers.T, axis=1)]
+    inward = c - np.einsum("ij,ij->i", c, x)[:, None] * x
+    inward /= np.linalg.norm(inward, axis=1)[:, None]
+    psi = np.arccos(np.clip(np.einsum("ij,ij->i", d, inward), -1.0, 1.0))
+    sector = np.arange(700) % 64 // 8
+    assert np.all((psi >= np.pi * sector / 8 - 1e-7) & (psi <= np.pi * (sector + 1) / 8 + 1e-7))
+
+
+@pytest.mark.parametrize("block", [8192, 690, 7])
+def test_merged_moments_match_a_two_pass_computation_per_cell(block):
+    # _moments merges each block's pieces at once; its means and variances
+    # equal those of every job's values split into cells directly: 700
+    # samples in 64 cells, 333 in 64 and 5 in 2. Blocks of 690 start a
+    # piece mid-row of cells; blocks of 7 hold only pieces of fewer rows
+    # than cells
+    u = maps.multi_bubble(2)
+    params = energy.EnergyParams(0.5, 6.0, 2)
+    strata, pair_weight, _ = energy._strata(u, 2, WHOLE_S2)
+    kernel = (params.p, energy._chordal_kernel_inverse(params.kernel_exponent))
+    jobs = [(strata[j], n, strata[j].key) for j, n in ((3, 700), (40, 333), (41, 5))]
+    mean, var = energy._moments(u, kernel, pair_weight, 7, jobs, block)
+    rings = [min(st.rings, n // 2) for st, n, _ in jobs]
+    cells = np.multiply(rings, energy._sectors(jobs, rings))
+    assert cells.tolist() == [64, 64, 2]
+    values = [[] for _ in jobs]
+    for idx, _, sizes, x, y, t in energy._blocks(jobs, rings, block, 2, 7):
+        vals = energy._pair_values(u, kernel, x, y, t, pair_weight)
+        for i, piece in zip(idx, np.split(vals, np.cumsum(sizes)[:-1])):
+            values[i].append(piece)
+    for (_, n, _), c, vals, m, v in zip(jobs, cells, values, mean, var):
+        by_cell = [np.concatenate(vals)[k::c] for k in range(c)]
+        assert m == pytest.approx(np.mean([b.mean() for b in by_cell]), rel=1e-13, abs=0)
+        want = n * sum(b.var(ddof=1) / b.shape[0] for b in by_cell) / c ** 2
+        assert v == pytest.approx(want, rel=1e-11, abs=0)
+
+
+# energy_quadrature(multi_bubble(2), s = 0.5, p = 6) on S^2 at resolution 16 000
+BUBBLES2_S2_QUADRATURE = 1937.8227457754224
+
+
+def test_sectored_s2_estimate_is_unbiased_and_its_se_calibrated():
+    # 24 seeds of energy_mc on S^2 over a ball union, x in rings and the
+    # step direction in sectors: the mean lies within 3 SE of the
+    # quadrature, and the seed-to-seed spread matches the reported SE
+    params = energy.EnergyParams(0.5, 6.0, 2)
+    u = maps.multi_bubble(2)
+    ests = [energy.energy_mc(u, params, WHOLE_S2, 100_000, seed) for seed in range(24)]
+    values = np.array([e.value for e in ests])
+    se = np.array([e.std_error for e in ests])
+    mean_se = math.sqrt(np.sum(se ** 2)) / len(ests)
+    assert abs(values.mean() - BUBBLES2_S2_QUADRATURE) <= 3.0 * mean_se
+    assert 0.7 <= np.std(values, ddof=1) / math.sqrt(np.mean(se ** 2)) <= 1.4
 
 
 # E(multi_bubble(k) o h) from the S^2 identity of fiber_reduced_energy,

@@ -227,16 +227,17 @@ def test_run_scaling_routes_v_o_h_rows_through_the_fiber_reduction(tmp_path):
 
 def test_run_scaling_artifacts_are_pinned(tmp_path):
     # the config hash as written before ExperimentConfig.p became the
-    # property 3/s; the artifacts as 80 shells of ratio sqrt 2 write them
+    # property 3/s; the artifacts as 80 shells of ratio sqrt 2 write them,
+    # with the v o h rows' steps drawn in sectors about x's ball
     out = tmp_path / "run.csv"
     cfg = X.ExperimentConfig(s=0.5, degrees=(1, 2, 4), samples_per_estimate=2000,
                              seed=0, output_path=str(out))
     X.run_scaling(cfg)
     assert cfg.config_hash() == "25fd289a231c2e1e"
     for path, digest in (
-            (out, "33d398dfc18cf25d4eba40adfffe3efe23bf7f2fe3f372fafd622d9da5a3f1be"),
+            (out, "b5b2d423ddd62a5d4ad77b84224693116ebbd4a5dfb304737199ccd2ece4643c"),
             (tmp_path / "run.csv.loglog.csv",
-             "fe21f61d428b6f4b931bc144858881597c3a040a2c3f22bd967d9846c398923b")):
+             "9eef5e943c57073f7400b5887bdd74662428c52425e8bcf6f416dd330da09e5b")):
         assert hashlib.sha256(path.read_bytes()).hexdigest() == digest, path.name
 
 

@@ -22,10 +22,14 @@ from hopflab.errors import (
 GEN = np.random.default_rng(20260814)
 
 
-def _sample(src, n, rng, rings=1, start=0):
-    """n points of an x source drawn as one piece whose row i lies in ring
-    (start + i) mod rings."""
-    return src.points(src.draw(n, rng), (start + np.arange(n)) % rings, rings)
+def _sample(src, n, rng, rings=1, start=0, sectors=1):
+    """n points of an x source drawn as one piece whose row i lies in cell
+    (start + i) mod (rings sectors): ring cell mod rings and, with the step
+    directions of a source that steers, sector cell // rings."""
+    cell = (start + np.arange(n)) % (rings * sectors)
+    if src.steers:
+        return src.points(src.draw(n, rng), cell % rings, rings, cell // rings, sectors)
+    return src.points(src.draw(n, rng), cell, rings)
 S3_PTS = geo.sample_uniform_many(3, 400, np.random.default_rng(11))
 S2_PTS = geo.sample_uniform_many(2, 400, np.random.default_rng(12))
 
@@ -439,6 +443,8 @@ def test_source_rows_lie_in_their_rings(kind, start):
         src = maps.HopfTubes([_ball([0.0, 0.0, 1.0], 0.4), _ball([1.0, 0.0, 0.0], 0.7)])
     rng = np.random.default_rng(53)
     x = _sample(src, n, rng, R, start)
+    if kind == "balls_s2":  # x and its step directions
+        x = x[0]
     assert np.allclose(np.linalg.norm(x, axis=1), 1.0, rtol=0, atol=1e-14)
     assert np.all(src.contains(x))
     centre_of = maps.hopf_eval_many(x) if kind == "tubes" else x
@@ -463,6 +469,62 @@ def test_source_rows_lie_in_their_rings(kind, start):
         c = src.centers[i]
         off = y - (y @ c)[:, None] * c
         assert np.all(np.abs(off.mean(axis=0)) < 4.0 / math.sqrt(y.shape[0]))
+
+
+def _inward(src, x):
+    """The unit tangent at each row x toward the centre of its ball of src."""
+    c = src.centers[np.argmax(x @ src.centers.T, axis=1)]
+    v = c - np.einsum("ij,ij->i", c, x)[:, None] * x
+    return v / np.linalg.norm(v, axis=1)[:, None]
+
+
+def _ks(u):
+    """Kolmogorov-Smirnov distance of the sample u from uniform on [0, 1]."""
+    u = np.sort(u)
+    m = u.shape[0]
+    return max(np.max(np.arange(1, m + 1) / m - u), np.max(u - np.arange(m) / m))
+
+
+@pytest.mark.parametrize("start", [0, 13])
+def test_s2_ball_steps_lie_in_their_sectors(start):
+    # on S^2 a BallUnion draws each row's step direction d with x: a unit
+    # tangent at x whose angle psi from the direction toward the centre of
+    # x's ball lies in the row's sector, |psi| in [pi k / S, pi (k + 1) / S]
+    # for row i in cell (start + i) mod R S, sector that cell // R
+    R, S, n = 8, 5, 40_000
+    src = geo.BallUnion([_ball([0.0, 0.0, 1.0], 0.4), _ball([1.0, 0.0, 0.0], 0.7)])
+    assert src.steers and not geo.BallUnion([_ball([0.0, 0.0, 0.0, 1.0], 0.5)]).steers
+    x, d = _sample(src, n, np.random.default_rng(54), R, start, S)
+    assert np.allclose(np.linalg.norm(d, axis=1), 1.0, rtol=0, atol=1e-14)
+    assert np.allclose(np.einsum("ij,ij->i", x, d), 0.0, rtol=0, atol=1e-14)
+    psi = np.arccos(np.clip(np.einsum("ij,ij->i", d, _inward(src, x)), -1.0, 1.0))
+    sector = (start + np.arange(n)) % (R * S) // R
+    assert np.all(psi >= np.pi * sector / S - 1e-7)
+    assert np.all(psi <= np.pi * (sector + 1) / S + 1e-7)
+
+
+def test_s2_ball_steps_are_uniform_given_x():
+    # over whole rows of cells the signed angle psi of d from the inward
+    # direction is uniform on the circle, both mirror arcs of every sector
+    # included, and the same holds in the inner and the outer rings of x
+    # and on either side of each ball, so psi does not depend on x
+    R, S, n = 8, 8, 64_000
+    src = geo.BallUnion([_ball([0.0, 0.0, 1.0], 0.4), _ball([1.0, 0.0, 0.0], 0.7)])
+    x, d = _sample(src, n, np.random.default_rng(55), R, 0, S)
+    part = np.argmax(x @ src.centers.T, axis=1)
+    inward = _inward(src, x)
+    across = np.cross(x, inward)
+    psi = np.arctan2(np.einsum("ij,ij->i", d, across), np.einsum("ij,ij->i", d, inward))
+    u = (psi + np.pi) / (2.0 * np.pi)
+    ring = np.arange(n) % R
+    side = np.einsum("ij,ij->i", x, np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])[part]) > 0.0
+    for rows in (slice(None), ring < 2, ring >= 6, side, ~side):
+        m = u[rows].shape[0]
+        assert _ks(u[rows]) < 1.63 / math.sqrt(m)  # Kolmogorov-Smirnov at the 1% level
+    # each signed arc of each sector holds its 1 / 2S share of the rows
+    arcs = np.floor(u * 2 * S).astype(int)
+    counts = np.bincount(arcs, minlength=2 * S)
+    assert np.all(np.abs(counts - n / (2 * S)) < 4.0 * math.sqrt(n / (2 * S)))
 
 
 def test_sources_cover_where_the_map_leaves_its_basepoint():
