@@ -72,32 +72,36 @@ def oriented_frames(points):
     """Orthonormal tangent frames (e_1..e_m) with det[x, e_1..e_m] = +1.
 
     points: (N, d) unit vectors, d in {3, 4}. Returns (N, d, d-1) with
-    frame vectors in the last-but-one axis columns.
-
-    Topology builds its S^3 frames as quaternion frames instead
-    (topology._tangent_frames), which cost one gather. This one stays for
-    S^2 frames, for the outer nodes of energy's quadrature, for
-    geometry.ball_grid and for the degree rule's ball centers. The
-    quadrature's inner rule turns with the frame, so another frame there
-    moves the quadrature values.
+    frame vectors in the last-but-one axis columns. On S^3 the frame is
+    quaternion_frames'. On S^2, e_1 is the coordinate axis least aligned
+    with x, projected on the tangent plane and normalised, and
+    e_2 = x x e_1; the quadrature's inner rule turns with this frame.
     """
     pts = np.asarray(points, dtype=np.float64)
-    d = pts.shape[1]
-    # seed axes: the two coordinate directions least aligned with x
-    order = np.argsort(np.abs(pts), axis=1)
-    a1 = np.eye(d)[order[:, 0]]
+    if pts.shape[1] == 4:
+        return quaternion_frames(pts)
+    if pts.shape[1] != 3:
+        raise ValueError("only S^2 and S^3 frames supported")
+    a1 = np.eye(3)[np.argmin(np.abs(pts), axis=1)]
     e1 = a1 - np.sum(a1 * pts, axis=1, keepdims=True) * pts
     e1 /= np.linalg.norm(e1, axis=1, keepdims=True)
-    if d == 3:
-        return np.stack([e1, cross3(pts, e1)], axis=2)
-    if d != 4:
-        raise ValueError("only S^2 and S^3 frames supported")
-    a2 = np.eye(d)[order[:, 1]]
-    e2 = a2 - np.sum(a2 * pts, axis=1, keepdims=True) * pts
-    e2 -= np.sum(a2 * e1, axis=1, keepdims=True) * e1
-    e2 /= np.linalg.norm(e2, axis=1, keepdims=True)
-    # e3 via cofactors of det[x, e1, e2, v] so the 4x4 determinant is +|e3|
-    return np.stack([e1, e2, _cross4(pts, e1, e2)], axis=2)
+    return np.stack([e1, cross3(pts, e1)], axis=2)
+
+
+# x -> (x i, x j, x k) for x = x1 + x2 i + x3 j + x4 k: entry (a, j) of the
+# frame is _QUAT_SIGNS[a, j] * x[_QUAT_ROWS[a, j]]
+_QUAT_ROWS = np.array([[1, 2, 3], [0, 3, 2], [3, 0, 1], [2, 1, 0]])
+_QUAT_SIGNS = np.array([[-1.0, -1.0, -1.0], [1.0, -1.0, 1.0],
+                        [1.0, 1.0, -1.0], [-1.0, 1.0, 1.0]])
+
+
+def quaternion_frames(pts):
+    """The frames (x i, x j, x k) at the rows x of the (N, 4) array pts,
+    read as quaternions, shape (N, 4, 3). Each vector is a signed copy of
+    x's coordinates, so the frame is orthonormal up to the rounding of |x|,
+    and det[x, x i, x j, x k] = |x|^4 = 1, since the matrix is that of
+    q -> x q; one gather and one product build it."""
+    return pts[:, _QUAT_ROWS] * _QUAT_SIGNS
 
 
 _NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
@@ -106,23 +110,6 @@ _NEXT, _LAST = np.array([1, 2, 0]), np.array([2, 0, 1])
 def cross3(a, b):
     """Row-wise np.cross of (N, 3) arrays, bit for bit, at less call cost."""
     return a[:, _NEXT] * b[:, _LAST] - a[:, _LAST] * b[:, _NEXT]
-
-
-def _cross4(x, u, v):
-    """Vector c with det[x, u, v, w] = c . w for every w (columns order)."""
-    c = np.empty_like(x)
-    idx = [(1, 2, 3), (0, 2, 3), (0, 1, 3), (0, 1, 2)]
-    # cofactor expansion along the last column: c_i = (-1)^(i+1) * minor_i
-    for i, (p, q, r) in enumerate(idx):
-        minor = (
-            x[:, p] * (u[:, q] * v[:, r] - u[:, r] * v[:, q])
-            - x[:, q] * (u[:, p] * v[:, r] - u[:, r] * v[:, p])
-            + x[:, r] * (u[:, p] * v[:, q] - u[:, q] * v[:, p])
-        )
-        c[:, i] = minor if (i % 2 == 1) else -minor
-    # normalize; inputs orthonormal so |c| = 1 up to roundoff
-    c /= np.linalg.norm(c, axis=1, keepdims=True)
-    return c
 
 
 # ---------------------------------------------------------------------------

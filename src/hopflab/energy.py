@@ -98,6 +98,7 @@ class EnergyParams:
             raise ParameterError(f"s must lie in (0,1), got {self.s}")
         if not (1.0 < self.p < math.inf):
             raise ParameterError(f"p must be finite and exceed 1, got {self.p}")
+        object.__setattr__(self, "n", require_int(self.n, "n"))
         if self.n not in (2, 3):
             raise ParameterError(f"unsupported sphere dimension {self.n}")
         if self.critical and abs(self.s * self.p - self.n) > 1e-12:

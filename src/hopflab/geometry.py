@@ -69,7 +69,7 @@ class SpherePoint:
             raise DimensionMismatchError(
                 f"S^{self.dim} point needs {self.dim + 1} coords, got shape {c.shape}"
             )
-        if abs(np.linalg.norm(c) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(c) - 1.0) <= 1e-12:  # also true for nan
             raise ParameterError(f"coords not on the unit sphere: |x| = {np.linalg.norm(c)!r}")
 
 
@@ -107,6 +107,8 @@ class Rotation:
         d = self.dim + 1
         if m.shape != (d, d):
             raise DimensionMismatchError(f"rotation of S^{self.dim} needs a {d}x{d} matrix")
+        if not np.all(np.isfinite(m)):  # before det, which warns on nan
+            raise ParameterError("rotation matrix has a non-finite entry")
         if np.max(np.abs(m @ m.T - np.eye(d))) > 1e-10:
             raise ParameterError("matrix is not orthogonal within 1e-10")
         if abs(np.linalg.det(m) - 1.0) > 1e-10:

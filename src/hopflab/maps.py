@@ -910,7 +910,7 @@ def _desc(variant, params, children=None):
 def _unit(x):
     c = x.coords if isinstance(x, SpherePoint) else np.asarray(x, dtype=np.float64)
     n = np.linalg.norm(c)
-    if abs(n - 1.0) > 1e-9:
+    if not abs(n - 1.0) <= 1e-9:  # also true for nan
         raise ParameterError(f"expected a unit vector, |x| = {n!r}")
     # keep the caller's bits when already unit so constant-outside equality
     # stays exact; renormalize only genuinely sloppy inputs

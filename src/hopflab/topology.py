@@ -13,6 +13,7 @@ structural bookkeeping.
 from __future__ import annotations
 
 import json
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,6 +99,8 @@ class ClosedCurve:
         object.__setattr__(self, "points", pts)
         if pts.ndim != 2 or pts.shape[0] < 3 or pts.shape[1] != 4:
             raise ParameterError(f"closed curve needs (N>=3, 4) points, got {pts.shape}")
+        if not np.all(np.isfinite(pts)):
+            raise ParameterError("closed curve has a non-finite point")
         if self.tolerance is None:
             return
         gaps = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
@@ -132,26 +135,12 @@ def tangential_jacobian(f: SphereMap, pts):
     return D, E, vals, W
 
 
-# x -> (x i, x j, x k) for x = x1 + x2 i + x3 j + x4 k: entry (a, j) of the
-# frame is _QUAT_SIGNS[a, j] * x[_QUAT_ROWS[a, j]]
-_QUAT_ROWS = np.array([[1, 2, 3], [0, 3, 2], [3, 0, 1], [2, 1, 0]])
-_QUAT_SIGNS = np.array([[-1.0, -1.0, -1.0], [1.0, -1.0, 1.0],
-                        [1.0, 1.0, -1.0], [-1.0, 1.0, 1.0]])
-
-
 def _tangent_frames(pts):
-    """Positive orthonormal tangent frames at the rows of pts, (N, d, d-1):
-    every frame that topology builds at points of S^3 or S^2 other than the
-    degree rule's ball centers.
-
-    On S^3 the frame is (x i, x j, x k) for x read as a quaternion. Each
-    vector is a signed copy of x's coordinates, so the frame is orthonormal
-    up to the rounding of |x|, and det[x, x i, x j, x k] = |x|^4 = 1, since
-    the matrix is that of q -> x q; one gather and one product build it. On
-    S^2 the frame is _kernels.oriented_frames'.
-    """
+    """_kernels.oriented_frames(pts), bit for bit. On S^3 it calls
+    _kernels.quaternion_frames directly, so that the S^2 codomain frame is
+    the one oriented_frames call per Jacobian."""
     if pts.shape[1] == 4:
-        return pts[:, _QUAT_ROWS] * _QUAT_SIGNS
+        return _kernels.quaternion_frames(pts)
     return _kernels.oriented_frames(pts)
 
 
@@ -344,9 +333,10 @@ def _trace_fibers(f: SphereMap, targets, seed_sets, step: float):
     """
     if f.domain_dim != 3 or f.codomain_dim != 2:
         raise ParameterError("fiber tracing needs a map S^3 -> S^2")
-    if not FIBER_MIN_STEP <= step < np.inf:  # also false for nan
-        raise ParameterError(f"fiber step must be finite and at least "
-                             f"{FIBER_MIN_STEP:g}, got step = {step}")
+    if (isinstance(step, bool) or not isinstance(step, numbers.Real)
+            or not FIBER_MIN_STEP <= step < np.inf):  # also false for nan
+        raise ParameterError(f"fiber step must be a finite number of at least "
+                             f"{FIBER_MIN_STEP:g}, got step = {step!r}")
     X = [np.reshape([getattr(s, "coords", s) for s in seeds], (-1, 4))
          for seeds in seed_sets]
     fib = np.repeat(np.arange(len(X)), [len(x) for x in X])

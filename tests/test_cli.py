@@ -128,7 +128,11 @@ def test_bad_degrees_exit_1_without_traceback(degrees, token, tmp_path, capsys):
      "params of variant 'multi_bubble' must be a JSON object, got list"),
     ('{"variant": "multi_bubble", "params": {"k": "3", "basepoint": [1, 0, 0], '
      '"safety": 0.9}}', "'k' of variant 'multi_bubble' must be an integer, got '3'"),
-], ids=["missing_key", "not_an_object", "truncated", "params_a_list", "k_a_string"])
+    ('{"variant": "precompose_rotation", "params": {"matrix": [[NaN, 0, 0, 0], '
+     '[0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]]}, "children": [{"variant": "hopf", '
+     '"params": {}, "children": []}]}', "rotation matrix has a non-finite entry"),
+], ids=["missing_key", "not_an_object", "truncated", "params_a_list", "k_a_string",
+        "nan_matrix"])
 def test_malformed_descriptor_exits_1_without_traceback(text, message, tmp_path,
                                                         capsys):
     path = tmp_path / "bad.json"

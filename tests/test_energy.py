@@ -39,6 +39,15 @@ def test_params_reject_a_non_finite_p(p):
         energy.EnergyParams(s=0.5, p=p, n=2)
 
 
+def test_params_take_n_as_an_integer():
+    # 3.0 passed `in (2, 3)` and energy_mc's JSON then wrote "n": 3.0
+    for n in (3.0, True, "3"):
+        with pytest.raises(ParameterError, match="n must be an integer"):
+            energy.EnergyParams(0.5, 6.0, n)
+    params = energy.EnergyParams(0.5, 6.0, np.int64(3))
+    assert type(params.n) is int and params == energy.EnergyParams(0.5, 6.0, 3)
+
+
 def test_region_measures_tile():
     b = energy.Region(3, CENTER_S3, 0.0, 0.8).measure()
     c = energy.Region(3, CENTER_S3, 0.8).measure()

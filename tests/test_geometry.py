@@ -23,6 +23,17 @@ def test_sphere_point_rejects_zero():
         geo.sphere_point([0.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sphere_point_and_rotation_reject_non_finite_entries(bad):
+    # a comparison with nan is False, so both checks used to pass nan
+    with pytest.raises(ParameterError):
+        geo.SpherePoint(2, np.array([bad, 0.0, 1.0]))
+    m = np.eye(3)
+    m[1, 2] = bad
+    with pytest.raises(ParameterError, match="non-finite"):
+        geo.Rotation(2, m)
+
+
 def test_geodesic_distance_symmetry_and_range():
     pts = geo.sample_uniform_many(3, 64, np.random.default_rng(1))
     qts = geo.sample_uniform_many(3, 64, np.random.default_rng(2))

@@ -87,6 +87,38 @@ def test_lipschitz_probe_hopf_is_two():
     assert abs(val - 2.0) < 0.01
 
 
+def _rotated_hopf():
+    q, _ = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))
+    q[:, 0] *= np.sign(np.linalg.det(q))
+    return maps.precompose_rotation(maps.hopf_map(), q)
+
+
+@pytest.mark.parametrize("build", [
+    maps.hopf_map,
+    lambda: maps.identity_map(2), lambda: maps.identity_map(3),
+    lambda: maps.equator_collapse(2), lambda: maps.equator_collapse(3),
+    lambda: maps.bump_deg1(geo.sphere_point([0.0, 0.0, 1.0]), 0.3, [1.0, 0.0, 0.0]),
+    lambda: maps.bump_deg1(geo.sphere_point([0.0, 0.0, 0.0, 1.0]), 0.3,
+                           [1.0, 0.0, 0.0, 0.0]),
+    lambda: maps.multi_bubble(5), lambda: maps.multi_bubble(20),
+    lambda: maps.composed_with_hopf(maps.multi_bubble(2)),
+    lambda: maps.hopf_bump(geo.sphere_point([0.0, 0.0, 0.0, 1.0]), 0.3),
+    lambda: maps.prescribed_hopf_map(2), lambda: maps.prescribed_hopf_map(5),
+    lambda: maps.prescribed_hopf_map(-3),
+    _rotated_hopf,
+    lambda: maps.constant_map(3, [1.0, 0.0, 0.0]),
+], ids=["hopf", "identity2", "identity3", "collapse2", "collapse3", "bump_s2",
+        "bump_s3", "bubbles5", "bubbles20", "bubbles2_hopf", "hopf_bump",
+        "prescribed2", "prescribed5", "prescribed-3", "rotated_hopf", "constant"])
+def test_lipschitz_hint_bounds_the_probe(build):
+    # the quadrature's band stop and every tail_bound trust the hint; the
+    # probe's arccos at separation 1e-4 rounds at about 1e-8 (the S^2
+    # collapse reads 1 + 1e-8 of its hint), hence the 1e-6 slack
+    u = build()
+    probe = maps.lipschitz_probe(u, 20_000, np.random.default_rng(1))
+    assert probe <= u.lipschitz_hint * (1.0 + 1e-6)
+
+
 # ---------------------------------------------------------------------------
 # Bumps and bubbles
 # ---------------------------------------------------------------------------
@@ -783,6 +815,17 @@ def test_descriptor_values_of_the_wrong_type_raise_parameter_errors(desc, match)
     # they used to reach the constructors and raise bare TypeErrors
     with pytest.raises(ParameterError, match=match):
         maps.map_from_descriptor(desc)
+
+
+def test_non_finite_points_and_matrices_raise_parameter_errors():
+    # a comparison with nan is False: _unit returned [nan nan nan], and a nan
+    # matrix reached _precompose's int(np.sign(det)) as a bare ValueError
+    with pytest.raises(ParameterError, match="unit vector"):
+        maps.constant_map(2, [np.nan, 0.0, 1.0])
+    matrix = np.eye(4).tolist()
+    matrix[2][1] = np.nan
+    with pytest.raises(ParameterError, match="non-finite"):
+        maps.map_from_descriptor(_with_params(_ROTATED, matrix=matrix))
 
 
 def test_eval_many_rejects_wrong_shape():

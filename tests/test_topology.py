@@ -189,6 +189,16 @@ def test_s3_frames_are_positive_orthonormal_quaternion_frames():
         assert np.max(np.abs(np.linalg.det(full) - 1.0)) < 1e-15
 
 
+def test_kernel_s3_frames_are_topology_frames_bit_for_bit():
+    # one S^3 frame: the ball grids, the degree rule and the quadrature read
+    # the same quaternion frame as the Jacobians
+    rng = np.random.default_rng(12)
+    axes = np.concatenate([np.eye(4), -np.eye(4)])
+    for x in (geo.sample_uniform_many(3, 2000, rng), axes):
+        E = topology._kernels.oriented_frames(x)
+        assert E.tobytes() == topology._tangent_frames(x).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # Mapping degree by Jacobian integration
 # ---------------------------------------------------------------------------
@@ -327,6 +337,16 @@ def test_closed_curve_rejects_gaps():
     pts = maps.fiber_circle(geo.sphere_point([0.0, 0.0, 1.0]), 64)
     with pytest.raises(ParameterError):
         topology.ClosedCurve(pts[::8], tolerance=0.01)  # nodes too far apart
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("tolerance", [None, 0.2])
+def test_closed_curve_rejects_non_finite_points(bad, tolerance):
+    # gauss_linking on such a curve raised a bare ValueError from int(nan)
+    pts = maps.fiber_circle(geo.sphere_point([0.0, 0.0, 1.0]), 64)
+    pts[5, 2] = bad
+    with pytest.raises(ParameterError, match="non-finite"):
+        topology.ClosedCurve(pts, tolerance)
 
 
 def test_gauss_linking_hopf_fibers_is_one():
@@ -595,12 +615,14 @@ def test_hopf_invariant_rejects_wrong_dims():
         topology.hopf_invariant(maps.identity_map(2))
 
 
-@pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf, 1e-200, 1e-300])
+@pytest.mark.parametrize("step", [0.0, -1e-3, np.nan, np.inf, 1e-200, 1e-300,
+                                  "1e-3", None, True])
 def test_fiber_tracing_rejects_a_bad_step(step):
     # a zero or nan step never closes a curve, a negative one fails every
     # target pair, and below FIBER_MIN_STEP a predictor move rounds away, so
-    # a curve closed on its start (the Hopf map read 0 at 1e-200); each is
-    # rejected before any tracing
+    # a curve closed on its start (the Hopf map read 0 at 1e-200); a string
+    # or None raised a bare TypeError, and True was read as a 1 rad step;
+    # each is rejected before any tracing
     h = maps.hopf_map()
     z = geo.sphere_point([0.0, 0.0, 1.0])
     with pytest.raises(ParameterError, match="step"):
